@@ -21,12 +21,10 @@ from .bath import (
     tabulated_rate,
 )
 from .bloch import (
-    BasisMatrices,
     BlochVector,
     DensityMatrix,
     PhysicalityError,
     from_bloch,
-    gellmann_basis,
     to_bloch,
 )
 from .dynamics import (
@@ -34,7 +32,6 @@ from .dynamics import (
     DegenerateSystem,
     GeneratorMatrix,
     analytic_evolution_aligned,
-    bloch_rhs,
     coherence_generator,
     evolve,
     evolve_trajectory,
@@ -44,11 +41,9 @@ from .dynamics import (
     trajectory_rows,
 )
 from .neardegen import (
-    DressedCoherenceVector,
     NearDegenerateSystem,
     PerturbationCoefficients,
     evolve_neardegenerate,
-    independent_rhs_matrix,
     neardegenerate_generator,
     nonsecular_rhs_matrix,
     perturbation_coefficients,
@@ -56,14 +51,12 @@ from .neardegen import (
     thermalize_independent,
 )
 from .numerics import (
-    MaximizeResult,
     NumericsError,
     OdeSolution,
     SolverConfig,
     integrate_1d,
     integrate_ode,
     lambert_w_principal,
-    maximize_scalar,
 )
 from .protocols import (
     GeneralInitialState,
@@ -73,7 +66,6 @@ from .protocols import (
     RoundResult,
     coherence_unitary,
     discretized_quasistatic,
-    optimal_shift_next,
     optimal_shift_round1,
     protocol1_round,
     protocol2,
@@ -98,18 +90,15 @@ from .thermo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisMatrices",
     "BathSpec",
     "BlochVector",
     "CoherenceVector",
     "DegenerateSystem",
     "DensityMatrix",
-    "DressedCoherenceVector",
     "EigenTriple",
     "GeneralInitialState",
     "GeneratorMatrix",
     "HamiltonianSpec",
-    "MaximizeResult",
     "NearDegenerateSystem",
     "NumericsError",
     "OdeSolution",
@@ -123,7 +112,6 @@ __all__ = [
     "SolverConfig",
     "analytic_evolution_aligned",
     "bath_from_json",
-    "bloch_rhs",
     "coherence_generator",
     "coherence_unitary",
     "cross_rates",
@@ -137,18 +125,14 @@ __all__ = [
     "flat_rate",
     "free_energy",
     "from_bloch",
-    "gellmann_basis",
     "gibbs",
     "gksl_rhs_matrix",
-    "independent_rhs_matrix",
     "integrate_1d",
     "integrate_ode",
     "l1_coherence",
     "lambert_w_principal",
-    "maximize_scalar",
     "neardegenerate_generator",
     "nonsecular_rhs_matrix",
-    "optimal_shift_next",
     "optimal_shift_round1",
     "perturbation_coefficients",
     "perturbative_solution",

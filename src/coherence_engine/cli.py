@@ -20,8 +20,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -105,6 +104,8 @@ def _require_number(section: str, key: str, value, positive: bool = False) -> fl
     if not _is_number(value):
         raise ConfigError(f"{section}.{key} must be a number")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{section}.{key} must be finite")
     if positive and v <= 0.0:
         raise ConfigError(f"{section}.{key} must be positive")
     return v
@@ -154,8 +155,14 @@ def _validate_config(config: dict) -> None:
     if "alignment" in bath:
         _require_number("bath", "alignment", bath["alignment"])
     gp = bath.get("gamma_plus", 1.0)
-    if not (_is_number(gp) or isinstance(gp, dict)):
+    if _is_number(gp):
+        _require_number("bath", "gamma_plus", gp)
+    elif not isinstance(gp, dict):
         raise ConfigError("bath.gamma_plus must be a number or a rate table")
+    try:
+        _build_bath(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bath is invalid: {exc}") from exc
 
     section = config["evolve"]
     _check_keys("evolve", section, ["t_final", "samples", "tol"])
@@ -250,7 +257,11 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
 
 
 def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """Digest of the effective config; figure.jobs changes no output."""
+    figure = {k: v for k, v in config["figure"].items() if k != "jobs"}
+    canonical = json.dumps(
+        {**config, "figure": figure}, sort_keys=True, separators=(",", ":")
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -511,40 +522,6 @@ def cmd_protocol2(config: dict, digest: str) -> int:
     return EXIT_OK
 
 
-def _figure_point(args: Tuple[float, float, dict, int, float]) -> Tuple[float, float]:
-    beta, omega, bath_json, max_rounds, floor = args
-    data = dict(bath_json)
-    data["beta"] = beta
-    bath = bath_from_json(data)
-    initial = protocol_initial_state(beta, omega)
-    ledger, _rounds = run_protocol1(
-        initial, omega, beta, bath, max_rounds=max_rounds, shift_floor=floor
-    )
-    x = math.exp(-beta * omega)
-    fed_value = math.log((1.0 + 2.0 * x) / (1.0 + x)) / beta
-    return ledger.net_work, fed_value
-
-
-def _figure_part_path(out: str, index: int) -> str:
-    return f"{out}.part-{index:04d}"
-
-
-def _figure_worker(
-    args: Tuple[int, str, Tuple[float, float, dict, int, float]]
-) -> str:
-    index, out, point_args = args
-    work, fed_value = _figure_point(point_args)
-    path = _figure_part_path(out, index)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            ",".join(
-                _format_value(v) for v in (point_args[0], work, fed_value)
-            )
-        )
-        fh.write("\n")
-    return path
-
-
 def cmd_figure_wfed(config: dict, digest: str) -> int:
     bath_json = dict(config["bath"])
     bath_json.setdefault("beta", 1.0)
@@ -552,46 +529,25 @@ def cmd_figure_wfed(config: dict, digest: str) -> int:
     alignment = float(bath_json.get("alignment", 1.0))
     if abs(alignment - 1.0) > 1e-12:
         raise ConfigError("figure-wfed requires an aligned bath")
-    section = config["figure"]
-    grid = [float(b) for b in section["beta_grid"]]
-    jobs = int(section["jobs"])
+    grid = [float(b) for b in config["figure"]["beta_grid"]]
     p1 = config["protocol1"]
-    out = config["out"]
-    tasks = [
-        (
-            i,
-            out,
-            (
-                beta,
-                system.omega,
-                bath_json,
-                int(p1["max_rounds"]),
-                float(p1["shift_floor"]),
-            ),
+    omega = system.omega
+    rows = []
+    for beta in grid:
+        ledger, _rounds = run_protocol1(
+            protocol_initial_state(beta, omega),
+            omega,
+            beta,
+            bath_from_json({**bath_json, "beta": beta}),
+            max_rounds=int(p1["max_rounds"]),
+            shift_floor=float(p1["shift_floor"]),
         )
-        for i, beta in enumerate(grid)
-    ]
-    paths: List[str] = []
-    if jobs == 1:
-        for task in tasks:
-            paths.append(_figure_worker(task))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            paths = list(pool.map(_figure_worker, tasks))
-    lines = []
-    for path in paths:
-        with open(path) as fh:
-            lines.append(fh.read().rstrip("\n"))
-        os.unlink(path)
-    csv_path = out + ".csv"
-    header = [
-        f"# coherence-engine {__version__}",
-        f"# config-sha256: {digest}",
-        "beta,work_protocol1,fed",
-    ]
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("\n".join(header + lines) + "\n")
-    print(f"wrote {csv_path} with {len(lines)} rows")
+        x = math.exp(-beta * omega)
+        fed_value = math.log((1.0 + 2.0 * x) / (1.0 + x)) / beta
+        rows.append([beta, ledger.net_work, fed_value])
+    csv_path = config["out"] + ".csv"
+    _write_csv(csv_path, ["beta", "work_protocol1", "fed"], rows, digest)
+    print(f"wrote {csv_path} with {len(rows)} rows")
     return EXIT_OK
 
 
@@ -674,7 +630,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alignment", type=float, help="override bath.alignment")
         p.add_argument("--out", help="override output path prefix")
         if name == "figure-wfed":
-            p.add_argument("--jobs", type=int, help="parallel grid workers")
+            p.add_argument(
+                "--jobs", type=int, help="accepted; the grid runs in-process"
+            )
     return parser
 
 
@@ -715,9 +673,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _resolve_initial(config, args.command)
         _validate_config(config)
         digest = _config_hash(config)
-    except ConfigError as exc:
-        _diagnostic("config", str(exc))
-        return EXIT_CONFIG
     except (ValueError, PhysicalityError) as exc:
         _diagnostic("config", str(exc))
         return EXIT_CONFIG
@@ -728,9 +683,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _diagnostic("config", str(exc))
         return EXIT_CONFIG
     except (PhysicalityError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            _diagnostic("config", str(exc))
-            return EXIT_CONFIG
         _diagnostic("numerical", str(exc))
         return EXIT_NUMERICAL
     except NumericsError as exc:

@@ -257,6 +257,21 @@ def gksl_rhs_matrix(
     return out
 
 
+def _bloch_problem(
+    rho0: DensityMatrix, system: DegenerateSystem, bath: BathSpec, tol: float
+):
+    """Initial Bloch array, right-hand side and solver settings of a run."""
+    q0 = to_bloch(rho0).as_array()
+    pair = rates_at(bath, system.omega)
+
+    def rhs(_t: float, q: np.ndarray) -> np.ndarray:
+        return _bloch_rhs_array(
+            q, system.omega, pair.gamma_plus, pair.gamma_minus, bath.alignment
+        )
+
+    return q0, rhs, SolverConfig(abs_tol=tol, rel_tol=tol, max_iter=10 ** 6)
+
+
 def evolve(
     rho0: DensityMatrix,
     system: DegenerateSystem,
@@ -275,15 +290,7 @@ def evolve(
         raise ValueError("evolution time must be non-negative")
     if t == 0.0:
         return rho0
-    q0 = to_bloch(rho0).as_array()
-    pair = rates_at(bath, system.omega)
-
-    def rhs(_t: float, q: np.ndarray) -> np.ndarray:
-        return _bloch_rhs_array(
-            q, system.omega, pair.gamma_plus, pair.gamma_minus, bath.alignment
-        )
-
-    cfg = SolverConfig(abs_tol=tol, rel_tol=tol, max_iter=10 ** 6)
+    q0, rhs, cfg = _bloch_problem(rho0, system, bath, tol)
     sol = integrate_ode(rhs, q0, (0.0, t), cfg, fixed_steps=fixed_steps)
     rho_t = from_bloch(BlochVector.from_array(sol.y[:, -1]))
     drift = abs(rho_t.trace - 1.0)
@@ -305,15 +312,7 @@ def evolve_trajectory(
         t2 < t1 for t1, t2 in zip(times, times[1:])
     ):
         raise ValueError("times must be non-negative and non-decreasing")
-    q0 = to_bloch(rho0).as_array()
-    pair = rates_at(bath, system.omega)
-
-    def rhs(_t: float, q: np.ndarray) -> np.ndarray:
-        return _bloch_rhs_array(
-            q, system.omega, pair.gamma_plus, pair.gamma_minus, bath.alignment
-        )
-
-    cfg = SolverConfig(abs_tol=tol, rel_tol=tol, max_iter=10 ** 6)
+    q0, rhs, cfg = _bloch_problem(rho0, system, bath, tol)
     horizon = times[-1] if times else 0.0
     if horizon == 0.0:
         return [from_bloch(BlochVector.from_array(q0)) for _ in times]
@@ -326,17 +325,8 @@ def evolve_trajectory(
 
 
 _ENTRY_LABELS = ("22", "21", "20", "12", "11", "10", "02", "01", "00")
-_ENTRY_INDEX = {
-    "22": (0, 0),
-    "21": (0, 1),
-    "20": (0, 2),
-    "12": (1, 0),
-    "11": (1, 1),
-    "10": (1, 2),
-    "02": (2, 0),
-    "01": (2, 1),
-    "00": (2, 2),
-}
+# Basis order (|2>, |1>, |0>): level k sits at row/column 2 - k.
+_ENTRY_INDEX = {s: (2 - int(s[0]), 2 - int(s[1])) for s in _ENTRY_LABELS}
 
 
 def trajectory_columns() -> List[str]:
@@ -365,6 +355,31 @@ def trajectory_rows(
     return rows
 
 
+def _aligned_vector(init, x: float, slow, fast) -> Tuple:
+    """Aligned-dipole closed form as the real 4-vector (r22, r00, r+, d).
+
+    init is (rho22, rho00, rho_plus, rho_minus_im) at t = 0, x the
+    Boltzmann factor, and slow = e^{-g t}, fast = e^{-2(1+x) g t} the two
+    decay factors (scalars or arrays); slow = fast = 0 is the t -> infinity
+    limit.
+    """
+    a, b, c, d = init
+    big_a = 1.0 + x
+    big_b = 1.0 + 2.0 * x
+    r22 = (
+        (1.0 + 2.0 * x - b - 2.0 * c)
+        + 2.0 * big_a * (2.0 * a + b - 1.0) * slow
+        + (1.0 + 2.0 * c - big_b * b) * fast
+    ) / (4.0 * big_a)
+    r00 = ((1.0 + b + 2.0 * c) + (-1.0 - 2.0 * c + big_b * b) * fast) / (
+        2.0 * big_a
+    )
+    rp = ((-1.0 + big_b * (b + 2.0 * c)) + (1.0 + 2.0 * c - big_b * b) * fast) / (
+        4.0 * big_a
+    )
+    return r22, r00, rp, d * slow
+
+
 def analytic_evolution_aligned(
     init: Tuple[float, float, float, float],
     system: DegenerateSystem,
@@ -374,9 +389,9 @@ def analytic_evolution_aligned(
     """Closed-form aligned-dipole evolution of (rho22, rho00, rho12).
 
     For perfectly aligned dipoles the coherence-vector equation has the
-    explicit solution below, parameterized by the initial data
-    rho22(0) = a, rho00(0) = b, rho_plus(0) = c, rho_minus(0) = i d and
-    x = exp(-beta omega).  Accepts a scalar or array of times and
+    explicit solution of _aligned_vector, parameterized by the initial
+    data rho22(0) = a, rho00(0) = b, rho_plus(0) = c, rho_minus(0) = i d
+    and x = exp(-beta omega).  Accepts a scalar or array of times and
     returns (rho22, rho00, rho12) with rho12 complex.
     """
     if abs(bath.alignment - 1.0) > ALIGNED_TOL:
@@ -387,34 +402,13 @@ def analytic_evolution_aligned(
     g = pair.gamma_plus
     x = math.exp(-bath.beta * system.omega)
     t = np.asarray(t, dtype=float)
-    big_a = 1.0 + x
-    big_b = 1.0 + 2.0 * x
     slow = np.exp(-g * t)
-    fast = np.exp(-2.0 * big_a * g * t)
-    rho22 = (
-        (1.0 + 2.0 * x - b - 2.0 * c)
-        + 2.0 * big_a * (2.0 * a + b - 1.0) * slow
-        + (1.0 + 2.0 * c - big_b * b) * fast
-    ) / (4.0 * big_a)
-    rho00 = ((1.0 + b + 2.0 * c) + (-1.0 - 2.0 * c + big_b * b) * fast) / (
-        2.0 * big_a
-    )
-    rho_plus = (
-        (-1.0 + big_b * (b + 2.0 * c)) + (1.0 + 2.0 * c - big_b * b) * fast
-    ) / (4.0 * big_a)
-    rho12 = rho_plus - 1j * d * slow
+    fast = np.exp(-2.0 * (1.0 + x) * g * t)
+    rho22, rho00, rho_plus, d_t = _aligned_vector((a, b, c, d), x, slow, fast)
+    rho12 = rho_plus - 1j * d_t
     if rho22.ndim == 0:
         return float(rho22), float(rho00), complex(rho12)
     return rho22, rho00, rho12
-
-
-def _aligned_steady_vector(b: float, c: float, x: float) -> np.ndarray:
-    big_a = 1.0 + x
-    big_b = 1.0 + 2.0 * x
-    r22 = (1.0 + 2.0 * x - b - 2.0 * c) / (4.0 * big_a)
-    r00 = (1.0 + b + 2.0 * c) / (2.0 * big_a)
-    rp = (-1.0 + big_b * (b + 2.0 * c)) / (4.0 * big_a)
-    return np.array([r22, r00, rp, 0.0])
 
 
 def steady_state(
@@ -424,7 +418,9 @@ def steady_state(
 ) -> DensityMatrix:
     """Long-time state of the coherence sector.
 
-    For |alignment| < 1 the generator is invertible and the fixed point
+    Without emission (gamma_plus = 0 at omega) the generator vanishes and
+    every state is stationary, so the initial state is returned.  For
+    |alignment| < 1 the generator is invertible and the fixed point
     is the Gibbs state, independent of the initial data.  For aligned
     dipoles the generator is singular and the steady state retains a
     memory of the initial (rho00, rho_plus); anti-aligned dipoles map
@@ -434,6 +430,8 @@ def steady_state(
     branch to avoid catastrophic cancellation in the linear solve.
     """
     a, b, c, d = (float(v) for v in init)
+    if rates_at(bath, system.omega).gamma_plus == 0.0:
+        return CoherenceVector(a, b, c, d).to_density()
     p = bath.alignment
     x = math.exp(-bath.beta * system.omega)
     use_aligned = abs(abs(p) - 1.0) <= ALIGNED_TOL
@@ -446,6 +444,5 @@ def steady_state(
             vec = np.linalg.solve(m_real, b_real)
             return CoherenceVector.from_array(vec).to_density()
     sign = 1.0 if p >= 0.0 else -1.0
-    vec = _aligned_steady_vector(b, sign * c, x)
-    vec[2] *= sign
-    return CoherenceVector.from_array(vec).to_density()
+    r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
+    return CoherenceVector(r22, r00, sign * rp, 0.0).to_density()

@@ -34,7 +34,13 @@ import numpy as np
 
 from .bath import BathSpec, RatePair, rate_derivative, rates_at
 from .bloch import DensityMatrix
-from .dynamics import ALIGNED_TOL, CoherenceVector, GeneratorMatrix
+from .dynamics import (
+    ALIGNED_TOL,
+    CoherenceVector,
+    GeneratorMatrix,
+    _aligned_vector,
+    _sigma_ops,
+)
 from .numerics import SolverConfig, integrate_ode
 
 logger = logging.getLogger(__name__)
@@ -68,16 +74,6 @@ class NearDegenerateSystem:
     @property
     def delta(self) -> float:
         return self.omega2 - self.omega1
-
-
-class DressedCoherenceVector(CoherenceVector):
-    """Coherence vector built from the dressed coherence combinations.
-
-    Carries the same four real components and reconstruction rules as
-    CoherenceVector; the dressing phases cancel between the interaction
-    picture and the splitting, so no extra bookkeeping is needed to
-    undress at a given time.
-    """
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ def evolve_neardegenerate(
     bath: BathSpec,
     t: float,
     tol: float = 1e-10,
-) -> DressedCoherenceVector:
+) -> CoherenceVector:
     """Integrate the dressed coherence-vector equation for a time t."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
@@ -183,38 +179,20 @@ def evolve_neardegenerate(
     m_real, b_real = gen.real_form()
     y0 = pi0.as_array()
     if t == 0.0:
-        return DressedCoherenceVector.from_array(y0)
+        return CoherenceVector.from_array(y0)
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         return m_real @ y - b_real
 
     cfg = SolverConfig(abs_tol=tol, rel_tol=tol, max_iter=10 ** 6)
     sol = integrate_ode(rhs, y0, (0.0, t), cfg)
-    return DressedCoherenceVector.from_array(sol.y[:, -1].real)
-
-
-def _zeroth_order(t, init, x: float, g: float) -> np.ndarray:
-    """Aligned degenerate solution as the real 4-vector (r22, r00, r+, d)."""
-    a, b, c, d = init
-    t = np.asarray(t, dtype=float)
-    big_a = 1.0 + x
-    big_b = 1.0 + 2.0 * x
-    slow = np.exp(-g * t)
-    fast = np.exp(-2.0 * big_a * g * t)
-    r22 = (
-        (1.0 + 2.0 * x - b - 2.0 * c)
-        + 2.0 * big_a * (2.0 * a + b - 1.0) * slow
-        + (1.0 + 2.0 * c - big_b * b) * fast
-    ) / (4.0 * big_a)
-    r00 = ((1.0 + b + 2.0 * c) + (-1.0 - 2.0 * c + big_b * b) * fast) / (2.0 * big_a)
-    rp = ((-1.0 + big_b * (b + 2.0 * c)) + (1.0 + 2.0 * c - big_b * b) * fast) / (
-        4.0 * big_a
-    )
-    return np.array([r22, r00, rp, d * slow])
+    return CoherenceVector.from_array(sol.y[:, -1].real)
 
 
 def _first_order(
     t,
+    slow,
+    fast,
     init,
     x: float,
     g: float,
@@ -230,10 +208,10 @@ def _first_order(
     slow sources hitting the slow eigenmode, and mixed responses from
     the fast sources; the (rho00, rho_plus) block additionally mixes the
     two decay modes, handled through the combinations
-    y1 + 2 y2 (pure slow) and x-weighted sums (pure fast).
+    y1 + 2 y2 (pure slow) and x-weighted sums (pure fast).  slow and
+    fast are those two decay factors at t.
     """
     a, b, c, d = init
-    t = np.asarray(t, dtype=float)
     dgp = diff.gamma_plus
     big_a = 1.0 + x
     big_b = 1.0 + 2.0 * x
@@ -256,9 +234,6 @@ def _first_order(
     s3_inf = -t_inf
     s3_1 = -(dgp / 2.0) * d
     s3_2 = -c2
-
-    slow = np.exp(-g * t)
-    fast = np.exp(-2.0 * big_a * g * t)
 
     alpha = (d / (2.0 * big_a * g)) * (1.0 - slow)
     e_inf = s1_inf / 2.0
@@ -298,7 +273,7 @@ def perturbative_solution(
     system: NearDegenerateSystem,
     bath: BathSpec,
     t: float,
-) -> DressedCoherenceVector:
+) -> CoherenceVector:
     """Dressed coherence vector to first order in the splitting.
 
     Valid for aligned dipoles.  The zeroth order is the degenerate
@@ -317,14 +292,16 @@ def perturbative_solution(
     base = rates_at(bath, system.omega1)
     g = base.gamma_plus
     x = math.exp(-bath.beta * system.omega1)
-    zeroth = _zeroth_order(t, (a, b, c, d), x, g)
+    t = np.asarray(t, dtype=float)
+    slow, fast = np.exp(-g * t), np.exp(-2.0 * (1.0 + x) * g * t)
+    zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast))
     delta = system.delta
     if delta == 0.0:
-        return DressedCoherenceVector.from_array(zeroth)
+        return CoherenceVector.from_array(zeroth)
     diff = rate_derivative(bath, system.omega1, delta)
     coeffs = perturbation_coefficients((a, b, c, d), base, diff, x)
-    first = _first_order(t, (a, b, c, d), x, g, diff, coeffs)
-    return DressedCoherenceVector.from_array(zeroth + delta * first)
+    first = _first_order(t, slow, fast, (a, b, c, d), x, g, diff, coeffs)
+    return CoherenceVector.from_array(zeroth + delta * first)
 
 
 def thermalize_independent(
@@ -344,15 +321,6 @@ def thermalize_independent(
     return DensityMatrix(np.diag([w2 / z, w1 / z, 1.0 / z]))
 
 
-def _channel_ops() -> Tuple[list, list]:
-    ket2 = np.array([1.0, 0.0, 0.0])
-    ket1 = np.array([0.0, 1.0, 0.0])
-    ket0 = np.array([0.0, 0.0, 1.0])
-    lower = [np.outer(ket0, ket1), np.outer(ket0, ket2)]
-    raise_ = [np.outer(ket1, ket0), np.outer(ket2, ket0)]
-    return lower, raise_
-
-
 def nonsecular_rhs_matrix(
     rho: np.ndarray, system: NearDegenerateSystem, bath: BathSpec
 ) -> np.ndarray:
@@ -366,10 +334,11 @@ def nonsecular_rhs_matrix(
     stationary frame the oscillating phases of the cross terms cancel
     against the splitting commutator, so no explicit time dependence
     remains.  Used as an independent route to validate the reduced
-    4-vector dynamics.
+    4-vector dynamics.  At alignment 0 the cross terms vanish and this
+    is the late-time right-hand side of two independent decay channels.
     """
     h = np.diag([system.omega2, system.omega1, 0.0]).astype(complex)
-    lower, raise_ = _channel_ops()
+    lower, raise_ = _sigma_ops()
     rates = [rates_at(bath, system.omega1), rates_at(bath, system.omega2)]
     out = -1j * (h @ rho - rho @ h)
     for i in range(2):
@@ -395,20 +364,3 @@ def nonsecular_rhs_matrix(
         out += half_p * gm * (a @ rho @ b - rho @ b @ a)
     return out
 
-
-def independent_rhs_matrix(
-    rho: np.ndarray, system: NearDegenerateSystem, bath: BathSpec
-) -> np.ndarray:
-    """Late-time master-equation right-hand side (cross terms dropped)."""
-    h = np.diag([system.omega2, system.omega1, 0.0]).astype(complex)
-    lower, raise_ = _channel_ops()
-    rates = [rates_at(bath, system.omega1), rates_at(bath, system.omega2)]
-    out = -1j * (h @ rho - rho @ h)
-    for i in range(2):
-        gp, gm = rates[i].gamma_plus, rates[i].gamma_minus
-        a, b = lower[i], raise_[i]
-        anti = b @ a
-        out += gp * (a @ rho @ b - 0.5 * (anti @ rho + rho @ anti))
-        anti = a @ b
-        out += gm * (b @ rho @ a - 0.5 * (anti @ rho + rho @ anti))
-    return out

@@ -340,11 +340,14 @@ def optimal_shift_round1(beta: float, omega: float) -> float:
 
     The stationarity condition for the first round (no population on
     the lifted level) solves with the principal Lambert branch:
-    shift = (1/beta) [1 + W(1/((1 + e^{beta omega}) e))].
+    shift = (1/beta) [1 + W(1/((1 + e^{beta omega}) e))].  The Lambert
+    argument is evaluated as x / ((1 + x) e) with x = e^{-beta omega},
+    which cannot overflow at low temperature.
     """
     if beta <= 0.0 or omega <= 0.0:
         raise ValueError("inverse temperature and frequency must be positive")
-    arg = 1.0 / ((1.0 + math.exp(beta * omega)) * math.e)
+    x = math.exp(-beta * omega)
+    arg = x / ((1.0 + x) * math.e)
     return (1.0 + lambert_w_principal(arg)) / beta
 
 
@@ -502,6 +505,34 @@ def _shift_work(population: float, w_from: float, w_to: float) -> float:
     return population * (w_from - w_to)
 
 
+def _sweep_model(beta: float, fixed_other_level: float, mode: str):
+    """Log-partition function and moving population of a level sweep.
+
+    The partition function is Z(w) = c + n e^{-beta w}: one moving level
+    (n = 1) beside a fixed one (c = 1 + e^{-beta fixed_other_level}) in
+    single-level-sweep mode, two degenerate moving levels (n = 2, c = 1)
+    in both-levels-sweep mode.  Returns (log Z, n e^{-beta w} / Z) as
+    functions of w.
+    """
+    if beta <= 0.0:
+        raise ValueError("inverse temperature must be positive")
+    if mode == "single-level-sweep":
+        c, n = 1.0 + math.exp(-beta * fixed_other_level), 1.0
+    elif mode == "both-levels-sweep":
+        c, n = 1.0, 2.0
+    else:
+        raise ValueError(f"unknown sweep mode: {mode!r}")
+
+    def log_partition(w: float) -> float:
+        return math.log(c + n * math.exp(-beta * w))
+
+    def population(w: float) -> float:
+        boltz = n * math.exp(-beta * w)
+        return boltz / (c + boltz)
+
+    return log_partition, population
+
+
 def quasistatic_work(
     beta: float,
     omega_from: float,
@@ -518,21 +549,7 @@ def quasistatic_work(
     work.  Effective level energies may be non-positive or infinite;
     the partition-function expressions stay well defined.
     """
-    if beta <= 0.0:
-        raise ValueError("inverse temperature must be positive")
-    if mode == "single-level-sweep":
-        other = math.exp(-beta * fixed_other_level)
-
-        def log_partition(w: float) -> float:
-            return math.log(1.0 + other + math.exp(-beta * w))
-
-    elif mode == "both-levels-sweep":
-
-        def log_partition(w: float) -> float:
-            return math.log(1.0 + 2.0 * math.exp(-beta * w))
-
-    else:
-        raise ValueError(f"unknown sweep mode: {mode!r}")
+    log_partition, _ = _sweep_model(beta, fixed_other_level, mode)
     if omega_from == omega_to:
         return 0.0
     return (log_partition(omega_to) - log_partition(omega_from)) / beta
@@ -552,23 +569,7 @@ def quasistatic_work_quadrature(
     level(s) over the sweep.  Supports an infinite omega_from through
     the integrator's improper-integral handling.
     """
-    if beta <= 0.0:
-        raise ValueError("inverse temperature must be positive")
-    if mode == "single-level-sweep":
-        other = math.exp(-beta * fixed_other_level)
-
-        def population(w: float) -> float:
-            boltz = math.exp(-beta * w)
-            return boltz / (1.0 + other + boltz)
-
-    elif mode == "both-levels-sweep":
-
-        def population(w: float) -> float:
-            boltz = math.exp(-beta * w)
-            return 2.0 * boltz / (1.0 + 2.0 * boltz)
-
-    else:
-        raise ValueError(f"unknown sweep mode: {mode!r}")
+    _, population = _sweep_model(beta, fixed_other_level, mode)
     return integrate_1d(population, omega_to, omega_from, config)
 
 
@@ -589,23 +590,7 @@ def discretized_quasistatic(
     """
     if n_steps < 1:
         raise ValueError("need at least one staircase step")
-    if beta <= 0.0:
-        raise ValueError("inverse temperature must be positive")
-    if mode == "single-level-sweep":
-        other = math.exp(-beta * fixed_other_level)
-
-        def population(w: float) -> float:
-            boltz = math.exp(-beta * w)
-            return boltz / (1.0 + other + boltz)
-
-    elif mode == "both-levels-sweep":
-
-        def population(w: float) -> float:
-            boltz = math.exp(-beta * w)
-            return 2.0 * boltz / (1.0 + 2.0 * boltz)
-
-    else:
-        raise ValueError(f"unknown sweep mode: {mode!r}")
+    _, population = _sweep_model(beta, fixed_other_level, mode)
     h = (omega_to - omega_from) / n_steps
     total = 0.0
     for k in range(n_steps):

@@ -155,6 +155,9 @@ def test_figure_wfed_serial_and_parallel(tmp_path):
     parallel_lines = _read_lines(tmp_path / "parallel.csv")
     assert parallel_lines[3:] == serial_lines[3:]
     assert not list(tmp_path.glob("*.part-*"))
+    # figure.jobs changes no output, so it is not part of the config hash
+    assert _run(tmp_path, "figure-wfed", {**parallel, "out": serial["out"]}) == 0
+    assert _read_lines(tmp_path / "serial.csv") == serial_lines
 
 
 def test_neardegen_check_outputs(tmp_path, capsys):
@@ -217,6 +220,16 @@ def test_bad_values_exit_2(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["evolve", "--config", str(broken)]) == 2
     assert "not valid JSON" in _config_error(capsys)
+    out = str(tmp_path / "x")
+    assert _run(tmp_path, "evolve", {"bath": {"beta": math.nan}, "out": out}) == 2
+    assert "finite" in _config_error(capsys)
+    assert _run(tmp_path, "evolve",
+                {"bath": {"alignment": -math.inf}, "out": out}) == 2
+    assert "finite" in _config_error(capsys)
+    one_point = {"kind": "tabulated", "points": [[1.0, 1.0]]}
+    assert _run(tmp_path, "steady",
+                {"bath": {"gamma_plus": one_point}, "out": out}) == 2
+    assert "two points" in _config_error(capsys)
 
 
 def test_unphysical_initial_state_exit_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coherence_engine.bath import BathSpec, rates_at
+from coherence_engine.bath import BathSpec, flat_rate, rates_at, tabulated_rate
 from coherence_engine.bloch import DensityMatrix, from_bloch, to_bloch
 from coherence_engine.dynamics import (
     CoherenceVector,
@@ -240,6 +240,20 @@ def test_steady_state_antialigned_flips_coherence_sign():
     assert minus.matrix[2, 2].real == pytest.approx(
         plus.matrix[2, 2].real, abs=1e-15
     )
+
+
+def test_steady_state_without_emission_keeps_initial_state():
+    """gamma_plus = 0 at omega makes the generator zero: nothing moves."""
+    system = DegenerateSystem(1.0)
+    zero_at_omega = tabulated_rate(((0.5, 1.0), (1.0, 0.0), (1.5, 1.0)))
+    for rate_fn in (flat_rate(0.0), zero_at_omega):
+        for alignment in (0.5, 1.0):
+            bath = BathSpec(beta=1.0, rate_fn=rate_fn, alignment=alignment)
+            for init in ((0.0, 1.0, 0.0, 0.0), (0.3, 0.2, 0.15, 0.05)):
+                rho = steady_state(system, bath, init)
+                np.testing.assert_array_equal(
+                    rho.matrix, CoherenceVector(*init).to_density().matrix
+                )
 
 
 def test_steady_state_matches_long_time_evolution():

@@ -198,6 +198,8 @@ def test_optimal_shift_round1_closed_form():
     # cold limit: the Lambert argument collapses and the shift tends to 1/beta
     assert optimal_shift_round1(1.0, 40.0) == pytest.approx(1.0, abs=1e-12)
     assert optimal_shift_round1(2.0, 40.0) == pytest.approx(0.5, abs=1e-12)
+    # e^{beta omega} overflows a float here; the shift is 1/beta
+    assert optimal_shift_round1(800.0, 1.0) == pytest.approx(1.0 / 800.0, abs=1e-15)
     with pytest.raises(ValueError):
         optimal_shift_round1(0.0, 1.0)
     with pytest.raises(ValueError):
