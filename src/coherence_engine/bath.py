@@ -44,6 +44,8 @@ def tabulated_rate(points: Tuple[Tuple[float, float], ...]) -> RateFunction:
         raise ValueError("tabulated profile needs at least two points")
     omegas = np.array([p[0] for p in pts])
     gammas = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(gammas))):
+        raise ValueError("tabulated profile points must be finite")
     if np.any(gammas < 0.0):
         raise ValueError("emission rates must be non-negative")
 

@@ -170,6 +170,7 @@ def _validate_config(config: dict) -> None:
     if t_final < 0.0:
         raise ConfigError("evolve.t_final must be non-negative")
     _require_int("evolve", "samples", section["samples"], 1)
+    # Accepted and checked so that old configs run; exact evolution has no tolerance.
     _require_number("evolve", "tol", section["tol"], positive=True)
 
     _check_keys("steady", config["steady"], [])
@@ -201,6 +202,7 @@ def _validate_config(config: dict) -> None:
     if t_final < 0.0:
         raise ConfigError("neardegen.t_final must be non-negative")
     _require_int("neardegen", "samples", section["samples"], 1)
+    # Accepted for old configs, like evolve.tol; unused.
     _require_number("neardegen", "tol", section["tol"], positive=True)
 
     if not isinstance(config["out"], str) or not config["out"]:
@@ -372,7 +374,7 @@ def cmd_evolve(config: dict, digest: str) -> int:
     t_final = float(section["t_final"])
     samples = 1 if t_final == 0.0 else int(section["samples"])
     times = np.linspace(0.0, t_final, samples)
-    states = evolve_trajectory(rho0, system, bath, times, tol=float(section["tol"]))
+    states = evolve_trajectory(rho0, system, bath, times)
     rows = trajectory_rows(times, states)
     out = config["out"]
     _write_csv(out + ".csv", trajectory_columns(), rows, digest)
@@ -575,9 +577,7 @@ def cmd_neardegen_check(config: dict, digest: str) -> int:
     rows = []
     max_dev = 0.0
     for t in times:
-        numeric = evolve_neardegenerate(
-            CoherenceVector(*init4), system, bath, float(t), tol=float(section["tol"])
-        )
+        numeric = evolve_neardegenerate(CoherenceVector(*init4), system, bath, float(t))
         row = [float(t)] + list(numeric.as_array())
         if aligned:
             pert = perturbative_solution(init4, system, bath, float(t))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bath import BathSpec, cross_rates, rates_at
 from .bloch import BlochVector, DensityMatrix, from_bloch, to_bloch
-from .numerics import SolverConfig, integrate_ode
+from .numerics import integrate_ode, propagate_affine
 from .thermo import l1_coherence
 
 TRACE_DRIFT_TOL = 1e-12
@@ -257,10 +257,8 @@ def gksl_rhs_matrix(
     return out
 
 
-def _bloch_problem(
-    rho0: DensityMatrix, system: DegenerateSystem, bath: BathSpec, tol: float
-):
-    """Initial Bloch array, right-hand side and solver settings of a run."""
+def _bloch_problem(rho0: DensityMatrix, system: DegenerateSystem, bath: BathSpec):
+    """Initial Bloch array and right-hand side of a run."""
     q0 = to_bloch(rho0).as_array()
     pair = rates_at(bath, system.omega)
 
@@ -269,7 +267,36 @@ def _bloch_problem(
             q, system.omega, pair.gamma_plus, pair.gamma_minus, bath.alignment
         )
 
-    return q0, rhs, SolverConfig(abs_tol=tol, rel_tol=tol, max_iter=10 ** 6)
+    return q0, rhs
+
+
+def _real_bloch(q: np.ndarray) -> np.ndarray:
+    """(Re q1, Im q1, Re q3, Im q3, Re q5, Im q5, q7, q8) of each Bloch row."""
+    x = np.empty(q.shape)
+    x[..., 0:6:2], x[..., 1:6:2] = q[..., 0:6:2].real, q[..., 0:6:2].imag
+    x[..., 6:] = q[..., 6:].real
+    return x
+
+
+def _complex_bloch(x: np.ndarray) -> np.ndarray:
+    """Inverse of _real_bloch; q2, q4, q6 are exact conjugates (Hermitian)."""
+    q = np.empty(x.shape, dtype=complex)
+    q[..., 0:6:2] = x[..., 0:6:2] + 1j * x[..., 1:6:2]
+    q[..., 1:6:2] = q[..., 0:6:2].conj()
+    q[..., 6:] = x[..., 6:]
+    return q
+
+
+def _reference_states(rho0, system, bath, times, fixed_steps=None):
+    """States at times by direct RK45 integration, or fixed-step RK4.
+
+    The independent route that the exact propagation is tested against;
+    evolve does not use it.
+    """
+    q0, rhs = _bloch_problem(rho0, system, bath)
+    sol = integrate_ode(rhs, q0, (0.0, max(times)), fixed_steps=fixed_steps)
+    return [from_bloch(BlochVector.from_array(sol.at(t) if t > 0.0 else q0))
+            for t in times]
 
 
 def evolve(
@@ -277,22 +304,13 @@ def evolve(
     system: DegenerateSystem,
     bath: BathSpec,
     t: float,
-    tol: float = 1e-10,
-    fixed_steps: int | None = None,
 ) -> DensityMatrix:
-    """Numerically evolve a state for a time t under the Bloch equations.
-
-    Adaptive Runge-Kutta 5(4) by default; fixed_steps forces a classical
-    fixed-step RK4 walk.  The Bloch layout conserves the trace
-    identically, which is asserted on the result.
-    """
+    """The state at time t, by exact propagation; its unit trace is asserted."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
     if t == 0.0:
         return rho0
-    q0, rhs, cfg = _bloch_problem(rho0, system, bath, tol)
-    sol = integrate_ode(rhs, q0, (0.0, t), cfg, fixed_steps=fixed_steps)
-    rho_t = from_bloch(BlochVector.from_array(sol.y[:, -1]))
+    rho_t = evolve_trajectory(rho0, system, bath, [t])[0]
     drift = abs(rho_t.trace - 1.0)
     if drift > TRACE_DRIFT_TOL:
         raise RuntimeError(f"trace drifted by {drift:.3e} during evolution")
@@ -304,24 +322,28 @@ def evolve_trajectory(
     system: DegenerateSystem,
     bath: BathSpec,
     times: Sequence[float],
-    tol: float = 1e-10,
 ) -> List[DensityMatrix]:
-    """States along a time grid, from one dense-output integration."""
+    """States along a time grid, by exact propagation of the real Bloch vector.
+
+    The affine generator is read off the Bloch right-hand side on the
+    basis vectors, so the model is written down once, in _bloch_rhs_array.
+    One decomposition of it serves every time.
+    """
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times) or any(
         t2 < t1 for t1, t2 in zip(times, times[1:])
     ):
         raise ValueError("times must be non-negative and non-decreasing")
-    q0, rhs, cfg = _bloch_problem(rho0, system, bath, tol)
-    horizon = times[-1] if times else 0.0
-    if horizon == 0.0:
-        return [from_bloch(BlochVector.from_array(q0)) for _ in times]
-    sol = integrate_ode(rhs, q0, (0.0, horizon), cfg)
-    states = []
-    for t in times:
-        q = sol.at(t) if t > 0.0 else q0
-        states.append(from_bloch(BlochVector.from_array(q)))
-    return states
+    q0, rhs = _bloch_problem(rho0, system, bath)
+    shift = _real_bloch(rhs(0.0, _complex_bloch(np.zeros(8))))
+    matrix = np.column_stack(
+        [_real_bloch(rhs(0.0, _complex_bloch(e))) - shift for e in np.eye(8)]
+    )
+    qs = _complex_bloch(propagate_affine(matrix, -shift, _real_bloch(q0), times))
+    return [
+        from_bloch(BlochVector.from_array(q0 if t == 0.0 else q))
+        for t, q in zip(times, qs)
+    ]
 
 
 _ENTRY_LABELS = ("22", "21", "20", "12", "11", "10", "02", "01", "00")

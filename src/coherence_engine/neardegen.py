@@ -17,7 +17,7 @@ off-diagonal -i*delta entries are exactly the commutator of the excited
 splitting.
 
 The reduced description is trusted only inside the window
-tau_S << t << 1/delta (tau_S = 1/omega1); integrations beyond
+tau_S << t << 1/delta (tau_S = 1/omega1); evolutions beyond
 t * delta = 0.3 emit a warning on the module logger.  At very late
 times the cross terms average out and the system thermalizes as two
 independent two-level systems.
@@ -41,7 +41,7 @@ from .dynamics import (
     _aligned_vector,
     _sigma_ops,
 )
-from .numerics import SolverConfig, integrate_ode
+from .numerics import propagate_affine
 
 logger = logging.getLogger(__name__)
 
@@ -169,24 +169,14 @@ def evolve_neardegenerate(
     system: NearDegenerateSystem,
     bath: BathSpec,
     t: float,
-    tol: float = 1e-10,
 ) -> CoherenceVector:
-    """Integrate the dressed coherence-vector equation for a time t."""
+    """Propagate the dressed coherence-vector equation exactly for a time t."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
     _warn_outside_window(t, system)
-    gen = neardegenerate_generator(system, bath)
-    m_real, b_real = gen.real_form()
-    y0 = pi0.as_array()
-    if t == 0.0:
-        return CoherenceVector.from_array(y0)
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return m_real @ y - b_real
-
-    cfg = SolverConfig(abs_tol=tol, rel_tol=tol, max_iter=10 ** 6)
-    sol = integrate_ode(rhs, y0, (0.0, t), cfg)
-    return CoherenceVector.from_array(sol.y[:, -1].real)
+    m_real, b_real = neardegenerate_generator(system, bath).real_form()
+    y_t = propagate_affine(m_real, b_real, pi0.as_array(), [t])[0]
+    return CoherenceVector.from_array(y_t)
 
 
 def _first_order(

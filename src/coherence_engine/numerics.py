@@ -2,19 +2,23 @@
 
 Deterministic scalar and ODE routines used across the package: the
 principal branch of the Lambert W function, bracketed scalar
-maximization, adaptive ODE integration with dense output, and adaptive
-quadrature.  All kernels use fixed iteration orders and no randomness,
-so identical inputs give bit-identical results.
+maximization, exact propagation of linear time-independent equations,
+adaptive ODE integration with dense output, and adaptive quadrature.
+All kernels use fixed iteration orders and no randomness, so identical
+inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+
+
+EIGVEC_COND_LIMIT = 1e6
 
 
 class NumericsError(RuntimeError):
@@ -181,6 +185,38 @@ def maximize_scalar(
             fx = eval_f(x)
 
     return MaximizeResult(x, fx, False, iterations)
+
+
+def propagate_affine(
+    matrix: np.ndarray, constant: np.ndarray, y0: np.ndarray, times: Sequence[float]
+) -> np.ndarray:
+    """Exact solution of dy/dt = matrix . y - constant at each of times.
+
+    y(t) is read off exp(t A) (y0, 1), with A = [[matrix, -constant],
+    [0, 0]] the augmented generator.  One eigendecomposition of A serves
+    every time; when its eigenvector matrix is ill-conditioned (near a
+    defective generator, cond above EIGVEC_COND_LIMIT) each time falls
+    back to scaling-and-squaring expm.  Returns one row per time; rows at
+    t = 0 are y0 exactly, and real input gives real output.
+    """
+    y0 = np.asarray(y0)
+    n = y0.size
+    aug = np.zeros((n + 1, n + 1), dtype=np.result_type(matrix, constant, y0, float))
+    aug[:n, :n] = matrix
+    aug[:n, n] = -np.asarray(constant)
+    z0 = np.append(y0, 1.0)
+    times = np.asarray(times, dtype=float)
+    vals, vecs = np.linalg.eig(aug)
+    if np.linalg.cond(vecs) <= EIGVEC_COND_LIMIT:
+        coeffs = np.linalg.solve(vecs, z0)
+        z = (vecs @ (np.exp(np.outer(vals, times)) * coeffs[:, None])).T
+    else:
+        from scipy.linalg import expm
+
+        z = np.array([expm(t * aug) @ z0 for t in times]).reshape(times.size, n + 1)
+    out = z[:, :n].real if np.isrealobj(aug) else z[:, :n]
+    out[times == 0.0] = y0
+    return out
 
 
 @dataclass(frozen=True)

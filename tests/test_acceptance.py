@@ -63,7 +63,7 @@ def _random_subspace_init(rng):
 def test_criterion_01_steady_state_coherence():
     """Ground start, aligned dipoles, beta*omega = 1: residual coherence."""
     system = DegenerateSystem(1.0)
-    settled = evolve(DensityMatrix.ground(), system, ALIGNED, 50.0, tol=1e-12)
+    settled = evolve(DensityMatrix.ground(), system, ALIGNED, 50.0)
     measured = l1_coherence(settled)
     expected = 1.0 / (math.e + 1.0)
     gap = abs(measured - expected)
@@ -82,7 +82,7 @@ def test_criterion_02_closed_form_vs_integrator():
     for _ in range(100):
         init = _random_subspace_init(rng)
         states = evolve_trajectory(
-            CoherenceVector(*init).to_density(), system, ALIGNED, times, tol=1e-10
+            CoherenceVector(*init).to_density(), system, ALIGNED, times
         )
         r22, r00, r12 = analytic_evolution_aligned(init, system, ALIGNED, times)
         for k, state in enumerate(states):
@@ -118,7 +118,7 @@ def test_criterion_03_gibbs_convergence_partial_alignment():
     target = gibbs(HamiltonianSpec.degenerate(1.0), 1.0)
 
     def distance_at(bath, t):
-        settled = evolve(DensityMatrix.ground(), system, bath, t, tol=1e-10)
+        settled = evolve(DensityMatrix.ground(), system, bath, t)
         return trace_distance(settled, target)
 
     baths, rates, horizons, distances = {}, {}, {}, {}
@@ -280,7 +280,7 @@ def test_criterion_09_perturbative_order():
         for t in times:
             pert = perturbative_solution(init, system, ALIGNED, float(t))
             numeric = evolve_neardegenerate(
-                CoherenceVector(*init), system, ALIGNED, float(t), tol=1e-12
+                CoherenceVector(*init), system, ALIGNED, float(t)
             )
             worst = max(
                 worst, float(np.max(np.abs(pert.as_array() - numeric.as_array())))
@@ -318,7 +318,6 @@ def test_criterion_10_structural_invariants():
             DegenerateSystem(1.0),
             bath,
             times,
-            tol=1e-11,
         )
         for state in states:
             worst_trace = max(worst_trace, abs(state.trace - 1.0))

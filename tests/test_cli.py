@@ -62,6 +62,18 @@ def test_evolve_partial_alignment_reaches_gibbs(tmp_path):
     assert "analytic_max_deviation" not in summary
 
 
+def test_evolve_long_horizon(tmp_path):
+    config = {
+        "bath": {"alignment": 0.5},
+        "evolve": {"t_final": 1e6, "samples": 3},
+        "out": str(tmp_path / "long"),
+    }
+    assert _run(tmp_path, "evolve", config) == 0
+    summary = json.loads((tmp_path / "long.json").read_text())
+    assert summary["gibbs_within_tolerance"] is True
+    assert summary["final_c_l1"] < 1e-12
+
+
 def test_reruns_are_byte_identical(tmp_path):
     config = {
         "evolve": {"t_final": 1.0, "samples": 7},
@@ -230,6 +242,11 @@ def test_bad_values_exit_2(tmp_path, capsys):
     assert _run(tmp_path, "steady",
                 {"bath": {"gamma_plus": one_point}, "out": out}) == 2
     assert "two points" in _config_error(capsys)
+    nan_table = {"kind": "tabulated", "points": [[0.5, math.nan], [2.0, 1.0]]}
+    for command in ("steady", "evolve"):
+        assert _run(tmp_path, command, {"bath": {"gamma_plus": nan_table,
+                                                 "alignment": 0.5}, "out": out}) == 2
+        assert "finite" in _config_error(capsys)
 
 
 def test_unphysical_initial_state_exit_2(tmp_path, capsys):

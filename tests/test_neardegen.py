@@ -23,6 +23,7 @@ from coherence_engine.neardegen import (
     perturbative_solution,
     thermalize_independent,
 )
+from coherence_engine.numerics import SolverConfig, integrate_ode
 
 RAMP = tabulated_rate(((0.2, 0.8), (1.5, 1.3), (3.0, 1.1)))
 
@@ -170,11 +171,24 @@ def test_evolve_zero_splitting_matches_closed_form(subspace_sampler):
     for _ in range(5):
         init = subspace_sampler()
         t = 1.4
-        out = evolve_neardegenerate(CoherenceVector(*init), system, bath, t, tol=1e-12)
+        out = evolve_neardegenerate(CoherenceVector(*init), system, bath, t)
         r22, r00, r12 = analytic_evolution_aligned(init, flat, bath, t)
         assert out.rho22 == pytest.approx(r22, abs=1e-10)
         assert out.rho00 == pytest.approx(r00, abs=1e-10)
         assert out.rho12 == pytest.approx(r12, abs=1e-10)
+
+
+def test_evolve_matches_rk45_on_real_form():
+    system = NearDegenerateSystem(1.0, 1.02)
+    y0 = np.array([0.3, 0.25, 0.1, 0.02])
+    cfg = SolverConfig(abs_tol=1e-12, rel_tol=1e-12, max_iter=10 ** 6)
+    for alignment in (1.0, 0.5):
+        bath = BathSpec(beta=1.0, rate_fn=RAMP, alignment=alignment)
+        m_real, b_real = neardegenerate_generator(system, bath).real_form()
+        sol = integrate_ode(lambda _t, y: m_real @ y - b_real, y0, (0.0, 10.0), cfg)
+        for t in (0.5, 3.0, 10.0):
+            out = evolve_neardegenerate(CoherenceVector(*y0), system, bath, t)
+            np.testing.assert_allclose(out.as_array(), sol.at(t), atol=1e-8)
 
 
 def test_evolve_time_zero_and_negative():
@@ -268,7 +282,7 @@ def test_perturbative_error_scales_quadratically():
         system = NearDegenerateSystem(1.0, 1.0 + delta)
         pert = perturbative_solution(init, system, bath, t)
         exact = evolve_neardegenerate(
-            CoherenceVector(*init), system, bath, t, tol=1e-12
+            CoherenceVector(*init), system, bath, t
         )
         errors.append(
             float(np.max(np.abs(pert.as_array() - exact.as_array())))
@@ -291,7 +305,7 @@ def test_perturbative_first_order_slope_matches_numerics():
         perturbative_solution(init, system, bath, t).as_array() - zeroth
     ) / delta
     ode_slope = (
-        evolve_neardegenerate(CoherenceVector(*init), system, bath, t, tol=1e-12)
+        evolve_neardegenerate(CoherenceVector(*init), system, bath, t)
         .as_array()
         - zeroth
     ) / delta

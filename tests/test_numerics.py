@@ -11,6 +11,7 @@ from coherence_engine.numerics import (
     integrate_ode,
     lambert_w_principal,
     maximize_scalar,
+    propagate_affine,
 )
 
 
@@ -131,6 +132,36 @@ def test_integrate_ode_complex_state():
     y0 = np.array([1.0 + 0.0j])
     sol = integrate_ode(lambda t, y: 1j * y, y0, (0.0, math.pi))
     assert sol.y[0, -1] == pytest.approx(-1.0 + 0.0j, abs=1e-9)
+
+
+def test_propagate_affine_matches_expm_of_augmented_generator(rng):
+    for _ in range(20):
+        m = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
+        b = rng.normal(size=4)
+        y0 = rng.normal(size=4)
+        times = [0.0, 0.3, 1.0, 4.0]
+        out = propagate_affine(m, b, y0, times)
+        assert out.dtype == np.float64 and out.shape == (4, 4)
+        assert np.array_equal(out[0], y0)
+        aug = np.zeros((5, 5))
+        aug[:4, :4], aug[:4, 4] = m, -b
+        for row, t in zip(out, times):
+            np.testing.assert_allclose(row, (expm(t * aug) @ np.append(y0, 1.0))[:4],
+                                       atol=1e-11)
+
+
+def test_propagate_affine_jordan_block_takes_expm_fallback(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    real_expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or real_expm(a))
+    y0 = np.array([0.7, -1.3])
+    times = [0.0, 0.5, 3.0]
+    out = propagate_affine(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), y0, times)
+    assert len(calls) == len(times)
+    for row, t in zip(out, times):
+        np.testing.assert_allclose(row, y0 + t * np.array([y0[1], 0.0]), atol=1e-14)
 
 
 def test_integrate_1d_basic():
