@@ -16,6 +16,7 @@ gamma_plus = 1, which sets the unit of time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Tuple
 
@@ -28,6 +29,8 @@ DETAILED_BALANCE_RTOL = 1e-14
 
 def flat_rate(gamma: float = 1.0) -> RateFunction:
     """Frequency-independent emission profile gamma_plus(omega) = gamma."""
+    if not math.isfinite(gamma):
+        raise ValueError("emission rate must be finite")
     if gamma < 0.0:
         raise ValueError("emission rate must be non-negative")
 
@@ -64,6 +67,10 @@ class BathSpec:
     alignment: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
+        if not math.isfinite(self.alignment):
+            raise ValueError("alignment must be finite")
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
         if abs(self.alignment) > 1.0:
@@ -124,24 +131,43 @@ def rate_derivative(bath: BathSpec, omega: float, delta: float) -> RatePair:
     )
 
 
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite") from None
+
+
 def bath_from_json(data: Mapping) -> BathSpec:
     """Build a BathSpec from {"beta", "gamma_plus", "alignment"}.
 
     gamma_plus is either a number (flat profile) or
     {"kind": "tabulated", "points": [[omega, gamma], ...]} with linear
-    interpolation between the given points.  Unknown keys are rejected.
+    interpolation between the given points.  Unknown keys, and bools or
+    strings where numbers belong, are rejected.
     """
-    allowed = {"beta", "gamma_plus", "alignment"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"beta", "gamma_plus", "alignment"}
     if unknown:
-        raise ValueError(f"unknown bath keys: {sorted(unknown)}")
-    beta = float(data["beta"])
-    alignment = float(data.get("alignment", 1.0))
+        raise ValueError(f"unknown keys in bath: {sorted(unknown)}")
     raw = data.get("gamma_plus", 1.0)
     if isinstance(raw, Mapping):
         if raw.get("kind") != "tabulated":
             raise ValueError(f"unsupported rate profile kind: {raw.get('kind')!r}")
-        rate_fn = tabulated_rate(tuple((w, g) for w, g in raw["points"]))
+        points = raw.get("points")
+        if not isinstance(points, (list, tuple)) or not all(
+            isinstance(pt, (list, tuple)) and len(pt) == 2 for pt in points
+        ):
+            raise ValueError("tabulated profile points must be [omega, gamma] pairs")
+        rate_fn = tabulated_rate(tuple(
+            (_json_number(w, "rate table entry"), _json_number(g, "rate table entry"))
+            for w, g in points
+        ))
     else:
-        rate_fn = flat_rate(float(raw))
-    return BathSpec(beta=beta, rate_fn=rate_fn, alignment=alignment)
+        rate_fn = flat_rate(_json_number(raw, "gamma_plus"))
+    return BathSpec(
+        beta=_json_number(data.get("beta"), "beta"),
+        rate_fn=rate_fn,
+        alignment=_json_number(data.get("alignment", 1.0), "alignment"),
+    )

@@ -14,20 +14,22 @@ COHERENCE_ENGINE_LOG in {error, warn, info, debug} sets log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
 import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import __version__
-from .bath import BathSpec, bath_from_json
-from .bloch import DensityMatrix, PhysicalityError
+from .bath import BathSpec, _json_number, bath_from_json
+from .bloch import DensityMatrix
 from .dynamics import (
+    ALIGNED_TOL,
     CoherenceVector,
     DegenerateSystem,
     analytic_evolution_aligned,
@@ -66,13 +68,24 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
+# The extraction protocols need an aligned bath, and start from
+# coherent-steady unless the config names another state.
+_PROTOCOL_COMMANDS = ("protocol1", "protocol2", "figure-wfed")
+
 
 class ConfigError(ValueError):
     """Configuration rejected before execution."""
 
 
-def _default_beta_grid() -> List[float]:
-    return [round(0.2 * k, 10) for k in range(1, 16)]
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """A checked config, its digest and the objects a command runs on."""
+
+    config: dict
+    digest: str
+    bath: BathSpec
+    system: Union[DegenerateSystem, NearDegenerateSystem]
+    rho0: DensityMatrix
 
 
 def _default_config() -> dict:
@@ -84,14 +97,10 @@ def _default_config() -> dict:
         "steady": {},
         "protocol1": {"max_rounds": 64, "shift_floor": 1e-06},
         "protocol2": {"work_mode": "closed"},
-        "figure": {"beta_grid": _default_beta_grid(), "jobs": 1},
+        "figure": {"beta_grid": [round(0.2 * k, 10) for k in range(1, 16)], "jobs": 1},
         "neardegen": {"t_final": 10.0, "samples": 101, "tol": 1e-10},
         "out": "coherence_run",
     }
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_keys(section: str, data: dict, allowed: Sequence[str]) -> None:
@@ -100,23 +109,43 @@ def _check_keys(section: str, data: dict, allowed: Sequence[str]) -> None:
         raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}")
 
 
-def _require_number(section: str, key: str, value, positive: bool = False) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{section}.{key} must be a number")
-    v = float(value)
+def _number(where: str, value) -> float:
+    """A JSON number as a float; the type that takes it checks its range."""
+    try:
+        return _json_number(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _require_number(where: str, value, low: float = -math.inf,
+                    strict: bool = False) -> float:
+    """A finite number >= low (> low when strict), for values no type checks."""
+    v = _number(where, value)
     if not math.isfinite(v):
-        raise ConfigError(f"{section}.{key} must be finite")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{section}.{key} must be positive")
+        raise ConfigError(f"{where} must be finite")
+    if v < low or (strict and v == low):
+        raise ConfigError(f"{where} must be {'>' if strict else '>='} {low:g}")
     return v
 
 
-def _require_int(section: str, key: str, value, minimum: int) -> int:
+def _require_int(where: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer")
+        raise ConfigError(f"{where} must be an integer")
     if value < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}")
+        raise ConfigError(f"{where} must be >= {minimum}")
     return value
+
+
+def _built(what: str, factory, *args):
+    """factory(*args), with its ValueError reported as a config error."""
+    try:
+        return factory(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _aligned(bath: BathSpec) -> bool:
+    return abs(bath.alignment - 1.0) <= ALIGNED_TOL
 
 
 def _merge_config(user: dict) -> dict:
@@ -135,110 +164,6 @@ def _merge_config(user: dict) -> dict:
             else:
                 config[key] = {**config[key], **value}
     return config
-
-
-def _validate_config(config: dict) -> None:
-    system = config["system"]
-    if set(system) == {"omega"}:
-        _require_number("system", "omega", system["omega"], positive=True)
-    elif set(system) == {"omega1", "omega2"}:
-        _require_number("system", "omega1", system["omega1"], positive=True)
-        _require_number("system", "omega2", system["omega2"], positive=True)
-    else:
-        raise ConfigError(
-            "system must provide either {omega} or {omega1, omega2}"
-        )
-
-    bath = config["bath"]
-    _check_keys("bath", bath, ["beta", "gamma_plus", "alignment"])
-    _require_number("bath", "beta", bath.get("beta", 1.0), positive=True)
-    if "alignment" in bath:
-        _require_number("bath", "alignment", bath["alignment"])
-    gp = bath.get("gamma_plus", 1.0)
-    if _is_number(gp):
-        _require_number("bath", "gamma_plus", gp)
-    elif not isinstance(gp, dict):
-        raise ConfigError("bath.gamma_plus must be a number or a rate table")
-    try:
-        _build_bath(config)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bath is invalid: {exc}") from exc
-
-    section = config["evolve"]
-    _check_keys("evolve", section, ["t_final", "samples", "tol"])
-    t_final = _require_number("evolve", "t_final", section["t_final"])
-    if t_final < 0.0:
-        raise ConfigError("evolve.t_final must be non-negative")
-    _require_int("evolve", "samples", section["samples"], 1)
-    # Accepted and checked so that old configs run; exact evolution has no tolerance.
-    _require_number("evolve", "tol", section["tol"], positive=True)
-
-    _check_keys("steady", config["steady"], [])
-
-    section = config["protocol1"]
-    _check_keys("protocol1", section, ["max_rounds", "shift_floor"])
-    _require_int("protocol1", "max_rounds", section["max_rounds"], 1)
-    floor = _require_number("protocol1", "shift_floor", section["shift_floor"])
-    if floor < 0.0:
-        raise ConfigError("protocol1.shift_floor must be non-negative")
-
-    section = config["protocol2"]
-    _check_keys("protocol2", section, ["work_mode"])
-    if section["work_mode"] not in ("closed", "quadrature"):
-        raise ConfigError("protocol2.work_mode must be 'closed' or 'quadrature'")
-
-    section = config["figure"]
-    _check_keys("figure", section, ["beta_grid", "jobs"])
-    grid = section["beta_grid"]
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("figure.beta_grid must be a nonempty list")
-    for i, b in enumerate(grid):
-        _require_number("figure.beta_grid", str(i), b, positive=True)
-    _require_int("figure", "jobs", section["jobs"], 1)
-
-    section = config["neardegen"]
-    _check_keys("neardegen", section, ["t_final", "samples", "tol"])
-    t_final = _require_number("neardegen", "t_final", section["t_final"])
-    if t_final < 0.0:
-        raise ConfigError("neardegen.t_final must be non-negative")
-    _require_int("neardegen", "samples", section["samples"], 1)
-    # Accepted for old configs, like evolve.tol; unused.
-    _require_number("neardegen", "tol", section["tol"], positive=True)
-
-    if not isinstance(config["out"], str) or not config["out"]:
-        raise ConfigError("out must be a nonempty string")
-
-    initial = config["initial"]
-    if initial is None or isinstance(initial, str):
-        if isinstance(initial, str) and initial not in (
-            "ground",
-            "gibbs",
-            "coherent-steady",
-        ):
-            raise ConfigError(f"unknown named initial state {initial!r}")
-    elif isinstance(initial, dict):
-        _check_keys("initial", initial, ["coherence_vector", "general"])
-        if len(initial) != 1:
-            raise ConfigError(
-                "initial must provide exactly one of coherence_vector|general"
-            )
-        if "coherence_vector" in initial:
-            vec = initial["coherence_vector"]
-            if not isinstance(vec, list) or len(vec) != 4:
-                raise ConfigError("initial.coherence_vector needs 4 numbers")
-            for i, v in enumerate(vec):
-                _require_number("initial.coherence_vector", str(i), v)
-        else:
-            spec = initial["general"]
-            if not isinstance(spec, dict):
-                raise ConfigError("initial.general must be an object")
-            _check_keys("initial.general", spec, ["b", "n_norm", "theta", "phi"])
-            for key in ("b", "n_norm", "theta", "phi"):
-                if key not in spec:
-                    raise ConfigError(f"initial.general missing {key!r}")
-                _require_number("initial.general", key, spec[key])
-    else:
-        raise ConfigError("initial must be a name or an object")
 
 
 def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
@@ -267,73 +192,128 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _resolve_initial(config: dict, command: str) -> None:
-    if config["initial"] is None:
-        if command in ("protocol1", "protocol2", "figure-wfed"):
-            config["initial"] = "coherent-steady"
-        else:
-            config["initial"] = "ground"
+def _check_sections(config: dict) -> None:
+    """Rules of the sections that only the command line reads."""
+    for name in ("evolve", "neardegen"):
+        section = config[name]
+        _check_keys(name, section, ["t_final", "samples", "tol"])
+        _require_number(f"{name}.t_final", section["t_final"], low=0.0)
+        _require_int(f"{name}.samples", section["samples"], 1)
+        # Accepted and checked so that old configs run; exact evolution
+        # has no tolerance.
+        _require_number(f"{name}.tol", section["tol"], low=0.0, strict=True)
+
+    _check_keys("steady", config["steady"], [])
+
+    section = config["protocol1"]
+    _check_keys("protocol1", section, ["max_rounds", "shift_floor"])
+    _require_int("protocol1.max_rounds", section["max_rounds"], 1)
+    _require_number("protocol1.shift_floor", section["shift_floor"], low=0.0)
+
+    section = config["protocol2"]
+    _check_keys("protocol2", section, ["work_mode"])
+    if section["work_mode"] not in ("closed", "quadrature"):
+        raise ConfigError("protocol2.work_mode must be 'closed' or 'quadrature'")
+
+    section = config["figure"]
+    _check_keys("figure", section, ["beta_grid", "jobs"])
+    grid = section["beta_grid"]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("figure.beta_grid must be a nonempty list")
+    for i, b in enumerate(grid):
+        _require_number(f"figure.beta_grid.{i}", b, low=0.0, strict=True)
+    _require_int("figure.jobs", section["jobs"], 1)
+
+    if not isinstance(config["out"], str) or not config["out"]:
+        raise ConfigError("out must be a nonempty string")
 
 
-def _build_bath(config: dict) -> BathSpec:
-    data = dict(config["bath"])
-    data.setdefault("beta", 1.0)
-    return bath_from_json(data)
+def _system(
+    system: dict, command: str
+) -> Union[DegenerateSystem, NearDegenerateSystem]:
+    """The degenerate system, or the near-degenerate one for neardegen-check."""
+    if set(system) == {"omega"}:
+        if command == "neardegen-check":
+            raise ConfigError(
+                "neardegen-check needs a near-degenerate system {omega1, omega2}"
+            )
+        return _built("system is invalid", DegenerateSystem,
+                      _number("system.omega", system["omega"]))
+    if set(system) == {"omega1", "omega2"}:
+        if command != "neardegen-check":
+            raise ConfigError(f"{command} needs a degenerate system {{omega}}")
+        return _built("system is invalid", NearDegenerateSystem,
+                      _number("system.omega1", system["omega1"]),
+                      _number("system.omega2", system["omega2"]))
+    raise ConfigError("system must provide either {omega} or {omega1, omega2}")
 
 
-def _degenerate_system(config: dict) -> DegenerateSystem:
-    system = config["system"]
-    if set(system) != {"omega"}:
-        raise ConfigError("this subcommand needs a degenerate system {omega}")
-    return DegenerateSystem(omega=float(system["omega"]))
-
-
-def _neardegenerate_system(config: dict) -> NearDegenerateSystem:
-    system = config["system"]
-    if set(system) != {"omega1", "omega2"}:
-        raise ConfigError(
-            "neardegen-check needs a near-degenerate system {omega1, omega2}"
-        )
-    return NearDegenerateSystem(
-        omega1=float(system["omega1"]), omega2=float(system["omega2"])
-    )
-
-
-def _initial_density(config: dict, bath: BathSpec) -> DensityMatrix:
-    initial = config["initial"]
-    system = config["system"]
+def _initial_state(initial, system, bath: BathSpec) -> DensityMatrix:
+    """The named state, or the physical state an initial object describes."""
+    degenerate = isinstance(system, DegenerateSystem)
     if initial == "ground":
         return CoherenceVector(0.0, 1.0, 0.0, 0.0).to_density()
     if initial == "gibbs":
-        if set(system) == {"omega"}:
-            ham = HamiltonianSpec.degenerate(float(system["omega"]))
-        else:
-            ham = HamiltonianSpec(
-                e2=float(system["omega2"]), e1=float(system["omega1"])
-            )
-        return gibbs(ham, bath.beta)
+        if degenerate:
+            return gibbs(HamiltonianSpec.degenerate(system.omega), bath.beta)
+        return gibbs(HamiltonianSpec(e2=system.omega2, e1=system.omega1), bath.beta)
     if initial == "coherent-steady":
-        if set(system) != {"omega"}:
+        if not degenerate:
             raise ConfigError("coherent-steady initial needs a degenerate system")
-        return protocol_initial_state(bath.beta, float(system["omega"]))
+        return protocol_initial_state(bath.beta, system.omega)
+    if isinstance(initial, str):
+        raise ConfigError(f"unknown named initial state {initial!r}")
+    if not isinstance(initial, dict):
+        raise ConfigError("initial must be a name or an object")
+    _check_keys("initial", initial, ["coherence_vector", "general"])
+    if len(initial) != 1:
+        raise ConfigError(
+            "initial must provide exactly one of coherence_vector|general"
+        )
     if "coherence_vector" in initial:
-        a, b, c, d = (float(v) for v in initial["coherence_vector"])
-        try:
-            state = CoherenceVector(a, b, c, d).to_density()
-            state.validate()
-        except (PhysicalityError, ValueError) as exc:
-            raise ConfigError(f"initial state is not physical: {exc}") from exc
-        return state
+        vec = initial["coherence_vector"]
+        if not isinstance(vec, list) or len(vec) != 4:
+            raise ConfigError("initial.coherence_vector needs 4 numbers")
+        values = [_require_number(f"initial.coherence_vector.{i}", v)
+                  for i, v in enumerate(vec)]
+        return _built("initial state is not physical",
+                      lambda: CoherenceVector(*values).to_density().validate())
     spec = initial["general"]
-    try:
-        return GeneralInitialState(
-            b=float(spec["b"]),
-            n_norm=float(spec["n_norm"]),
-            theta=float(spec["theta"]),
-            phi=float(spec["phi"]),
-        ).to_density()
-    except ValueError as exc:
-        raise ConfigError(f"initial state is not physical: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ConfigError("initial.general must be an object")
+    _check_keys("initial.general", spec, ["b", "n_norm", "theta", "phi"])
+    for key in ("b", "n_norm", "theta", "phi"):
+        if key not in spec:
+            raise ConfigError(f"initial.general missing {key!r}")
+    values = {k: _number(f"initial.general.{k}", v) for k, v in spec.items()}
+    return _built("initial state is not physical",
+                  lambda: GeneralInitialState(**values).to_density())
+
+
+def _parse(config: dict, command: str) -> _Run:
+    """Check every section and build the bath, system and initial state once.
+
+    Every section is checked for every command.  Rules on numbers that a
+    library type owns (finite, positive, in range) are left to that
+    type; its ValueError becomes a config error.
+    """
+    if config["initial"] is None:
+        protocol = command in _PROTOCOL_COMMANDS
+        config["initial"] = "coherent-steady" if protocol else "ground"
+    _check_sections(config)
+    bath = _built("bath is invalid", bath_from_json, config["bath"])
+    if command in _PROTOCOL_COMMANDS and not _aligned(bath):
+        raise ConfigError(f"{command} requires an aligned bath (alignment 1)")
+    system = _system(config["system"], command)
+    rho0 = _initial_state(config["initial"], system, bath)
+    return _Run(config, _config_hash(config), bath, system, rho0)
+
+
+def _time_grid(section: dict) -> Tuple[float, int, np.ndarray]:
+    """(t_final, samples, times) of an evolve or neardegen section."""
+    t_final = float(section["t_final"])
+    samples = 1 if t_final == 0.0 else section["samples"]
+    return t_final, samples, np.linspace(0.0, t_final, samples)
 
 
 def _format_value(value: float) -> str:
@@ -366,18 +346,13 @@ def _write_json(path: str, payload: dict, digest: str) -> None:
         fh.write("\n")
 
 
-def cmd_evolve(config: dict, digest: str) -> int:
-    bath = _build_bath(config)
-    system = _degenerate_system(config)
-    rho0 = _initial_density(config, bath)
-    section = config["evolve"]
-    t_final = float(section["t_final"])
-    samples = 1 if t_final == 0.0 else int(section["samples"])
-    times = np.linspace(0.0, t_final, samples)
+def cmd_evolve(run: _Run) -> int:
+    bath, system, rho0 = run.bath, run.system, run.rho0
+    t_final, samples, times = _time_grid(run.config["evolve"])
     states = evolve_trajectory(rho0, system, bath, times)
     rows = trajectory_rows(times, states)
-    out = config["out"]
-    _write_csv(out + ".csv", trajectory_columns(), rows, digest)
+    out = run.config["out"]
+    _write_csv(out + ".csv", trajectory_columns(), rows, run.digest)
 
     final = states[-1]
     summary = {
@@ -386,7 +361,7 @@ def cmd_evolve(config: dict, digest: str) -> int:
         "t_final": t_final,
         "samples": samples,
     }
-    if abs(bath.alignment - 1.0) <= 1e-12:
+    if _aligned(bath):
         init = CoherenceVector.from_density(rho0)
         r22, r00, r12 = analytic_evolution_aligned(
             (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im),
@@ -410,16 +385,14 @@ def cmd_evolve(config: dict, digest: str) -> int:
         dist = trace_distance(final, gibbs(ham, bath.beta))
         summary["gibbs_trace_distance"] = dist
         summary["gibbs_within_tolerance"] = bool(dist < GIBBS_TOL)
-    _write_json(out + ".json", summary, digest)
+    _write_json(out + ".json", summary, run.digest)
     print(f"final c_l1 = {_format_value(summary['final_c_l1'])}")
     return EXIT_OK
 
 
-def cmd_steady(config: dict, digest: str) -> int:
-    bath = _build_bath(config)
-    system = _degenerate_system(config)
-    rho0 = _initial_density(config, bath)
-    init = CoherenceVector.from_density(rho0)
+def cmd_steady(run: _Run) -> int:
+    bath, system = run.bath, run.system
+    init = CoherenceVector.from_density(run.rho0)
     state = steady_state(
         system, bath, (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im)
     )
@@ -429,22 +402,20 @@ def cmd_steady(config: dict, digest: str) -> int:
         "c_l1": l1_coherence(state),
         "gibbs_trace_distance": trace_distance(state, gibbs(ham, bath.beta)),
     }
-    _write_json(config["out"] + ".json", payload, digest)
+    _write_json(run.config["out"] + ".json", payload, run.digest)
     print(f"steady c_l1 = {_format_value(payload['c_l1'])}")
     return EXIT_OK
 
 
-def cmd_protocol1(config: dict, digest: str) -> int:
-    bath = _build_bath(config)
-    system = _degenerate_system(config)
-    rho0 = _initial_density(config, bath)
-    section = config["protocol1"]
+def cmd_protocol1(run: _Run) -> int:
+    bath, system, rho0 = run.bath, run.system, run.rho0
+    section = run.config["protocol1"]
     ledger, rounds = run_protocol1(
         rho0,
         system.omega,
         bath.beta,
         bath,
-        max_rounds=int(section["max_rounds"]),
+        max_rounds=section["max_rounds"],
         shift_floor=float(section["shift_floor"]),
     )
     ham = HamiltonianSpec.degenerate(system.omega)
@@ -456,8 +427,8 @@ def cmd_protocol1(config: dict, digest: str) -> int:
         "rounds_executed": len(rounds),
         "final_gibbs_trace_distance": trace_distance(final, gibbs(ham, bath.beta)),
     }
-    out = config["out"]
-    _write_json(out + "_ledger.json", payload, digest)
+    out = run.config["out"]
+    _write_json(out + "_ledger.json", payload, run.digest)
 
     columns = [
         "round",
@@ -487,25 +458,18 @@ def cmd_protocol1(config: dict, digest: str) -> int:
                 cumulative,
             ]
         )
-    _write_csv(out + "_rounds.csv", columns, rows, digest)
+    _write_csv(out + "_rounds.csv", columns, rows, run.digest)
     print(f"net work = {_format_value(ledger.net_work)}")
     return EXIT_OK
 
 
-def cmd_protocol2(config: dict, digest: str) -> int:
-    bath = _build_bath(config)
-    system = _degenerate_system(config)
-    rho0 = _initial_density(config, bath)
+def cmd_protocol2(run: _Run) -> int:
+    bath, system, rho0 = run.bath, run.system, run.rho0
+    work_mode = run.config["protocol2"]["work_mode"]
     init = GeneralInitialState.from_density(rho0)
     if init.b == 0.0:
         raise ConfigError("protocol2 requires a nonzero ground population")
-    ledger = protocol2(
-        init,
-        system.omega,
-        bath.beta,
-        bath,
-        work_mode=config["protocol2"]["work_mode"],
-    )
+    ledger = protocol2(init, system.omega, bath.beta, bath, work_mode=work_mode)
     ham = HamiltonianSpec.degenerate(system.omega)
     fed_value = fed(rho0, ham, bath.beta)
     gap = abs(ledger.net_work - fed_value)
@@ -514,56 +478,44 @@ def cmd_protocol2(config: dict, digest: str) -> int:
         "net_work": ledger.net_work,
         "fed": fed_value,
         "abs_net_minus_fed": gap,
-        "work_mode": config["protocol2"]["work_mode"],
+        "work_mode": work_mode,
     }
-    out = config["out"]
-    _write_json(out + "_ledger.json", payload, digest)
+    out = run.config["out"]
+    _write_json(out + "_ledger.json", payload, run.digest)
     columns, rows = ledger.csv_rows()
-    _write_csv(out + "_steps.csv", columns, rows, digest)
+    _write_csv(out + "_steps.csv", columns, rows, run.digest)
     print(f"|net - fed| = {_format_value(gap)}")
     return EXIT_OK
 
 
-def cmd_figure_wfed(config: dict, digest: str) -> int:
-    bath_json = dict(config["bath"])
-    bath_json.setdefault("beta", 1.0)
-    system = _degenerate_system(config)
-    alignment = float(bath_json.get("alignment", 1.0))
-    if abs(alignment - 1.0) > 1e-12:
-        raise ConfigError("figure-wfed requires an aligned bath")
-    grid = [float(b) for b in config["figure"]["beta_grid"]]
-    p1 = config["protocol1"]
-    omega = system.omega
+def cmd_figure_wfed(run: _Run) -> int:
+    p1 = run.config["protocol1"]
+    omega = run.system.omega
     rows = []
-    for beta in grid:
+    for beta in map(float, run.config["figure"]["beta_grid"]):
         ledger, _rounds = run_protocol1(
             protocol_initial_state(beta, omega),
             omega,
             beta,
-            bath_from_json({**bath_json, "beta": beta}),
-            max_rounds=int(p1["max_rounds"]),
+            dataclasses.replace(run.bath, beta=beta),
+            max_rounds=p1["max_rounds"],
             shift_floor=float(p1["shift_floor"]),
         )
         x = math.exp(-beta * omega)
         fed_value = math.log((1.0 + 2.0 * x) / (1.0 + x)) / beta
         rows.append([beta, ledger.net_work, fed_value])
-    csv_path = config["out"] + ".csv"
-    _write_csv(csv_path, ["beta", "work_protocol1", "fed"], rows, digest)
+    csv_path = run.config["out"] + ".csv"
+    _write_csv(csv_path, ["beta", "work_protocol1", "fed"], rows, run.digest)
     print(f"wrote {csv_path} with {len(rows)} rows")
     return EXIT_OK
 
 
-def cmd_neardegen_check(config: dict, digest: str) -> int:
-    bath = _build_bath(config)
-    system = _neardegenerate_system(config)
-    rho0 = _initial_density(config, bath)
-    init = CoherenceVector.from_density(rho0)
+def cmd_neardegen_check(run: _Run) -> int:
+    bath, system = run.bath, run.system
+    init = CoherenceVector.from_density(run.rho0)
     init4 = (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im)
-    section = config["neardegen"]
-    t_final = float(section["t_final"])
-    samples = 1 if t_final == 0.0 else int(section["samples"])
-    times = np.linspace(0.0, t_final, samples)
-    aligned = abs(bath.alignment - 1.0) <= 1e-12
+    t_final, samples, times = _time_grid(run.config["neardegen"])
+    aligned = _aligned(bath)
 
     columns = ["t", "num_rho22", "num_rho00", "num_rho_plus", "num_rho_minus_im"]
     if aligned:
@@ -585,10 +537,10 @@ def cmd_neardegen_check(config: dict, digest: str) -> int:
             max_dev = max(max_dev, dev)
             row += list(pert.as_array()) + [dev]
         rows.append(row)
-    out = config["out"]
-    _write_csv(out + ".csv", columns, rows, digest)
+    out = run.config["out"]
+    _write_csv(out + ".csv", columns, rows, run.digest)
 
-    thermal = thermalize_independent(rho0, system, bath)
+    thermal = thermalize_independent(run.rho0, system, bath)
     summary = {
         "delta": system.delta,
         "t_final": t_final,
@@ -598,7 +550,7 @@ def cmd_neardegen_check(config: dict, digest: str) -> int:
                              else 0.3 / system.delta),
         "independent_fixed_point": thermal.to_json(),
     }
-    _write_json(out + ".json", summary, digest)
+    _write_json(out + ".json", summary, run.digest)
     if aligned:
         print(f"max perturbative deviation = {_format_value(max_dev)}")
     else:
@@ -655,8 +607,7 @@ def _diagnostic(kind: str, message: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _setup_logging()
         user_config: dict = {}
@@ -666,26 +617,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     user_config = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         config = _merge_config(user_config)
         _apply_overrides(config, args)
-        _resolve_initial(config, args.command)
-        _validate_config(config)
-        digest = _config_hash(config)
-    except (ValueError, PhysicalityError) as exc:
-        _diagnostic("config", str(exc))
-        return EXIT_CONFIG
-
-    try:
-        return _COMMANDS[args.command](config, digest)
+        run = _parse(config, args.command)
+        return _COMMANDS[args.command](run)
     except ConfigError as exc:
         _diagnostic("config", str(exc))
         return EXIT_CONFIG
-    except (PhysicalityError, ValueError) as exc:
-        _diagnostic("numerical", str(exc))
-        return EXIT_NUMERICAL
-    except NumericsError as exc:
+    except (ValueError, NumericsError) as exc:
         _diagnostic("numerical", str(exc))
         return EXIT_NUMERICAL
     except OSError as exc:

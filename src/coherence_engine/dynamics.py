@@ -47,6 +47,8 @@ class DegenerateSystem:
     omega: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.omega):
+            raise ValueError("omega must be finite")
         if not self.omega > 0.0:
             raise ValueError("omega must be positive")
 

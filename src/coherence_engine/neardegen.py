@@ -61,6 +61,8 @@ class NearDegenerateSystem:
     max_delta_ratio: float = 0.1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.omega1) and math.isfinite(self.omega2)):
+            raise ValueError("both excited energies must be finite")
         if not (self.omega1 > 0.0 and self.omega2 > 0.0):
             raise ValueError("both excited energies must be positive")
         if self.omega2 < self.omega1:
@@ -215,10 +217,8 @@ def _first_order(
     # coefficient set; the constant source mixes the steady populations
     # with the Boltzmann-weighted emission derivative.
     s0_inf = g * coeffs.a1
-    s0_1 = g * coeffs.a2
     s0_2 = g * coeffs.a3
     s1_inf = (x * dgp - diff.gamma_minus) * s_inf
-    s1_1 = g * coeffs.b2
     s1_2 = g * coeffs.b3
 
     s3_inf = -t_inf

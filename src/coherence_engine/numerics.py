@@ -30,13 +30,11 @@ class SolverConfig:
     """Tolerances and iteration limits shared by the numerical kernels.
 
     abs_tol and rel_tol must lie in (0, 1e-2]; max_iter must be positive.
-    The optional bracket (lo, hi) is used by scalar searches.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_iter: int = 200
-    bracket: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol <= 1e-2):
@@ -45,10 +43,6 @@ class SolverConfig:
             raise ValueError("rel_tol must lie in (0, 1e-2]")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be a positive integer")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not lo < hi:
-                raise ValueError("bracket must satisfy lo < hi")
 
 
 _INV_E = math.exp(-1.0)
@@ -124,12 +118,11 @@ def maximize_scalar(
     f: Callable[[float], float],
     bracket: Tuple[float, float],
     config: SolverConfig | None = None,
-    polish: bool = True,
 ) -> MaximizeResult:
     """Maximize a continuous scalar function on a closed bracket.
 
     Golden-section search down to argument tolerance config.abs_tol,
-    optionally followed by two clamped Newton polishing steps built from
+    followed by two clamped Newton polishing steps built from
     central finite differences.  The polish removes the O(sqrt(eps))
     plateau inherent to comparison-only searches on smooth maxima, which
     matters when the argmax is compared against closed forms at the
@@ -172,17 +165,16 @@ def maximize_scalar(
     if f_hi >= fx:
         return MaximizeResult(hi, f_hi, True, iterations)
 
-    if polish:
-        for _ in range(2):
-            h = 1e-5 * max(1.0, abs(x))
-            fp, fm = eval_f(x + h), eval_f(x - h)
-            d1 = (fp - fm) / (2.0 * h)
-            d2 = (fp - 2.0 * fx + fm) / (h * h)
-            if d2 >= 0.0:
-                break
-            step = -d1 / d2
-            x = min(max(x + step, lo), hi)
-            fx = eval_f(x)
+    for _ in range(2):
+        h = 1e-5 * max(1.0, abs(x))
+        fp, fm = eval_f(x + h), eval_f(x - h)
+        d1 = (fp - fm) / (2.0 * h)
+        d2 = (fp - 2.0 * fx + fm) / (h * h)
+        if d2 >= 0.0:
+            break
+        step = -d1 / d2
+        x = min(max(x + step, lo), hi)
+        fx = eval_f(x)
 
     return MaximizeResult(x, fx, False, iterations)
 

@@ -37,7 +37,6 @@ from .neardegen import NearDegenerateSystem, thermalize_independent
 from .numerics import SolverConfig, integrate_1d, lambert_w_principal
 from .thermo import l1_coherence
 
-WORK_TOL = 1e-15
 SHIFT_ROOT_TOL = 1e-13
 
 
@@ -70,9 +69,6 @@ class ProtocolLedger:
 
     def append(self, step: ProtocolStep) -> None:
         self.steps.append(step)
-
-    def extend(self, other: "ProtocolLedger") -> None:
-        self.steps.extend(other.steps)
 
     @property
     def net_work(self) -> float:
@@ -141,6 +137,8 @@ class GeneralInitialState:
             raise ValueError("ground population must lie in [0, 1]")
         if not 0.0 <= self.n_norm <= 1.0:
             raise ValueError("Bloch vector length must lie in [0, 1]")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError("Bloch vector angles must be finite")
 
     def bloch_vector(self) -> np.ndarray:
         st, ct = math.sin(self.theta), math.cos(self.theta)
@@ -351,14 +349,6 @@ def optimal_shift_round1(beta: float, omega: float) -> float:
     return (1.0 + lambert_w_principal(arg)) / beta
 
 
-def _round_work(shift: float, pre_population: float, beta: float, omega: float) -> float:
-    """Net work of a round as a function of the shift."""
-    x = math.exp(-beta * omega)
-    u = math.exp(-beta * shift)
-    z = 1.0 + x + x * u
-    return shift * (x * u / z - pre_population)
-
-
 def _shift_upper_bound(pre_population: float, beta: float, omega: float) -> float:
     """Largest shift with positive net work; non-positive means none."""
     x = math.exp(-beta * omega)
@@ -449,7 +439,9 @@ def run_protocol1(
     Shifts are chosen per round from the actual pre-lift population.
     The driver stops before executing a round whose optimal shift falls
     below the floor, when no positive-work shift exists, or after
-    max_rounds rounds.
+    max_rounds rounds.  After round 1 the pre-lift population is
+    (1 - 1/Z)/2 > 0; when it computes to 0 (e^{-beta omega} below machine
+    epsilon) the state is exhausted and the run stops there.
     """
     if max_rounds < 1:
         raise ValueError("at least one round is required")
@@ -466,6 +458,8 @@ def run_protocol1(
         pre_population = float(
             (0.5 * (m[0, 0] + m[1, 1]) - 0.5 * (m[0, 1] + m[1, 0])).real
         )
+        if index > 1 and pre_population <= 0.0:
+            break
         shift = _optimal_shift_for_population(max(pre_population, 0.0), beta, omega)
         if shift is None or shift < shift_floor:
             break

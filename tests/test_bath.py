@@ -50,6 +50,15 @@ def test_bath_spec_validation():
     BathSpec(beta=1.0, alignment=-1.0)
 
 
+def test_non_finite_parameters_rejected():
+    for beta, alignment in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(beta=beta, alignment=alignment)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            flat_rate(gamma)
+
+
 def test_rates_at_requires_positive_frequency():
     bath = BathSpec(beta=1.0)
     with pytest.raises(ValueError):
@@ -103,3 +112,21 @@ def test_bath_from_json():
 
     with pytest.raises(ValueError):
         bath_from_json({"beta": 1.0, "temperature": 300.0})
+
+
+def test_bath_from_json_rejects_non_numbers():
+    table = {"kind": "tabulated", "points": [[1.0, 1.0], [2.0, 2.0]]}
+    for data in (
+        {"beta": True},
+        {"beta": "1.0"},
+        {"beta": 1.0, "alignment": False},
+        {"beta": 1.0, "gamma_plus": "1.0"},
+        {"beta": 1.0, "gamma_plus": {**table, "points": [[1.0, "1.0"], [2.0, 2.0]]}},
+        {"beta": 1.0, "gamma_plus": {**table, "points": [[1.0, True], [2.0, 2.0]]}},
+        {"beta": 1.0, "gamma_plus": {"kind": "tabulated"}},
+        {"beta": 1.0, "gamma_plus": {**table, "points": [[1.0, 1.0, 1.0], [2.0, 2.0]]}},
+        {"beta": 10 ** 400},
+        {"alignment": 1.0},
+    ):
+        with pytest.raises(ValueError):
+            bath_from_json(data)

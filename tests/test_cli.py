@@ -274,6 +274,21 @@ def test_system_shape_mismatches_exit_2(tmp_path, capsys):
     _config_error(capsys)
 
 
+def test_rule_breaking_configs_exit_2(tmp_path, capsys):
+    """Protocols need an aligned bath; neardegen-check omega2 >= omega1, close."""
+    out = str(tmp_path / "x")
+    for command in ("protocol1", "protocol2", "figure-wfed"):
+        assert _run(tmp_path, command, {"out": out}, extra=["--alignment", "0.5"]) == 2
+        assert "aligned" in _config_error(capsys)
+    for omega2 in (0.5, 1.5):
+        config = {"system": {"omega1": 1.0, "omega2": omega2}, "out": out}
+        assert _run(tmp_path, "neardegen-check", config) == 2
+        assert "system" in _config_error(capsys)
+    table = {"kind": "tabulated", "points": [[0.5, "1"], [2.0, 1.0]]}
+    assert _run(tmp_path, "steady", {"bath": {"gamma_plus": table}, "out": out}) == 2
+    assert "number" in _config_error(capsys)
+
+
 def test_bad_log_env_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COHERENCE_ENGINE_LOG", "verbose")
     assert _run(tmp_path, "steady", {"out": str(tmp_path / "s")}) == 2

@@ -42,6 +42,12 @@ def test_degenerate_system_requires_positive_omega():
         DegenerateSystem(-1.0)
 
 
+def test_degenerate_system_rejects_non_finite_omega():
+    for omega in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DegenerateSystem(omega)
+
+
 def test_coherence_vector_roundtrip(subspace_sampler):
     for _ in range(10):
         a, b, c, d = subspace_sampler()

@@ -52,6 +52,12 @@ def test_system_guard_and_splitting():
         NearDegenerateSystem(0.0, 1.0)
 
 
+def test_system_rejects_non_finite_energies():
+    for omega1, omega2 in ((math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            NearDegenerateSystem(omega1, omega2, max_delta_ratio=math.inf)
+
+
 def test_generator_reduces_to_degenerate_limit():
     for alignment in (1.0, 0.6):
         bath = BathSpec(beta=1.0, alignment=alignment)

@@ -24,8 +24,6 @@ def test_solver_config_validation():
         SolverConfig(abs_tol=1e-10, rel_tol=0.1, max_iter=100)
     with pytest.raises(ValueError):
         SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=10, bracket=(2.0, 1.0))
 
 
 def test_lambert_trivial_points():

@@ -6,16 +6,33 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherence_engine.bath import BathSpec
+from coherence_engine.bath import (
+    DETAILED_BALANCE_RTOL,
+    BathSpec,
+    flat_rate,
+    rates_at,
+    tabulated_rate,
+)
 from coherence_engine.bloch import DensityMatrix
-from coherence_engine.dynamics import DegenerateSystem, evolve, evolve_trajectory
+from coherence_engine.dynamics import (
+    DegenerateSystem,
+    coherence_generator,
+    evolve,
+    evolve_trajectory,
+    gksl_rhs_matrix,
+)
+from coherence_engine.neardegen import (
+    NearDegenerateSystem,
+    neardegenerate_generator,
+    nonsecular_rhs_matrix,
+)
 from coherence_engine.protocols import (
     GeneralInitialState,
     protocol2,
     protocol_initial_state,
     run_protocol1,
 )
-from coherence_engine.thermo import HamiltonianSpec, fed
+from coherence_engine.thermo import HamiltonianSpec, fed, gibbs
 
 PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
 # Work and FED are differences of energies of order omega <= 5, so each
@@ -32,6 +49,17 @@ STATES = st.builds(
 )
 UNIT = st.floats(min_value=-1.0, max_value=1.0)
 ALIGNMENTS = st.one_of(st.sampled_from([-1.0, 1.0]), UNIT)
+GAMMAS = st.floats(min_value=0.0, max_value=5.0)
+RATES = st.one_of(
+    st.builds(flat_rate, GAMMAS),
+    st.builds(
+        lambda w, dw, g1, g2: tabulated_rate(((w, g1), (w + dw, g2))),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.floats(min_value=0.01, max_value=5.0),
+        GAMMAS,
+        GAMMAS,
+    ),
+)
 
 
 @st.composite
@@ -76,3 +104,32 @@ def test_protocol_work_bounded_by_fed(beta, omega, init):
     single = protocol2(init, omega, beta, bath)
     gap = abs(single.net_work - fed(init.to_density(), ham, beta))
     assert gap <= 1e-10, gap
+
+
+def _gibbs_residual(generator, rho):
+    """max |M Pi - b| at the coherence vector (rho22, rho00, 0, 0) of diagonal rho."""
+    pi = np.array([rho[0, 0], rho[2, 2], 0.0, 0.0])
+    return float(np.max(np.abs(generator.matrix @ pi - generator.constant)))
+
+
+@PROPERTY
+@given(beta=BETAS, omega=OMEGAS, p=ALIGNMENTS, rate_fn=RATES,
+       split=st.floats(min_value=0.0, max_value=0.099))
+def test_gibbs_state_is_fixed_point_of_every_route(beta, omega, p, rate_fn, split):
+    """Detailed balance: no route to the dynamics moves the Gibbs state."""
+    bath = BathSpec(beta=beta, rate_fn=rate_fn, alignment=p)
+    degenerate = DegenerateSystem(omega)
+    near = NearDegenerateSystem(omega, omega + split * omega)
+    rates = [rates_at(bath, w).gamma_plus for w in (near.omega1, near.omega2)]
+    bound = DETAILED_BALANCE_RTOL * max(1.0, *rates)
+
+    rho = gibbs(HamiltonianSpec.degenerate(omega), beta).matrix
+    rho_split = gibbs(HamiltonianSpec(e2=near.omega2, e1=near.omega1), beta).matrix
+    residuals = {
+        "gksl": np.max(np.abs(gksl_rhs_matrix(rho, degenerate, bath))),
+        "coherence": _gibbs_residual(coherence_generator(degenerate, bath), rho),
+        "nonsecular": np.max(np.abs(nonsecular_rhs_matrix(rho_split, near, bath))),
+        "neardegenerate": _gibbs_residual(neardegenerate_generator(near, bath),
+                                          rho_split),
+    }
+    assert max(residuals.values()) <= bound, (residuals, bound)

@@ -107,6 +107,12 @@ def test_general_initial_state_validation():
     assert pure_ground.b == 1.0 and pure_ground.n_norm == 0.0
 
 
+def test_general_initial_state_rejects_non_finite_angles():
+    for theta, phi in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            GeneralInitialState(b=0.5, n_norm=0.5, theta=theta, phi=phi)
+
+
 def test_stationary_state_decomposition():
     beta = omega = 1.0
     x = math.exp(-beta * omega)
@@ -268,6 +274,21 @@ def test_run_protocol1_exhausted_inputs():
     half = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
     ledger, rounds = run_protocol1(half, omega, beta, BATH)
     assert rounds == []
+
+
+def test_run_protocol1_stops_after_one_round_at_low_temperature():
+    # e^{-beta omega} is below machine epsilon: round 1 leaves a pre-lift
+    # population that computes to 0, so the state is exhausted.
+    for beta, omega in ((40.0, 1.0), (8.0, 5.0)):
+        bath = BathSpec(beta=beta, alignment=1.0)
+        rho0 = protocol_initial_state(beta, omega)
+        ledger, rounds = run_protocol1(rho0, omega, beta, bath)
+        x = math.exp(-beta * omega)
+        assert len(rounds) == 1
+        assert 0.0 <= ledger.net_work <= math.log1p(x / (1.0 + x)) / beta
+    warm = BathSpec(beta=3.0, alignment=1.0)
+    _, rounds = run_protocol1(protocol_initial_state(3.0, 1.0), 1.0, 3.0, warm)
+    assert len(rounds) == 9
 
 
 def test_run_protocol1_shift_floor_cuts_series():
