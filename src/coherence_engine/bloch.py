@@ -33,6 +33,24 @@ class PhysicalityError(ValueError):
     """A matrix failed a density-matrix validity check."""
 
 
+def _require_hermitian_unit_trace(m: np.ndarray) -> None:
+    """Raise PhysicalityError unless m is finite, Hermitian and unit-trace.
+
+    The finiteness check comes first: NaN passes every tolerance
+    comparison, and inf - inf in the Hermiticity defect warns.  The
+    array methods, not the np.max/np.trace functions, keep the added
+    check at no net cost on the validate hot path.
+    """
+    if not np.isfinite(m).all():
+        raise PhysicalityError("entries are not all finite")
+    herm_defect = float(np.abs(m - m.conj().T).max())
+    if herm_defect > HERMITICITY_TOL:
+        raise PhysicalityError(f"not Hermitian (defect {herm_defect:.3e})")
+    trace_defect = abs(m.trace() - 1.0)
+    if trace_defect > TRACE_TOL:
+        raise PhysicalityError(f"trace differs from 1 by {trace_defect:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A 3x3 complex matrix in basis order (|2>, |1>, |0>).
@@ -65,13 +83,7 @@ class DensityMatrix:
 
     def validate(self) -> "DensityMatrix":
         """Raise PhysicalityError unless Hermitian, unit-trace, and PSD."""
-        m = self.matrix
-        herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        if herm_defect > HERMITICITY_TOL:
-            raise PhysicalityError(f"not Hermitian (defect {herm_defect:.3e})")
-        trace_defect = abs(self.trace - 1.0)
-        if trace_defect > TRACE_TOL:
-            raise PhysicalityError(f"trace differs from 1 by {trace_defect:.3e}")
+        _require_hermitian_unit_trace(self.matrix)
         min_eig = self.min_eigenvalue()
         if min_eig < POSITIVITY_TOL:
             raise PhysicalityError(f"negative eigenvalue {min_eig:.3e}")
@@ -182,12 +194,7 @@ def to_bloch(rho: DensityMatrix) -> BlochVector:
     well-defined expansion).
     """
     m = rho.matrix
-    herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    if herm_defect > HERMITICITY_TOL:
-        raise PhysicalityError(f"not Hermitian (defect {herm_defect:.3e})")
-    trace_defect = abs(np.trace(m) - 1.0)
-    if trace_defect > TRACE_TOL:
-        raise PhysicalityError(f"trace differs from 1 by {trace_defect:.3e}")
+    _require_hermitian_unit_trace(m)
     return BlochVector(
         q1=3.0 * m[0, 1],
         q2=3.0 * m[1, 0],

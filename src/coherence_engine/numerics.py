@@ -3,19 +3,24 @@
 Deterministic scalar and ODE routines used across the package: the
 principal branch of the Lambert W function, bracketed scalar
 maximization, exact propagation of linear time-independent equations,
-adaptive ODE integration with dense output, and adaptive quadrature.
-All kernels use fixed iteration orders and no randomness, so identical
-inputs give bit-identical results.
+adaptive ODE integration with dense output, and adaptive Gauss-Kronrod
+quadrature.  All kernels use fixed iteration orders and no randomness,
+so identical inputs give bit-identical results.
+
+Importing this module loads numpy only.  scipy is imported on first use
+by the two routines that need it: propagate_affine's scaling-and-squaring
+expm fallback, and integrate_ode, the adaptive RK45 integrator that the
+tests use as an independent reference.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 
 EIGVEC_COND_LIMIT = 1e6
@@ -234,7 +239,9 @@ def integrate_ode(
 ) -> OdeSolution:
     """Integrate dy/dt = rhs(t, y) over t_span with dense output.
 
-    The default path is an adaptive embedded Runge-Kutta 5(4) scheme.
+    The default path is scipy's adaptive embedded Runge-Kutta 5(4)
+    scheme, imported on first use so that importing the package loads
+    no scipy.
     Passing fixed_steps switches to a classical fixed-step RK4 walk with
     that many equal steps, trading accuracy for step-for-step
     reproducibility.  Step-size underflow or any other integrator
@@ -278,6 +285,8 @@ def integrate_ode(
         ys = y0.reshape(-1, 1).copy()
         return OdeSolution(ts, ys, lambda t: y0.copy())
 
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         rhs,
         (t0, t1),
@@ -295,27 +304,80 @@ def integrate_ode(
     return OdeSolution(sol.t, sol.y, sol.sol)
 
 
+# Gauss-Kronrod 7/15 rule on [-1, 1], QUADPACK's qk15 (Piessens et al.,
+# QUADPACK, Springer 1983): nodes from 1 down to the centre, Kronrod
+# weights, and the 7-point Gauss weights, which are zero at the nodes the
+# Kronrod extension adds.
+_GK_X = np.array([
+    0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+    0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+    0.207784955007898468, 0.0])
+_GK_WK = np.array([
+    0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+    0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+    0.204432940075298892, 0.209482141084727828])
+_GK_WG = np.array([
+    0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+    0.0, 0.381830050505118945, 0.0, 0.417959183673469388])
+_GK_NODES = np.concatenate((-_GK_X, _GK_X[-2::-1]))
+_GK_WEIGHTS = np.concatenate((_GK_WK, _GK_WK[-2::-1]))
+_GK_DIFF = _GK_WEIGHTS - np.concatenate((_GK_WG, _GK_WG[-2::-1]))
+
+
 def integrate_1d(
     f: Callable[[float], float],
     a: float,
     b: float,
     config: SolverConfig | None = None,
 ) -> float:
-    """Adaptive quadrature of f over [a, b]; b may be +inf.
+    """Adaptive Gauss-Kronrod 7/15 quadrature of f over [a, b]; b may be +inf.
 
-    Raises NumericsError if the quadrature reports non-convergence or
-    the error estimate exceeds the requested tolerances.
+    Bisects the panel with the largest |K15 - G7| until the summed error
+    estimate meets max(abs_tol, rel_tol * |value|).  b = +inf is mapped
+    onto [0, 1) by x = a + t / (1 - t); the rule's nodes are interior, and
+    one that rounds onto t = 1 in a tiny panel raises NumericsError.
+    a > b gives the negative of the integral over [b, a].  numpy only:
+    it replaces scipy's quad so that importing the package loads no scipy.
+    Raises NumericsError after config.max_iter bisections without
+    convergence, or on a non-finite value.
     """
     cfg = config or SolverConfig(abs_tol=1e-12, rel_tol=1e-10, max_iter=200)
     if a == b:
         return 0.0
-    value, abserr, info, *tail = quad(
-        f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, full_output=1
-    )
-    if tail:
-        raise NumericsError(f"quadrature did not converge: {tail[0]}")
-    if abserr > 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        raise NumericsError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance"
-        )
-    return float(value)
+    if a > b:
+        return -integrate_1d(f, b, a, cfg)
+    if not math.isfinite(a):
+        raise ValueError("integrate_1d needs a finite lower limit")
+
+    def mapped(t: float) -> float:
+        gap = 1.0 - t
+        if gap == 0.0:  # a panel next to t = 1 narrower than rounding
+            raise NumericsError("quadrature cannot resolve the integrand at infinity")
+        return f(a + t / gap) / gap ** 2
+
+    g, start, stop = (mapped, 0.0, 1.0) if b == math.inf else (f, a, b)
+
+    # (-error, value, lo, hi): heapq pops the panel with the largest error.
+    def panel(lo: float, hi: float) -> Tuple[float, float, float, float]:
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        fx = np.array([g(x) for x in (mid + half * _GK_NODES).tolist()])
+        return -half * abs(fx @ _GK_DIFF), half * (fx @ _GK_WEIGHTS), lo, hi
+
+    panels = [panel(start, stop)]
+    bisections = 0
+    while True:
+        value = math.fsum(p[1] for p in panels)
+        error = -math.fsum(p[0] for p in panels)
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise NumericsError(f"quadrature gave a non-finite value {value!r}")
+        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            return value
+        if bisections == cfg.max_iter:
+            raise NumericsError(
+                f"quadrature did not converge in {bisections} bisections "
+                f"(error estimate {error:.3e})"
+            )
+        _, _, lo, hi = heapq.heappop(panels)
+        heapq.heappush(panels, panel(lo, 0.5 * (lo + hi)))
+        heapq.heappush(panels, panel(0.5 * (lo + hi), hi))
+        bisections += 1

@@ -87,6 +87,20 @@ def test_validate_rejects_negative_eigenvalue():
     assert not DensityMatrix(m).is_physical()
 
 
+def test_validate_rejects_non_finite_entries():
+    # NaN compares False against every tolerance; it must never reach eigvalsh
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (1, 1), (0, 1), (0, 2)):
+            m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+            m[i, j] = m[j, i] = value
+            rho = DensityMatrix(m)
+            with pytest.raises(PhysicalityError):
+                rho.validate()
+            assert not rho.is_physical()
+            with pytest.raises(PhysicalityError):
+                to_bloch(rho)
+
+
 def test_min_eigenvalue_and_trace(random_density):
     rho = DensityMatrix(random_density())
     assert rho.min_eigenvalue() >= -1e-12

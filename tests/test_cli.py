@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -316,3 +320,13 @@ def test_runtime_value_error_exit_3(tmp_path, capsys, monkeypatch):
     assert _run(tmp_path, "steady", {"out": str(tmp_path / "z")}) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "numerical"
+
+
+def test_package_import_loads_no_scipy():
+    # The tests import scipy themselves, so only a fresh interpreter can tell.
+    code = ("import coherence_engine, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout

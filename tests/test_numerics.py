@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from coherence_engine.numerics import (
@@ -13,6 +14,7 @@ from coherence_engine.numerics import (
     maximize_scalar,
     propagate_affine,
 )
+from coherence_engine.protocols import _sweep_model
 
 
 def test_solver_config_validation():
@@ -165,11 +167,40 @@ def test_propagate_affine_jordan_block_takes_expm_fallback(monkeypatch):
 def test_integrate_1d_basic():
     assert integrate_1d(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert integrate_1d(lambda x: x * x, 2.0, 2.0) == 0.0
+    assert integrate_1d(lambda x: x, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+    assert integrate_1d(math.exp, 3.0, -1.0) == pytest.approx(
+        math.exp(-1.0) - math.exp(3.0), abs=1e-12
+    )
+    with pytest.raises(NumericsError):
+        integrate_1d(lambda x: math.exp(-x * x), 0.0, 20.0, SolverConfig(max_iter=1))
 
 
 def test_integrate_1d_improper():
     value = integrate_1d(lambda x: math.exp(-x), 0.0, math.inf)
     assert value == pytest.approx(1.0, abs=1e-10)
+    assert integrate_1d(lambda x: math.exp(-x), math.inf, 0.0) == pytest.approx(
+        -1.0, abs=1e-10
+    )
+    # the protocol-2 population sweep from omega1 to infinity:
+    # int e^{-bw} / (c + e^{-bw}) dw = ln(1 + e^{-b omega1} / c) / b
+    beta, omega1 = 1.3, 0.8
+    c = 1.0 + math.exp(-beta * omega1)
+    value = integrate_1d(
+        lambda w: math.exp(-beta * w) / (c + math.exp(-beta * w)), omega1, math.inf
+    )
+    expected = math.log1p(math.exp(-beta * omega1) / c) / beta
+    assert value == pytest.approx(expected, abs=1e-12)
+
+
+def test_integrate_1d_matches_scipy_quad_on_sweep_integrands():
+    for beta in np.linspace(0.2, 3.0, 5):
+        for fixed in np.linspace(0.5, 3.0, 4):
+            for mode in ("single-level-sweep", "both-levels-sweep"):
+                _, population = _sweep_model(beta, fixed, mode)
+                for lo, hi in ((0.5, 3.0), (fixed, 0.5), (fixed, math.inf)):
+                    reference = quad(population, lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
+                    value = integrate_1d(population, lo, hi)
+                    assert value == pytest.approx(reference, abs=1e-10)
 
 
 def test_integrate_1d_divergent_reported():

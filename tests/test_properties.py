@@ -32,7 +32,7 @@ from coherence_engine.protocols import (
     protocol_initial_state,
     run_protocol1,
 )
-from coherence_engine.thermo import HamiltonianSpec, fed, gibbs
+from coherence_engine.thermo import HamiltonianSpec, fed, gibbs, l1_coherence
 
 PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
 # Work and FED are differences of energies of order omega <= 5, so each
@@ -104,6 +104,20 @@ def test_protocol_work_bounded_by_fed(beta, omega, init):
     single = protocol2(init, omega, beta, bath)
     gap = abs(single.net_work - fed(init.to_density(), ham, beta))
     assert gap <= 1e-10, gap
+
+
+@PROPERTY
+@given(beta=BETAS, omega=OMEGAS)
+def test_protocol1_consumes_coherence_as_fuel(beta, omega):
+    """Each round of protocol 1 yields work >= 0 and leaves no more coherence."""
+    bath = BathSpec(beta=beta, alignment=1.0)
+    charged = protocol_initial_state(beta, omega)
+    _ledger, rounds = run_protocol1(charged, omega, beta, bath)
+    coherence = [l1_coherence(charged)] + [r.coherence_after for r in rounds]
+    for before, after in zip(coherence, coherence[1:]):
+        assert after <= before, (before, after)
+    for r in rounds:
+        assert r.net_work >= -ROUNDING, (r.plan.index, r.net_work)
 
 
 def _gibbs_residual(generator, rho):
