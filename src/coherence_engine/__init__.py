@@ -20,13 +20,7 @@ from .bath import (
     rates_at,
     tabulated_rate,
 )
-from .bloch import (
-    BlochVector,
-    DensityMatrix,
-    PhysicalityError,
-    from_bloch,
-    to_bloch,
-)
+from .bloch import DensityMatrix, PhysicalityError
 from .dynamics import (
     CoherenceVector,
     DegenerateSystem,
@@ -91,7 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathSpec",
-    "BlochVector",
     "CoherenceVector",
     "DegenerateSystem",
     "DensityMatrix",
@@ -124,7 +117,6 @@ __all__ = [
     "fed_subspace",
     "flat_rate",
     "free_energy",
-    "from_bloch",
     "gibbs",
     "gksl_rhs_matrix",
     "integrate_1d",
@@ -147,7 +139,6 @@ __all__ = [
     "steady_state",
     "tabulated_rate",
     "thermalize_independent",
-    "to_bloch",
     "trace_distance",
     "trajectory_columns",
     "trajectory_rows",

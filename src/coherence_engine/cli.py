@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .neardegen import (
     NearDegenerateSystem,
-    evolve_neardegenerate,
+    _neardegenerate_series,
     perturbative_solution,
     thermalize_independent,
 )
@@ -72,6 +72,17 @@ _LOG_LEVELS = {
 # coherent-steady unless the config names another state.
 _PROTOCOL_COMMANDS = ("protocol1", "protocol2", "figure-wfed")
 
+# The files each command writes, as suffixes of the out prefix.  Commands
+# write through _Run.paths, which is built from this table alone.
+_OUTPUTS = {
+    "evolve": (".csv", ".json"),
+    "steady": (".json",),
+    "protocol1": ("_ledger.json", "_rounds.csv"),
+    "protocol2": ("_ledger.json", "_steps.csv"),
+    "figure-wfed": (".csv",),
+    "neardegen-check": (".csv", ".json"),
+}
+
 
 class ConfigError(ValueError):
     """Configuration rejected before execution."""
@@ -86,6 +97,7 @@ class _Run:
     bath: BathSpec
     system: Union[DegenerateSystem, NearDegenerateSystem]
     rho0: DensityMatrix
+    paths: Dict[str, str]
 
 
 def _default_config() -> dict:
@@ -306,7 +318,8 @@ def _parse(config: dict, command: str) -> _Run:
         raise ConfigError(f"{command} requires an aligned bath (alignment 1)")
     system = _system(config["system"], command)
     rho0 = _initial_state(config["initial"], system, bath)
-    return _Run(config, _config_hash(config), bath, system, rho0)
+    paths = {suffix: config["out"] + suffix for suffix in _OUTPUTS[command]}
+    return _Run(config, _config_hash(config), bath, system, rho0, paths)
 
 
 def _time_grid(section: dict) -> Tuple[float, int, np.ndarray]:
@@ -351,8 +364,7 @@ def cmd_evolve(run: _Run) -> int:
     t_final, samples, times = _time_grid(run.config["evolve"])
     states = evolve_trajectory(rho0, system, bath, times)
     rows = trajectory_rows(times, states)
-    out = run.config["out"]
-    _write_csv(out + ".csv", trajectory_columns(), rows, run.digest)
+    _write_csv(run.paths[".csv"], trajectory_columns(), rows, run.digest)
 
     final = states[-1]
     summary = {
@@ -385,7 +397,7 @@ def cmd_evolve(run: _Run) -> int:
         dist = trace_distance(final, gibbs(ham, bath.beta))
         summary["gibbs_trace_distance"] = dist
         summary["gibbs_within_tolerance"] = bool(dist < GIBBS_TOL)
-    _write_json(out + ".json", summary, run.digest)
+    _write_json(run.paths[".json"], summary, run.digest)
     print(f"final c_l1 = {_format_value(summary['final_c_l1'])}")
     return EXIT_OK
 
@@ -402,7 +414,7 @@ def cmd_steady(run: _Run) -> int:
         "c_l1": l1_coherence(state),
         "gibbs_trace_distance": trace_distance(state, gibbs(ham, bath.beta)),
     }
-    _write_json(run.config["out"] + ".json", payload, run.digest)
+    _write_json(run.paths[".json"], payload, run.digest)
     print(f"steady c_l1 = {_format_value(payload['c_l1'])}")
     return EXIT_OK
 
@@ -427,8 +439,7 @@ def cmd_protocol1(run: _Run) -> int:
         "rounds_executed": len(rounds),
         "final_gibbs_trace_distance": trace_distance(final, gibbs(ham, bath.beta)),
     }
-    out = run.config["out"]
-    _write_json(out + "_ledger.json", payload, run.digest)
+    _write_json(run.paths["_ledger.json"], payload, run.digest)
 
     columns = [
         "round",
@@ -458,7 +469,7 @@ def cmd_protocol1(run: _Run) -> int:
                 cumulative,
             ]
         )
-    _write_csv(out + "_rounds.csv", columns, rows, run.digest)
+    _write_csv(run.paths["_rounds.csv"], columns, rows, run.digest)
     print(f"net work = {_format_value(ledger.net_work)}")
     return EXIT_OK
 
@@ -480,10 +491,9 @@ def cmd_protocol2(run: _Run) -> int:
         "abs_net_minus_fed": gap,
         "work_mode": work_mode,
     }
-    out = run.config["out"]
-    _write_json(out + "_ledger.json", payload, run.digest)
+    _write_json(run.paths["_ledger.json"], payload, run.digest)
     columns, rows = ledger.csv_rows()
-    _write_csv(out + "_steps.csv", columns, rows, run.digest)
+    _write_csv(run.paths["_steps.csv"], columns, rows, run.digest)
     print(f"|net - fed| = {_format_value(gap)}")
     return EXIT_OK
 
@@ -504,7 +514,7 @@ def cmd_figure_wfed(run: _Run) -> int:
         x = math.exp(-beta * omega)
         fed_value = math.log((1.0 + 2.0 * x) / (1.0 + x)) / beta
         rows.append([beta, ledger.net_work, fed_value])
-    csv_path = run.config["out"] + ".csv"
+    csv_path = run.paths[".csv"]
     _write_csv(csv_path, ["beta", "work_protocol1", "fed"], rows, run.digest)
     print(f"wrote {csv_path} with {len(rows)} rows")
     return EXIT_OK
@@ -528,17 +538,16 @@ def cmd_neardegen_check(run: _Run) -> int:
         ]
     rows = []
     max_dev = 0.0
-    for t in times:
-        numeric = evolve_neardegenerate(CoherenceVector(*init4), system, bath, float(t))
-        row = [float(t)] + list(numeric.as_array())
+    series = _neardegenerate_series(init, system, bath, times)
+    for t, numeric in zip(times, series):
+        row = [float(t)] + list(numeric)
         if aligned:
             pert = perturbative_solution(init4, system, bath, float(t))
-            dev = float(np.max(np.abs(numeric.as_array() - pert.as_array())))
+            dev = float(np.max(np.abs(numeric - pert.as_array())))
             max_dev = max(max_dev, dev)
             row += list(pert.as_array()) + [dev]
         rows.append(row)
-    out = run.config["out"]
-    _write_csv(out + ".csv", columns, rows, run.digest)
+    _write_csv(run.paths[".csv"], columns, rows, run.digest)
 
     thermal = thermalize_independent(run.rho0, system, bath)
     summary = {
@@ -550,7 +559,7 @@ def cmd_neardegen_check(run: _Run) -> int:
                              else 0.3 / system.delta),
         "independent_fixed_point": thermal.to_json(),
     }
-    _write_json(out + ".json", summary, run.digest)
+    _write_json(run.paths[".json"], summary, run.digest)
     if aligned:
         print(f"max perturbative deviation = {_format_value(max_dev)}")
     else:
@@ -602,6 +611,13 @@ def _setup_logging() -> None:
     logging.getLogger("coherence_engine").setLevel(level)
 
 
+def _refuse_overwrite(paths, config_path: str) -> None:
+    """Raise ConfigError when an output path is the config file itself."""
+    for path in paths:
+        if os.path.exists(path) and os.path.samefile(path, config_path):
+            raise ConfigError(f"output {path!r} would overwrite the config file")
+
+
 def _diagnostic(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
@@ -622,6 +638,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _merge_config(user_config)
         _apply_overrides(config, args)
         run = _parse(config, args.command)
+        if args.config:
+            _refuse_overwrite(run.paths.values(), args.config)
         return _COMMANDS[args.command](run)
     except ConfigError as exc:
         _diagnostic("config", str(exc))

@@ -2,12 +2,12 @@
 
 The excited states |2> and |1> share the energy omega and both decay to
 the ground state |0> through dipole transitions whose cross-coupling is
-set by the bath alignment p.  The full Bloch dynamics splits into three
-decoupled sectors: the excited populations and excited-excited
-coherences {q1, q2, q7, q8}, and two sectors of ground-excited
-coherences that only decay.  On the first sector the motion closes on
-the coherence vector Pi = (rho22, rho00, rho_plus, rho_minus) and takes
-the affine form dPi/dt = M Pi - b.
+set by the bath alignment p.  The master equation splits into two
+decoupled sectors.  The 4-vector Pi = (rho22, rho00, rho_plus,
+rho_minus) of excited populations and excited-excited coherence obeys
+the affine equation dPi/dt = M Pi - b.  The block (rho20, rho10) of
+ground-excited coherences obeys a homogeneous 2x2 equation and only
+decays; its conjugate (rho02, rho01) follows by Hermiticity.
 
 Sign convention: with the generator written as dPi/dt = M Pi - b, every
 eigenvalue of M has a non-positive real part; for |p| < 1 all real
@@ -31,7 +31,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, cross_rates, rates_at
-from .bloch import BlochVector, DensityMatrix, from_bloch, to_bloch
+from .bloch import DensityMatrix, _require_hermitian_unit_trace
 from .numerics import integrate_ode, propagate_affine
 from .thermo import l1_coherence
 
@@ -186,39 +186,6 @@ def coherence_generator(system: DegenerateSystem, bath: BathSpec) -> GeneratorMa
     return GeneratorMatrix(matrix, constant)
 
 
-def _bloch_rhs_array(
-    q: np.ndarray, omega: float, gp: float, gm: float, p: float
-) -> np.ndarray:
-    q1, q2, q3, q4, q5, q6, q7, q8 = q
-    pop = q7 + q8
-    drive = gm * p * (1.0 - pop)
-    damp = p * (1.0 + 0.5 * pop)
-    dq = np.empty(8, dtype=complex)
-    dq[0] = drive - gp * (q1 + damp)
-    dq[1] = drive - gp * (q2 + damp)
-    dq[2] = -1j * omega * q3 - 0.5 * gp * (q3 + p * q5) - gm * q3
-    dq[3] = 1j * omega * q4 - 0.5 * gp * (q4 + p * q6) - gm * q4
-    dq[4] = -1j * omega * q5 - 0.5 * gp * (q5 + p * q3) - gm * q5
-    dq[5] = 1j * omega * q6 - 0.5 * gp * (q6 + p * q4) - gm * q6
-    dq[6] = gm * (1.0 - pop) - gp * (1.0 + q7 + 0.5 * p * (q1 + q2))
-    dq[7] = gm * (1.0 - pop) - gp * (1.0 + q8 + 0.5 * p * (q1 + q2))
-    return dq
-
-
-def bloch_rhs(q: BlochVector, system: DegenerateSystem, bath: BathSpec) -> BlochVector:
-    """Time derivative of the full 8-component Bloch vector.
-
-    The sectors {q1, q2, q7, q8}, {q3, q5}, and {q4, q6} evolve
-    independently; the last two carry the ground-excited coherences and
-    admit only decaying solutions.
-    """
-    pair = rates_at(bath, system.omega)
-    dq = _bloch_rhs_array(
-        q.as_array(), system.omega, pair.gamma_plus, pair.gamma_minus, bath.alignment
-    )
-    return BlochVector.from_array(dq)
-
-
 def _sigma_ops() -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Lowering and raising operators for the two decay channels.
 
@@ -241,8 +208,8 @@ def gksl_rhs_matrix(
     Builds -i[H, rho] plus the degenerate dissipator with emission terms
     sigma_-(i) rho sigma_+(j) and absorption terms
     sigma_+(i) rho sigma_-(j), weighted by the cross-rate matrices.
-    Serves as an independent route against which the componentwise Bloch
-    equations are checked.
+    Serves as an independent route against which the sector equations
+    are checked.
     """
     h = np.diag([system.omega, system.omega, 0.0]).astype(complex)
     gamma_plus, gamma_minus = cross_rates(bath, system.omega)
@@ -259,45 +226,21 @@ def gksl_rhs_matrix(
     return out
 
 
-def _bloch_problem(rho0: DensityMatrix, system: DegenerateSystem, bath: BathSpec):
-    """Initial Bloch array and right-hand side of a run."""
-    q0 = to_bloch(rho0).as_array()
-    pair = rates_at(bath, system.omega)
-
-    def rhs(_t: float, q: np.ndarray) -> np.ndarray:
-        return _bloch_rhs_array(
-            q, system.omega, pair.gamma_plus, pair.gamma_minus, bath.alignment
-        )
-
-    return q0, rhs
-
-
-def _real_bloch(q: np.ndarray) -> np.ndarray:
-    """(Re q1, Im q1, Re q3, Im q3, Re q5, Im q5, q7, q8) of each Bloch row."""
-    x = np.empty(q.shape)
-    x[..., 0:6:2], x[..., 1:6:2] = q[..., 0:6:2].real, q[..., 0:6:2].imag
-    x[..., 6:] = q[..., 6:].real
-    return x
-
-
-def _complex_bloch(x: np.ndarray) -> np.ndarray:
-    """Inverse of _real_bloch; q2, q4, q6 are exact conjugates (Hermitian)."""
-    q = np.empty(x.shape, dtype=complex)
-    q[..., 0:6:2] = x[..., 0:6:2] + 1j * x[..., 1:6:2]
-    q[..., 1:6:2] = q[..., 0:6:2].conj()
-    q[..., 6:] = x[..., 6:]
-    return q
-
-
 def _reference_states(rho0, system, bath, times, fixed_steps=None):
     """States at times by direct RK45 integration, or fixed-step RK4.
 
     The independent route that the exact propagation is tested against;
-    evolve does not use it.
+    evolve does not use it.  The 9x9 superoperator is read off
+    gksl_rhs_matrix once, column by column, and integrated on vec(rho).
     """
-    q0, rhs = _bloch_problem(rho0, system, bath)
-    sol = integrate_ode(rhs, q0, (0.0, max(times)), fixed_steps=fixed_steps)
-    return [from_bloch(BlochVector.from_array(sol.at(t) if t > 0.0 else q0))
+    superop = np.column_stack(
+        [gksl_rhs_matrix(e.reshape(3, 3), system, bath).ravel() for e in np.eye(9)]
+    )
+    y0 = rho0.matrix.ravel()
+    sol = integrate_ode(
+        lambda _t, y: superop @ y, y0, (0.0, max(times)), fixed_steps=fixed_steps
+    )
+    return [DensityMatrix((sol.at(t) if t > 0.0 else y0).reshape(3, 3))
             for t in times]
 
 
@@ -325,27 +268,41 @@ def evolve_trajectory(
     bath: BathSpec,
     times: Sequence[float],
 ) -> List[DensityMatrix]:
-    """States along a time grid, by exact propagation of the real Bloch vector.
+    """States along a time grid, by exact propagation of each sector.
 
-    The affine generator is read off the Bloch right-hand side on the
-    basis vectors, so the model is written down once, in _bloch_rhs_array.
-    One decomposition of it serves every time.
+    The 4-vector (rho22, rho00, rho_plus, rho_minus) is propagated on the
+    real form of coherence_generator, one decomposition for every time.
+    The ground-excited coherences obey d/dt (rho20, rho10) =
+    [[a, b], [b, a]] (rho20, rho10) with a = -i omega - gamma_plus/2 -
+    gamma_minus and b = -p gamma_plus/2, so rho20 +- rho10 decay as
+    e^{(a +- b) t}.  Rows at t = 0 are rho0 itself.
     """
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times) or any(
         t2 < t1 for t1, t2 in zip(times, times[1:])
     ):
         raise ValueError("times must be non-negative and non-decreasing")
-    q0, rhs = _bloch_problem(rho0, system, bath)
-    shift = _real_bloch(rhs(0.0, _complex_bloch(np.zeros(8))))
-    matrix = np.column_stack(
-        [_real_bloch(rhs(0.0, _complex_bloch(e))) - shift for e in np.eye(8)]
+    m0 = rho0.matrix
+    _require_hermitian_unit_trace(m0)
+    m_real, b_real = coherence_generator(system, bath).real_form()
+    r22, r00, rp, d = propagate_affine(
+        m_real, b_real, CoherenceVector.from_density(rho0).as_array(), times
+    ).T
+    pair = rates_at(bath, system.omega)
+    a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
+    b = -0.5 * bath.alignment * pair.gamma_plus
+    t = np.array(times)
+    even = 0.5 * (m0[0, 2] + m0[1, 2]) * np.exp((a + b) * t)
+    odd = 0.5 * (m0[0, 2] - m0[1, 2]) * np.exp((a - b) * t)
+    ms = np.zeros((t.size, 3, 3), dtype=complex)
+    ms[:, 0, 0], ms[:, 1, 1], ms[:, 2, 2] = r22, 1.0 - r22 - r00, r00
+    ms[:, 0, 1] = rp + 1j * d
+    ms[:, 0, 2] = even + odd
+    ms[:, 1, 2] = even - odd
+    ms[:, 1, 0], ms[:, 2, 0], ms[:, 2, 1] = (
+        ms[:, 0, 1].conj(), ms[:, 0, 2].conj(), ms[:, 1, 2].conj()
     )
-    qs = _complex_bloch(propagate_affine(matrix, -shift, _real_bloch(q0), times))
-    return [
-        from_bloch(BlochVector.from_array(q0 if t == 0.0 else q))
-        for t, q in zip(times, qs)
-    ]
+    return [rho0 if tk == 0.0 else DensityMatrix(m) for tk, m in zip(times, ms)]
 
 
 _ENTRY_LABELS = ("22", "21", "20", "12", "11", "10", "02", "01", "00")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -166,6 +166,22 @@ def _warn_outside_window(t: float, system: NearDegenerateSystem) -> None:
         )
 
 
+def _neardegenerate_series(
+    pi0: CoherenceVector,
+    system: NearDegenerateSystem,
+    bath: BathSpec,
+    times: Sequence[float],
+) -> np.ndarray:
+    """Rows (r22, r00, r+, d) at each of times, from one decomposition."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError("evolution time must be non-negative")
+    if times.size:
+        _warn_outside_window(float(times.max()), system)
+    m_real, b_real = neardegenerate_generator(system, bath).real_form()
+    return propagate_affine(m_real, b_real, pi0.as_array(), times)
+
+
 def evolve_neardegenerate(
     pi0: CoherenceVector,
     system: NearDegenerateSystem,
@@ -173,12 +189,7 @@ def evolve_neardegenerate(
     t: float,
 ) -> CoherenceVector:
     """Propagate the dressed coherence-vector equation exactly for a time t."""
-    if t < 0.0:
-        raise ValueError("evolution time must be non-negative")
-    _warn_outside_window(t, system)
-    m_real, b_real = neardegenerate_generator(system, bath).real_form()
-    y_t = propagate_affine(m_real, b_real, pi0.as_array(), [t])[0]
-    return CoherenceVector.from_array(y_t)
+    return CoherenceVector.from_array(_neardegenerate_series(pi0, system, bath, [t])[0])
 
 
 def _first_order(

@@ -482,7 +482,7 @@ def run_protocol1(
                 plan=RoundPlan.build(index, shift, beta, omega),
                 work_in=math.fsum(s.work_in for s in round_ledger.steps),
                 work_out=math.fsum(s.work_out for s in round_ledger.steps),
-                coherence_after=l1_coherence(state),
+                coherence_after=round_ledger.steps[-1].coherence_after,
             )
         )
     return ledger, results

@@ -5,12 +5,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import coherence_engine.cli as cli
+import coherence_engine.neardegen as neardegen
 from coherence_engine import __version__
+from coherence_engine.bath import BathSpec
 from coherence_engine.cli import main
-from coherence_engine.dynamics import trajectory_columns
+from coherence_engine.dynamics import CoherenceVector, trajectory_columns
 from coherence_engine.numerics import NumericsError
 
 
@@ -191,6 +194,52 @@ def test_neardegen_check_outputs(tmp_path, capsys):
     assert summary["delta"] == pytest.approx(0.005)
     assert summary["max_perturbative_deviation"] < 1e-4
     assert summary["validity_limit_t"] == pytest.approx(0.3 / 0.005)
+
+
+def test_neardegen_check_decomposes_once(tmp_path, monkeypatch):
+    """One propagation for the whole grid, equal to the per-sample route."""
+    calls = []
+    propagate = neardegen.propagate_affine
+    monkeypatch.setattr(neardegen, "propagate_affine",
+                        lambda *args: calls.append(args) or propagate(*args))
+    config = {
+        "system": {"omega1": 1.0, "omega2": 1.005},
+        "neardegen": {"t_final": 10.0, "samples": 21},
+        "initial": {"coherence_vector": [0.3, 0.2, 0.1, 0.05]},
+        "out": str(tmp_path / "nd"),
+    }
+    assert _run(tmp_path, "neardegen-check", config) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rows = [[float(v) for v in line.split(",")[:5]]
+            for line in _read_lines(tmp_path / "nd.csv")[3:]]
+    assert len(rows) == 21
+    system = neardegen.NearDegenerateSystem(1.0, 1.005)
+    pi0 = CoherenceVector(0.3, 0.2, 0.1, 0.05)
+    for t, *numeric in rows:
+        single = neardegen.evolve_neardegenerate(pi0, system, BathSpec(beta=1.0), t)
+        np.testing.assert_allclose(numeric, single.as_array(), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("command, config, suffix", [
+    ("neardegen-check", {"system": {"omega1": 1.0, "omega2": 1.005}}, ".json"),
+    ("steady", {}, ".json"),
+    ("protocol1", {"protocol1": {"max_rounds": 2}}, "_ledger.json"),
+])
+def test_output_onto_config_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, config, suffix
+):
+    path = pathlib.Path(_write_config(tmp_path, config, name="run" + suffix))
+    before = path.read_bytes()
+    prefix = str(tmp_path / "sub" / ".." / "run")
+    (tmp_path / "sub").mkdir()
+    assert main([command, "--config", str(path), "--out", prefix]) == 2
+    assert "overwrite the config" in _config_error(capsys)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run" + suffix, "sub"]
+    # any other prefix runs, and the config still parses
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+    assert path.read_bytes() == before
 
 
 def test_flag_overrides_change_hash_and_values(tmp_path):

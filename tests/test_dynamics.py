@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coherence_engine.bath import BathSpec, flat_rate, rates_at, tabulated_rate
-from coherence_engine.bloch import DensityMatrix, from_bloch, to_bloch
+from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
     _reference_states,
     analytic_evolution_aligned,
-    bloch_rhs,
     coherence_generator,
     evolve,
     evolve_trajectory,
@@ -80,28 +80,35 @@ def test_generator_matches_operator_form(subspace_sampler):
             np.testing.assert_allclose(from_generator, from_operator, atol=1e-14)
 
 
+def _rhs_from_sectors(rho, system, bath):
+    """The master-equation right-hand side assembled from its two sectors."""
+    m = rho.matrix
+    m_real, b_real = coherence_generator(system, bath).real_form()
+    d22, d00, dp, dd = m_real @ CoherenceVector.from_density(rho).as_array() - b_real
+    pair = rates_at(bath, system.omega)
+    a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
+    b = -0.5 * bath.alignment * pair.gamma_plus
+    out = np.diag([d22, -d22 - d00, d00]).astype(complex)
+    out[0, 1] = dp + 1j * dd
+    out[0, 2] = a * m[0, 2] + b * m[1, 2]
+    out[1, 2] = b * m[0, 2] + a * m[1, 2]
+    out[1, 0], out[2, 0], out[2, 1] = (
+        np.conj(out[0, 1]), np.conj(out[0, 2]), np.conj(out[1, 2])
+    )
+    return out
+
+
 def test_bloch_rhs_matches_operator_form(random_density):
+    """The 4-vector and rho20/rho10 equations give every operator-form entry."""
     system = DegenerateSystem(1.3)
     for alignment in (1.0, 0.6, -1.0):
         bath = BathSpec(beta=0.5, alignment=alignment)
         for _ in range(10):
             rho = DensityMatrix(random_density())
-            q = to_bloch(rho)
-            dq = bloch_rhs(q, system, bath).as_array()
             m_dot = gksl_rhs_matrix(rho.matrix, system, bath)
-            expected = 3.0 * np.array(
-                [
-                    m_dot[0, 1],
-                    m_dot[1, 0],
-                    m_dot[0, 2],
-                    m_dot[2, 0],
-                    m_dot[1, 2],
-                    m_dot[2, 1],
-                    m_dot[0, 0],
-                    m_dot[1, 1],
-                ]
+            np.testing.assert_allclose(
+                _rhs_from_sectors(rho, system, bath), m_dot, rtol=0.0, atol=1e-13
             )
-            np.testing.assert_allclose(dq, expected, atol=1e-13)
 
 
 def test_ground_state_rhs_rates():
@@ -109,9 +116,6 @@ def test_ground_state_rhs_rates():
     for alignment in (1.0, 0.3):
         bath = BathSpec(beta=1.0, alignment=alignment)
         pair = rates_at(bath, system.omega)
-        dq = bloch_rhs(to_bloch(DensityMatrix.ground()), system, bath).as_array()
-        assert dq[6].real == pytest.approx(3.0 * pair.gamma_minus, abs=1e-15)
-        assert dq[7].real == pytest.approx(3.0 * pair.gamma_minus, abs=1e-15)
         # matrix entries: d(rho22)/dt = gamma_minus, d(rho21)/dt = p gamma_minus
         m_dot = gksl_rhs_matrix(DensityMatrix.ground().matrix, system, bath)
         assert m_dot[0, 0].real == pytest.approx(pair.gamma_minus, abs=1e-15)
@@ -320,7 +324,47 @@ def test_trajectory_rejects_decreasing_times():
         )
 
 
-def test_bloch_roundtrip_through_dynamics(random_density):
-    rho = DensityMatrix(random_density())
-    again = from_bloch(to_bloch(rho))
-    np.testing.assert_allclose(again.matrix, rho.matrix, atol=1e-14)
+def test_evolve_trajectory_rejects_unphysical_input():
+    system, bath = DegenerateSystem(1.0), BathSpec(beta=1.0, alignment=0.5)
+    nan = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    nan[0, 2] = nan[2, 0] = np.nan
+    skew = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    skew[0, 1] = 0.3
+    for m in (nan, skew, np.diag([1.0, 0.5, 0.0])):
+        with pytest.raises(PhysicalityError):
+            evolve_trajectory(DensityMatrix(m), system, bath, [0.0, 1.0])
+    # Hermitian and unit-trace is enough: positivity is not required
+    states = evolve_trajectory(
+        DensityMatrix(np.diag([1.2, -0.2, 0.0])), system, bath, [1.0]
+    )
+    assert states[0].trace == pytest.approx(1.0, abs=1e-15)
+
+
+def test_ground_state_keeps_ground_excited_coherences_exactly_zero():
+    system = DegenerateSystem(1.0)
+    for alignment in (1.0, -1.0, 0.5, 0.0):
+        bath = BathSpec(beta=1.0, alignment=alignment)
+        times = np.linspace(0.0, 50.0, 11)
+        for state in evolve_trajectory(DensityMatrix.ground(), system, bath, times):
+            for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
+                assert state.matrix[i, j] == 0.0
+
+
+def test_unit_alignment_takes_no_expm_fallback(monkeypatch, random_density):
+    """At |p| = 1 the sector generators are diagonalizable and well conditioned."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("expm fallback taken")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    system = DegenerateSystem(1.0)
+    times = np.linspace(0.0, 200.0, 11)
+    for alignment in (1.0, -1.0):
+        for beta in (30.0, 40.0, 100.0):
+            bath = BathSpec(beta=beta, alignment=alignment)
+            for rho0 in (DensityMatrix.ground(), DensityMatrix(random_density())):
+                states = evolve_trajectory(rho0, system, bath, times)
+                single = evolve(rho0, system, bath, 200.0)
+                np.testing.assert_allclose(
+                    single.matrix, states[-1].matrix, rtol=0.0, atol=1e-13
+                )

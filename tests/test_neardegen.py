@@ -16,6 +16,7 @@ from coherence_engine.dynamics import (
 )
 from coherence_engine.neardegen import (
     NearDegenerateSystem,
+    _neardegenerate_series,
     evolve_neardegenerate,
     neardegenerate_generator,
     nonsecular_rhs_matrix,
@@ -220,6 +221,10 @@ def test_validity_window_warning(caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
         perturbative_solution((0.2, 0.3, 0.05, 0.0), system, bath, 10.0)
+    assert any("validity window" in r.message for r in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
+        _neardegenerate_series(pi0, system, bath, [0.0, 2.0, 10.0])
     assert any("validity window" in r.message for r in caplog.records)
 
 
