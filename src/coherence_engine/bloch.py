@@ -44,6 +44,11 @@ def _require_hermitian_unit_trace(m: np.ndarray) -> None:
         raise PhysicalityError(f"trace differs from 1 by {trace_defect:.3e}")
 
 
+def _hermitian_eigenvalues(ms: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a matrix or of a stack."""
+    return np.linalg.eigvalsh(0.5 * (ms + ms.conj().swapaxes(-1, -2)))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A 3x3 complex matrix in basis order (|2>, |1>, |0>).
@@ -71,8 +76,7 @@ class DensityMatrix:
         return complex(np.trace(self.matrix))
 
     def min_eigenvalue(self) -> float:
-        herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
+        return float(_hermitian_eigenvalues(self.matrix)[0])
 
     def validate(self) -> "DensityMatrix":
         """Raise PhysicalityError unless Hermitian, unit-trace, and PSD."""

@@ -41,7 +41,7 @@ from .dynamics import (
 from .neardegen import (
     NearDegenerateSystem,
     _neardegenerate_series,
-    perturbative_solution,
+    _perturbative_series,
     thermalize_independent,
 )
 from .numerics import NumericsError
@@ -536,17 +536,15 @@ def cmd_neardegen_check(run: _Run) -> int:
             "pert_rho_minus_im",
             "deviation",
         ]
-    rows = []
-    max_dev = 0.0
     series = _neardegenerate_series(init, system, bath, times)
-    for t, numeric in zip(times, series):
-        row = [float(t)] + list(numeric)
-        if aligned:
-            pert = perturbative_solution(init4, system, bath, float(t))
-            dev = float(np.max(np.abs(numeric - pert.as_array())))
+    rows = [[float(t)] + list(numeric) for t, numeric in zip(times, series)]
+    max_dev = 0.0
+    if aligned:
+        perturbative = _perturbative_series(init4, system, bath, times)
+        for row, numeric, pert in zip(rows, series, perturbative):
+            dev = float(np.max(np.abs(numeric - pert)))
             max_dev = max(max_dev, dev)
-            row += list(pert.as_array()) + [dev]
-        rows.append(row)
+            row += list(pert) + [dev]
     _write_csv(run.paths[".csv"], columns, rows, run.digest)
 
     thermal = thermalize_independent(run.rho0, system, bath)

@@ -31,9 +31,9 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, cross_rates, rates_at
-from .bloch import DensityMatrix, _require_hermitian_unit_trace
+from .bloch import DensityMatrix, _hermitian_eigenvalues, _require_hermitian_unit_trace
 from .numerics import integrate_ode, propagate_affine
-from .thermo import l1_coherence
+from .thermo import _l1_coherences
 
 TRACE_DRIFT_TOL = 1e-12
 ALIGNED_TOL = 1e-12
@@ -305,35 +305,27 @@ def evolve_trajectory(
     return [rho0 if tk == 0.0 else DensityMatrix(m) for tk, m in zip(times, ms)]
 
 
+# The entries in row-major order over the basis (|2>, |1>, |0>), the layout
+# of a flattened matrix, which trajectory_rows relies on.
 _ENTRY_LABELS = ("22", "21", "20", "12", "11", "10", "02", "01", "00")
-# Basis order (|2>, |1>, |0>): level k sits at row/column 2 - k.
-_ENTRY_INDEX = {s: (2 - int(s[0]), 2 - int(s[1])) for s in _ENTRY_LABELS}
 
 
 def trajectory_columns() -> List[str]:
-    cols = ["t"]
-    for label in _ENTRY_LABELS:
-        cols.append(f"re_rho{label}")
-        cols.append(f"im_rho{label}")
-    cols.append("c_l1")
-    cols.append("min_eigenvalue")
-    return cols
+    entries = [f"{part}_rho{label}" for label in _ENTRY_LABELS for part in ("re", "im")]
+    return ["t", *entries, "c_l1", "min_eigenvalue"]
 
 
 def trajectory_rows(
     times: Sequence[float], states: Iterable[DensityMatrix]
 ) -> List[List[float]]:
     """Rows matching trajectory_columns for CSV emission."""
-    rows = []
-    for t, state in zip(times, states):
-        row = [float(t)]
-        for label in _ENTRY_LABELS:
-            z = state.matrix[_ENTRY_INDEX[label]]
-            row.extend([float(z.real), float(z.imag)])
-        row.append(l1_coherence(state))
-        row.append(state.min_eigenvalue())
-        rows.append(row)
-    return rows
+    pairs = list(zip(times, states))
+    t = np.array([tk for tk, _ in pairs], dtype=float)
+    ms = np.array([state.matrix for _, state in pairs]).reshape(t.size, 3, 3)
+    entries = ms.reshape(t.size, 9).view(float)
+    return np.column_stack(
+        (t, entries, _l1_coherences(ms), _hermitian_eigenvalues(ms)[:, 0])
+    ).tolist()
 
 
 def _aligned_vector(init, x: float, slow, fast) -> Tuple:

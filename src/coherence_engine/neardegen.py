@@ -152,7 +152,12 @@ def neardegenerate_generator(
     return GeneratorMatrix(matrix, constant)
 
 
-def _warn_outside_window(t: float, system: NearDegenerateSystem) -> None:
+def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
+    """times as an array; warns once if the grid leaves the validity window."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError("evolution time must be non-negative")
+    t = float(np.max(times, initial=0.0))
     product = t * system.delta
     if product > VALIDITY_WINDOW_LIMIT:
         logger.warning(
@@ -164,6 +169,7 @@ def _warn_outside_window(t: float, system: NearDegenerateSystem) -> None:
             system.delta,
             1.0 / system.omega1,
         )
+    return times
 
 
 def _neardegenerate_series(
@@ -173,11 +179,7 @@ def _neardegenerate_series(
     times: Sequence[float],
 ) -> np.ndarray:
     """Rows (r22, r00, r+, d) at each of times, from one decomposition."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("evolution time must be non-negative")
-    if times.size:
-        _warn_outside_window(float(times.max()), system)
+    times = _checked_times(times, system)
     m_real, b_real = neardegenerate_generator(system, bath).real_form()
     return propagate_affine(m_real, b_real, pi0.as_array(), times)
 
@@ -269,6 +271,27 @@ def _first_order(
     return np.array([y0, y1, y2, y3])
 
 
+def _perturbative_series(init, system, bath, times) -> np.ndarray:
+    """Rows (r22, r00, r+, d) of perturbative_solution at each of times."""
+    if abs(bath.alignment - 1.0) > ALIGNED_TOL:
+        raise ValueError("perturbative solution requires alignment = 1")
+    a, b, c, d = (float(v) for v in init)
+    CoherenceVector(a, b, c, d).to_density().validate()
+    times = _checked_times(times, system)
+    base = rates_at(bath, system.omega1)
+    g = base.gamma_plus
+    x = math.exp(-bath.beta * system.omega1)
+    slow, fast = np.exp(-g * times), np.exp(-2.0 * (1.0 + x) * g * times)
+    zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast))
+    delta = system.delta
+    if delta == 0.0:
+        return zeroth.T
+    diff = rate_derivative(bath, system.omega1, delta)
+    coeffs = perturbation_coefficients((a, b, c, d), base, diff, x)
+    first = _first_order(times, slow, fast, (a, b, c, d), x, g, diff, coeffs)
+    return (zeroth + delta * first).T
+
+
 def perturbative_solution(
     init: Tuple[float, float, float, float],
     system: NearDegenerateSystem,
@@ -283,26 +306,7 @@ def perturbative_solution(
     taken as difference quotients across the actual splitting.  The
     correction vanishes identically at t = 0.
     """
-    if abs(bath.alignment - 1.0) > ALIGNED_TOL:
-        raise ValueError("perturbative solution requires alignment = 1")
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
-    a, b, c, d = (float(v) for v in init)
-    CoherenceVector(a, b, c, d).to_density().validate()
-    _warn_outside_window(t, system)
-    base = rates_at(bath, system.omega1)
-    g = base.gamma_plus
-    x = math.exp(-bath.beta * system.omega1)
-    t = np.asarray(t, dtype=float)
-    slow, fast = np.exp(-g * t), np.exp(-2.0 * (1.0 + x) * g * t)
-    zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast))
-    delta = system.delta
-    if delta == 0.0:
-        return CoherenceVector.from_array(zeroth)
-    diff = rate_derivative(bath, system.omega1, delta)
-    coeffs = perturbation_coefficients((a, b, c, d), base, diff, x)
-    first = _first_order(t, slow, fast, (a, b, c, d), x, g, diff, coeffs)
-    return CoherenceVector.from_array(zeroth + delta * first)
+    return CoherenceVector.from_array(_perturbative_series(init, system, bath, [t])[0])
 
 
 def thermalize_independent(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import DensityMatrix, PhysicalityError
+from .bloch import DensityMatrix, PhysicalityError, _hermitian_eigenvalues
 
 SUBSPACE_TOL = 1e-12
 _ENTROPY_CLAMP = 1e-300
@@ -71,8 +71,13 @@ class EigenTriple:
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of the moduli of all off-diagonal entries."""
-    m = np.abs(rho.matrix)
-    return float(m.sum() - np.trace(m))
+    return float(_l1_coherences(rho.matrix))
+
+
+def _l1_coherences(ms: np.ndarray) -> np.ndarray:
+    """l1_coherence over a stack of 3x3 matrices."""
+    m = np.abs(ms)
+    return m.sum(axis=(-2, -1)) - m.trace(axis1=-2, axis2=-1)
 
 
 def eigen_subspace(rho: DensityMatrix) -> EigenTriple:
@@ -98,10 +103,8 @@ def eigen_subspace(rho: DensityMatrix) -> EigenTriple:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho ln rho) in nats, with 0 * ln 0 taken as 0."""
-    herm = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    eigenvalues = np.linalg.eigvalsh(herm)
     entropy = 0.0
-    for lam in eigenvalues:
+    for lam in _hermitian_eigenvalues(rho.matrix):
         if lam > _ENTROPY_CLAMP:
             entropy -= lam * math.log(lam)
     return entropy
@@ -154,5 +157,4 @@ def fed_subspace(rho: DensityMatrix, omega: float, beta: float) -> float:
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma."""
     diff = rho.matrix - sigma.matrix
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return 0.5 * float(np.sum(np.abs(_hermitian_eigenvalues(diff))))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from coherence_engine.bloch import DensityMatrix, PhysicalityError
+from coherence_engine.bloch import (
+    DensityMatrix,
+    PhysicalityError,
+    _hermitian_eigenvalues,
+)
 
 
 def test_validate_accepts_ground():
@@ -38,6 +42,19 @@ def test_min_eigenvalue_and_trace(random_density):
     rho = DensityMatrix(random_density())
     assert rho.min_eigenvalue() >= -1e-12
     assert rho.trace == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hermitian_eigenvalues_of_a_stack_match_one_at_a_time(random_density):
+    stack = np.array([random_density() for _ in range(9)] + [np.zeros((3, 3))])
+    stack[1, 0, 2] = stack[1, 2, 0] = 0.0
+    stack[2] *= 1e-300
+    stack[3, 1, 1] = -0.0
+    stack[4, 0, 1] += 1e-3
+    spectra = _hermitian_eigenvalues(stack)
+    expected = [DensityMatrix(m).min_eigenvalue() for m in stack]
+    assert repr(spectra[:, 0].tolist()) == repr(expected)
+    for m, spectrum in zip(stack, spectra):
+        assert repr(_hermitian_eigenvalues(m).tolist()) == repr(spectrum.tolist())
 
 
 def test_density_json_roundtrip(random_density):

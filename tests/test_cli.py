@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import pathlib
@@ -219,6 +220,29 @@ def test_neardegen_check_decomposes_once(tmp_path, monkeypatch):
     for t, *numeric in rows:
         single = neardegen.evolve_neardegenerate(pi0, system, BathSpec(beta=1.0), t)
         np.testing.assert_allclose(numeric, single.as_array(), rtol=0.0, atol=1e-13)
+
+
+def test_neardegen_check_warns_once_per_route(tmp_path, caplog):
+    """One validity-window warning per route; perturbative columns unchanged."""
+    config = {
+        "system": {"omega1": 1.0, "omega2": 1.005},
+        "neardegen": {"t_final": 100.0, "samples": 101},
+        "initial": {"coherence_vector": [0.3, 0.2, 0.1, 0.05]},
+        "out": str(tmp_path / "nd"),
+    }
+    with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
+        assert _run(tmp_path, "neardegen-check", config) == 0
+    assert sum("validity window" in r.message for r in caplog.records) == 2
+    rows = [[float(v) for v in line.split(",")]
+            for line in _read_lines(tmp_path / "nd.csv")[3:]]
+    assert len(rows) == 101
+    system = neardegen.NearDegenerateSystem(1.0, 1.005)
+    bath = BathSpec(beta=1.0, alignment=1.0)
+    for t, *_numeric, p22, p00, pp, pd, _dev in rows:
+        single = neardegen.perturbative_solution(
+            (0.3, 0.2, 0.1, 0.05), system, bath, t
+        )
+        assert single.as_array().tolist() == [p22, p00, pp, pd]
 
 
 @pytest.mark.parametrize("command, config, suffix", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from coherence_engine.dynamics import (
     trajectory_columns,
     trajectory_rows,
 )
+from coherence_engine.thermo import l1_coherence
 
 
 def _rhs_from_operator_form(pi, system, bath):
@@ -312,6 +314,58 @@ def test_trajectory_rows_and_columns():
     for t, state in zip(times, states):
         single = evolve(rho0, system, bath, t)
         np.testing.assert_allclose(state.matrix, single.matrix, atol=1e-8)
+
+
+def _reference_rows(times, states):
+    """The per-state rows that trajectory_rows must reproduce bit for bit.
+
+    Entries are looked up by the column labels, so the test also pins the
+    order of the columns against the matrix layout.
+    """
+    labels = [name[-2:] for name in trajectory_columns()[1:-2:2]]
+    rows = []
+    for t, state in zip(times, states):
+        row = [float(t)]
+        for label in labels:
+            z = state.matrix[2 - int(label[0]), 2 - int(label[1])]
+            row += [float(z.real), float(z.imag)]
+        rows.append(row + [l1_coherence(state), state.min_eigenvalue()])
+    return rows
+
+
+def _no_more_than(n, states):
+    yield from states[:n]
+    raise AssertionError("states read past the end of the time grid")
+
+
+def test_trajectory_rows_match_per_state_reference(random_density, subspace_sampler):
+    signed = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    signed[0, 1], signed[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    signed[2, 2] = complex(-0.0, -0.0)
+    states = [DensityMatrix.ground(), DensityMatrix(signed)]
+    states += [DensityMatrix(random_density()) for _ in range(6)]
+    states += [CoherenceVector(*subspace_sampler()).to_density() for _ in range(6)]
+    system = DegenerateSystem(1.3)
+    times = np.linspace(0.0, 40.0, 7)
+    for alignment in (1.0, -1.0, 0.99, 0.0):
+        bath = BathSpec(beta=2.0, alignment=alignment)
+        for rho0 in states[:4] + states[-2:]:
+            states += evolve_trajectory(rho0, system, bath, times)
+    grid = [-0.0, 0, 1] + list(np.linspace(2.0, 1e5, len(states) - 3))
+    for ts, ss in [
+        (grid, states),
+        ([], []),
+        (grid, []),
+        ([], states),
+        (grid[:5], states),
+        (grid, states[:3]),
+        (np.array(grid), (s for s in states)),
+        (grid[:4], _no_more_than(4, states)),
+    ]:
+        ss, ref_ss = itertools.tee(ss)
+        assert repr(trajectory_rows(ts, ss)) == repr(_reference_rows(ts, ref_ss))
+    assert len(trajectory_rows(grid[:5], states)) == 5
+    assert len(trajectory_rows(grid, states[:3])) == 3
 
 
 def test_trajectory_rejects_decreasing_times():

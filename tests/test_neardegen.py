@@ -17,6 +17,7 @@ from coherence_engine.dynamics import (
 from coherence_engine.neardegen import (
     NearDegenerateSystem,
     _neardegenerate_series,
+    _perturbative_series,
     evolve_neardegenerate,
     neardegenerate_generator,
     nonsecular_rhs_matrix,
@@ -281,6 +282,23 @@ def test_perturbative_correction_vanishes_at_t_zero():
     init = (0.3, 0.25, 0.1, 0.02)
     out = perturbative_solution(init, NearDegenerateSystem(1.0, 1.05), bath, 0.0)
     np.testing.assert_allclose(out.as_array(), np.array(init), atol=1e-15)
+
+
+def test_perturbative_solution_is_one_row_of_the_series(subspace_sampler, caplog):
+    times = np.linspace(0.0, 400.0, 41)
+    flat = BathSpec(beta=1.3, alignment=1.0)
+    for bath in (flat, dataclasses.replace(flat, rate_fn=RAMP)):
+        for omega2 in (1.0, 1.001, 1.05):
+            system = NearDegenerateSystem(1.0, omega2)
+            init = subspace_sampler()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
+                series = _perturbative_series(init, system, bath, times)
+            assert len(caplog.records) == (0 if omega2 == 1.0 else 1)
+            assert series.shape == (times.size, 4)
+            for t, row in zip(times, series):
+                single = perturbative_solution(init, system, bath, float(t))
+                assert repr(single.as_array().tolist()) == repr(row.tolist())
 
 
 def test_perturbative_error_scales_quadratically():

@@ -8,6 +8,7 @@ from coherence_engine.dynamics import CoherenceVector
 from coherence_engine.thermo import (
     EigenTriple,
     HamiltonianSpec,
+    _l1_coherences,
     eigen_subspace,
     fed,
     fed_subspace,
@@ -49,6 +50,15 @@ def test_l1_coherence_values():
     assert l1_coherence(DensityMatrix.ground()) == 0.0
     state = _coherent_stationary_state(1.0, 1.0)
     assert l1_coherence(state) == pytest.approx(1.0 / (math.e + 1.0), abs=1e-15)
+
+
+def test_l1_coherences_of_a_stack_match_one_at_a_time(random_density):
+    stack = np.array([random_density() for _ in range(9)] + [np.zeros((3, 3))])
+    stack[1, 0, 2] = stack[1, 2, 0] = 0.0
+    stack[2] *= 1e300
+    stack[3, 0, 1] = complex(-0.0, -0.0)
+    expected = [l1_coherence(DensityMatrix(m)) for m in stack]
+    assert repr(_l1_coherences(stack).tolist()) == repr(expected)
 
 
 def test_eigen_subspace_matches_dense_diagonalization(subspace_sampler):
