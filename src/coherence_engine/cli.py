@@ -381,17 +381,15 @@ def cmd_evolve(run: _Run) -> int:
             bath,
             times,
         )
-        dev = 0.0
-        for k, state in enumerate(states):
-            m = state.matrix
-            dev = max(
-                dev,
-                abs(float(m[0, 0].real) - float(r22[k])),
-                abs(float(m[2, 2].real) - float(r00[k])),
-                abs(float(m[1, 1].real) - float(1.0 - r22[k] - r00[k])),
-                abs(complex(m[1, 0]) - complex(r12[k])),
-            )
-        summary["analytic_max_deviation"] = dev
+        ms = np.array([state.matrix for state in states])
+        populations = ms.diagonal(axis1=1, axis2=2).real
+        summary["analytic_max_deviation"] = max(
+            0.0,
+            float(np.abs(populations[:, 0] - r22).max()),
+            float(np.abs(populations[:, 2] - r00).max()),
+            float(np.abs(populations[:, 1] - (1.0 - r22 - r00)).max()),
+            float(np.abs(ms[:, 1, 0] - r12).max()),
+        )
     elif abs(bath.alignment) < 1.0:
         ham = HamiltonianSpec.degenerate(system.omega)
         dist = trace_distance(final, gibbs(ham, bath.beta))

@@ -320,6 +320,11 @@ def thermalize_independent(
     omega1}, 1)/Z regardless of the input state.
     """
     rho.validate()
+    return _independent_gibbs(system, bath)
+
+
+def _independent_gibbs(system: NearDegenerateSystem, bath: BathSpec) -> DensityMatrix:
+    """Diagonal Gibbs state of the split levels, with no input check."""
     w2 = math.exp(-bath.beta * system.omega2)
     w1 = math.exp(-bath.beta * system.omega1)
     z = 1.0 + w1 + w2

@@ -20,6 +20,11 @@ Work bookkeeping is explicit: every step carries separate non-negative
 work_in and work_out entries, and a ledger totals them.  Energies are
 measured in units of the reference transition frequency times hbar, so
 "lowering a level by w with population p" extracts p*w.
+
+States are checked once per run: the repeated protocol validates its
+input up front and, before it returns, every round's input, rotated
+and final state in one stacked pass.  Each ledger takes all of its l1
+coherences from one stacked pass over its states.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bath import BathSpec
-from .bloch import DensityMatrix
+from .bloch import DensityMatrix, _validate_all
 from .dynamics import ALIGNED_TOL, DegenerateSystem, steady_state
-from .neardegen import NearDegenerateSystem, thermalize_independent
+from .neardegen import NearDegenerateSystem, _independent_gibbs
 from .numerics import SolverConfig, integrate_1d, lambert_w_principal
-from .thermo import l1_coherence
+from .thermo import _l1_coherences
 
 SHIFT_ROOT_TOL = 1e-13
 
@@ -267,22 +272,40 @@ def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
     return steady_state(system, bath, (0.0, 1.0, 0.0, 0.0))
 
 
-def _step(
-    label: str,
-    before: DensityMatrix,
-    after: DensityMatrix,
-    work_in: float = 0.0,
-    work_out: float = 0.0,
-) -> ProtocolStep:
-    return ProtocolStep(
-        label=label,
-        work_in=work_in,
-        work_out=work_out,
-        coherence_before=l1_coherence(before),
-        coherence_after=l1_coherence(after),
-        state_before=before,
-        state_after=after,
+def _ledger(rows) -> ProtocolLedger:
+    """Ledger of (label, before, after, work_in, work_out) rows.
+
+    Every coherence comes from one stacked l1 pass over the states; the
+    reshape keeps a run of no rounds a (0, 3, 3) stack.
+    """
+    ms = np.array([s.matrix for row in rows for s in row[1:3]], dtype=complex)
+    c = _l1_coherences(ms.reshape(-1, 3, 3)).tolist()
+    return ProtocolLedger(
+        [
+            ProtocolStep(label, w_in, w_out, c[2 * k], c[2 * k + 1], before, after)
+            for k, (label, before, after, w_in, w_out) in enumerate(rows)
+        ]
     )
+
+
+def _round_rows(
+    state: DensityMatrix, omega: float, shift: float, bath: BathSpec, prefix: str = ""
+):
+    """Ledger rows, rotated and final state of one round; no checks."""
+    rotated = _conjugate(ROUND_ROTATION, state)
+    pop_top = max(float(rotated.matrix[0, 0].real), 0.0)
+    split = NearDegenerateSystem(omega, omega + shift, max_delta_ratio=math.inf)
+    thermal = _independent_gibbs(split, bath)
+    top, ground = float(thermal.matrix[0, 0].real), float(thermal.matrix[2, 2].real)
+    final = steady_state(DegenerateSystem(omega=omega), bath, (top, ground, 0.0, 0.0))
+    rows = [
+        (prefix + "rotate", state, rotated, 0.0, 0.0),
+        (prefix + "lift", rotated, rotated, shift * pop_top, 0.0),
+        (prefix + "thermalize-split", rotated, thermal, 0.0, 0.0),
+        (prefix + "extract", thermal, thermal, 0.0, shift * top),
+        (prefix + "rebuild-coherence", thermal, final, 0.0, 0.0),
+    ]
+    return rows, rotated, final
 
 
 def protocol1_round(
@@ -304,33 +327,9 @@ def protocol1_round(
         raise ValueError("level shift must be positive")
     _require_aligned(bath)
     state.validate()
-
-    ledger = ProtocolLedger()
-    rotated = _conjugate(ROUND_ROTATION, state)
-    ledger.append(_step("rotate", state, rotated))
-
-    lifted_level = omega + shift
-    pop_top = max(float(rotated.matrix[0, 0].real), 0.0)
-    ledger.append(_step("lift", rotated, rotated, work_in=shift * pop_top))
-
-    split = NearDegenerateSystem(
-        omega1=omega, omega2=lifted_level, max_delta_ratio=math.inf
-    )
-    thermal = thermalize_independent(rotated, split, bath)
-    ledger.append(_step("thermalize-split", rotated, thermal))
-
-    extracted = shift * float(thermal.matrix[0, 0].real)
-    ledger.append(_step("extract", thermal, thermal, work_out=extracted))
-
-    init = (
-        float(thermal.matrix[0, 0].real),
-        float(thermal.matrix[2, 2].real),
-        0.0,
-        0.0,
-    )
-    final = steady_state(DegenerateSystem(omega=omega), bath, init)
-    ledger.append(_step("rebuild-coherence", thermal, final))
-    return ledger, final
+    rows, rotated, final = _round_rows(state, omega, shift, bath)
+    _validate_all([rotated, final])
+    return _ledger(rows), final
 
 
 def optimal_shift_round1(beta: float, omega: float) -> float:
@@ -441,7 +440,9 @@ def run_protocol1(
     below the floor, when no positive-work shift exists, or after
     max_rounds rounds.  After round 1 the pre-lift population is
     (1 - 1/Z)/2 > 0; when it computes to 0 (e^{-beta omega} below machine
-    epsilon) the state is exhausted and the run stops there.
+    epsilon) the state is exhausted and the run stops there.  The rounds'
+    states are checked together at the end, in the order the rounds
+    made them, so a failure raises the first unphysical state's error.
     """
     if max_rounds < 1:
         raise ValueError("at least one round is required")
@@ -450,8 +451,9 @@ def run_protocol1(
     _require_aligned(bath)
     initial.validate()
 
-    ledger = ProtocolLedger()
-    results: List[RoundResult] = []
+    rows: list = []
+    checked: List[DensityMatrix] = []
+    plans: List[RoundPlan] = []
     state = initial
     for index in range(1, max_rounds + 1):
         m = state.matrix
@@ -463,28 +465,25 @@ def run_protocol1(
         shift = _optimal_shift_for_population(max(pre_population, 0.0), beta, omega)
         if shift is None or shift < shift_floor:
             break
-        round_ledger, state = protocol1_round(state, omega, beta, shift, bath)
-        prefix = f"round {index}: "
-        for s in round_ledger.steps:
-            ledger.append(
-                ProtocolStep(
-                    label=prefix + s.label,
-                    work_in=s.work_in,
-                    work_out=s.work_out,
-                    coherence_before=s.coherence_before,
-                    coherence_after=s.coherence_after,
-                    state_before=s.state_before,
-                    state_after=s.state_after,
-                )
-            )
-        results.append(
-            RoundResult(
-                plan=RoundPlan.build(index, shift, beta, omega),
-                work_in=math.fsum(s.work_in for s in round_ledger.steps),
-                work_out=math.fsum(s.work_out for s in round_ledger.steps),
-                coherence_after=round_ledger.steps[-1].coherence_after,
-            )
+        round_rows, rotated, final = _round_rows(
+            state, omega, shift, bath, f"round {index}: "
         )
+        rows += round_rows
+        checked += [state, rotated]
+        plans.append(RoundPlan.build(index, shift, beta, omega))
+        state = final
+    if plans:
+        _validate_all(checked + [state])
+    ledger = _ledger(rows)
+    results = [
+        RoundResult(
+            plan=plan,
+            work_in=math.fsum(s.work_in for s in ledger.steps[5 * k : 5 * k + 5]),
+            work_out=math.fsum(s.work_out for s in ledger.steps[5 * k : 5 * k + 5]),
+            coherence_after=ledger.steps[5 * k + 4].coherence_after,
+        )
+        for k, plan in enumerate(plans)
+    ]
     return ledger, results
 
 
@@ -624,38 +623,17 @@ def protocol2(
         raise ValueError("inverse temperature and frequency must be positive")
     _require_aligned(bath)
 
-    ledger = ProtocolLedger()
     rho = init.to_density()
     rotation = coherence_unitary(init.theta, init.phi)
     diagonal = _conjugate(rotation, rho)
-    ledger.append(_step("rotate", rho, diagonal))
 
     p0 = init.b
     p1 = 0.5 * (1.0 - init.b) * (1.0 + init.n_norm)
     p2 = 0.5 * (1.0 - init.b) * (1.0 - init.n_norm)
     omega1 = _matching_frequency(beta, p1, p0)
     omega2 = _matching_frequency(beta, p2, p0)
-
     w_lower = _shift_work(p1, omega, omega1)
-    ledger.append(
-        _step(
-            "match-middle-level",
-            diagonal,
-            diagonal,
-            work_in=max(-w_lower, 0.0),
-            work_out=max(w_lower, 0.0),
-        )
-    )
     w_raise = _shift_work(p2, omega2, omega)
-    ledger.append(
-        _step(
-            "match-top-level",
-            diagonal,
-            diagonal,
-            work_in=max(w_raise, 0.0),
-            work_out=max(-w_raise, 0.0),
-        )
-    )
 
     if work_mode == "closed":
         w_sweep_down = quasistatic_work(beta, omega2, omega1, omega1)
@@ -669,26 +647,19 @@ def protocol2(
     u1 = math.exp(-beta * omega1)
     z1 = 1.0 + 2.0 * u1
     merged = DensityMatrix(np.diag([u1 / z1, u1 / z1, 1.0 / z1]))
-    ledger.append(
-        _step(
-            "sweep-to-common-level",
-            diagonal,
-            merged,
-            work_in=max(-w_sweep_down, 0.0),
-            work_out=max(w_sweep_down, 0.0),
-        )
-    )
-
     x = math.exp(-beta * omega)
     z = 1.0 + 2.0 * x
     final = DensityMatrix(np.diag([x / z, x / z, 1.0 / z]))
-    ledger.append(
-        _step(
-            "sweep-to-physical-level",
-            merged,
-            final,
-            work_in=max(-w_sweep_up, 0.0),
-            work_out=max(w_sweep_up, 0.0),
-        )
+    return _ledger(
+        [
+            ("rotate", rho, diagonal, 0.0, 0.0),
+            ("match-middle-level", diagonal, diagonal,
+             max(-w_lower, 0.0), max(w_lower, 0.0)),
+            ("match-top-level", diagonal, diagonal,
+             max(w_raise, 0.0), max(-w_raise, 0.0)),
+            ("sweep-to-common-level", diagonal, merged,
+             max(-w_sweep_down, 0.0), max(w_sweep_down, 0.0)),
+            ("sweep-to-physical-level", merged, final,
+             max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
+        ]
     )
-    return ledger

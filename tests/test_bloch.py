@@ -4,7 +4,9 @@ import pytest
 from coherence_engine.bloch import (
     DensityMatrix,
     PhysicalityError,
+    _defects,
     _hermitian_eigenvalues,
+    _validate_all,
 )
 
 
@@ -56,6 +58,50 @@ def test_hermitian_eigenvalues_of_a_stack_match_one_at_a_time(random_density):
     for m, spectrum in zip(stack, spectra):
         assert repr(_hermitian_eigenvalues(m).tolist()) == repr(spectrum.tolist())
 
+
+
+def test_validate_all_raises_the_first_failure_in_order(random_density, monkeypatch):
+    good = [DensityMatrix(random_density()) for _ in range(4)]
+    nonhermitian = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    nonhermitian[0, 1] = 0.3
+    nan = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    nan[1, 1] = np.nan
+    negative = DensityMatrix(np.diag([1.2, -0.2, 0.0]))
+    bad_trace = DensityMatrix(np.diag([0.5, 0.6, 0.0]))
+    stacks = [
+        good[:2] + [DensityMatrix(nonhermitian), DensityMatrix(nan)] + good[2:],
+        good[:1] + [negative, DensityMatrix(nonhermitian)],
+        good + [DensityMatrix(nan), negative],
+    ] + [good[:3] + [bad] for bad in (DensityMatrix(nonhermitian), negative, bad_trace)]
+    for states in stacks:
+        first_bad = next(s for s in states if not s.is_physical())
+        with pytest.raises(PhysicalityError) as expected:
+            first_bad.validate()
+        with pytest.raises(PhysicalityError) as raised:
+            _validate_all(states)
+        assert str(raised.value) == str(expected.value)
+    # a physical stack passes on the stacked path, with no per-state validate
+    monkeypatch.setattr(DensityMatrix, "validate", None)
+    _validate_all(good + [DensityMatrix.ground()])
+
+
+def test_validate_all_stacked_defects_match_one_at_a_time(random_density):
+    stack = np.array([random_density() for _ in range(9)] + [np.zeros((3, 3))])
+    stack[1, 0, 2] = stack[1, 2, 0] = 0.0
+    stack[2] *= 1e-300
+    stack[3, 1, 1] = -0.0
+    stack[4, 0, 1] += 1e-3
+    stack[5, 2, 2] += 1e-11
+    herm, trace = _defects(stack)
+    assert repr(herm.tolist()) == repr(
+        [float(np.abs(m - m.conj().T).max()) for m in stack]
+    )
+    assert repr(trace.tolist()) == repr([float(abs(m.trace() - 1.0)) for m in stack])
+    for m, h, t in zip(stack, herm, trace):
+        assert repr(tuple(map(float, _defects(m)))) == repr((float(h), float(t)))
+    spectra = _hermitian_eigenvalues(stack)
+    for m, spectrum in zip(stack, spectra):
+        assert repr(_hermitian_eigenvalues(m).tolist()) == repr(spectrum.tolist())
 
 def test_density_json_roundtrip(random_density):
     rho = DensityMatrix(random_density())

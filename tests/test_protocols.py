@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from coherence_engine import protocols, thermo
 from coherence_engine.bath import BathSpec
-from coherence_engine.bloch import DensityMatrix
+from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.numerics import maximize_scalar
 from coherence_engine.protocols import (
     ROUND_ROTATION,
@@ -12,6 +14,7 @@ from coherence_engine.protocols import (
     ProtocolLedger,
     ProtocolStep,
     RoundPlan,
+    RoundResult,
     coherence_unitary,
     discretized_quasistatic,
     optimal_shift_next,
@@ -300,6 +303,113 @@ def test_run_protocol1_shift_floor_cuts_series():
     with pytest.raises(ValueError):
         run_protocol1(rho0, 1.0, 1.0, BATH, max_rounds=0)
 
+
+
+@pytest.mark.parametrize("beta, omega, max_rounds", [
+    (1.0, 1.5, 64), (0.2, 1.0, 64), (3.0, 0.7, 64), (40.0, 1.0, 64), (0.5, 2.0, 3),
+])
+def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
+    # The public single round, given the shifts run_protocol1 chose, must
+    # give run_protocol1's ledger and series bit for bit.
+    bath = BathSpec(beta=beta, alignment=1.0)
+    rho0 = protocol_initial_state(beta, omega)
+    ledger, rounds = run_protocol1(rho0, omega, beta, bath, max_rounds=max_rounds)
+    assert rounds
+    steps, expected_rounds, state = [], [], rho0
+    for r in rounds:
+        round_ledger, state = protocol1_round(state, omega, beta, r.plan.shift, bath)
+        steps += [
+            dataclasses.replace(s, label=f"round {r.plan.index}: {s.label}")
+            for s in round_ledger.steps
+        ]
+        expected_rounds.append(RoundResult(
+            plan=RoundPlan.build(r.plan.index, r.plan.shift, beta, omega),
+            work_in=math.fsum(s.work_in for s in round_ledger.steps),
+            work_out=math.fsum(s.work_out for s in round_ledger.steps),
+            coherence_after=round_ledger.steps[-1].coherence_after,
+        ))
+
+    def bits(step):
+        return repr((step.label, step.work_in, step.work_out, step.coherence_before,
+                     step.coherence_after, step.state_before.matrix.tolist(),
+                     step.state_after.matrix.tolist()))
+
+    assert [bits(s) for s in ledger.steps] == [bits(s) for s in steps]
+    assert repr(rounds) == repr(expected_rounds)
+    assert ledger.final_state is ledger.steps[-1].state_after
+    assert repr(state.matrix.tolist()) == repr(ledger.final_state.matrix.tolist())
+
+
+def _with_negative_eigenvalue(rho, value):
+    """A unit-trace state with the given eigenvalue and rho's pre-lift population.
+
+    Keeping the population that the next round lifts keeps run_protocol1
+    going past the injected state.
+    """
+    u = ROUND_ROTATION
+    top = (u @ rho.matrix @ u.conj().T)[0, 0].real
+    return DensityMatrix(u.conj().T @ np.diag([top, value, 1.0 - top - value]) @ u)
+
+
+@pytest.mark.parametrize("where", ["inner", "last"])
+def test_run_protocol1_raises_first_unphysical_state(monkeypatch, where):
+    beta, omega = 1.0, 1.5
+    bath = BathSpec(beta=beta, alignment=1.0)
+    rho0 = protocol_initial_state(beta, omega)
+    n_rounds = len(run_protocol1(rho0, omega, beta, bath)[1])
+    assert n_rounds > 4
+    # inner: a second, later unphysical state must not mask the first one
+    inject = {2: -1e-9, 4: -2e-9} if where == "inner" else {n_rounds: -1e-9}
+    calls, injected = [], []
+    real_steady_state = protocols.steady_state
+
+    def steady_state(*args):
+        rho = real_steady_state(*args)
+        calls.append(rho)
+        if len(calls) in inject:
+            injected.append(_with_negative_eigenvalue(rho, inject[len(calls)]))
+            return injected[-1]
+        return rho
+
+    monkeypatch.setattr(protocols, "steady_state", steady_state)
+    with pytest.raises(PhysicalityError) as raised:
+        run_protocol1(rho0, omega, beta, bath)
+    with pytest.raises(PhysicalityError) as expected:
+        injected[0].validate()
+    assert str(raised.value) == str(expected.value)
+    assert "negative eigenvalue -1.0" in str(raised.value)
+
+
+def test_protocol_runs_check_and_measure_once(monkeypatch):
+    # Per-run counts of eigvalsh and stacked l1 passes must not grow with
+    # the number of rounds: one up-front validate, one stacked check, one
+    # ledger pass.
+    counts = {"eigvalsh": 0, "l1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    l1 = counted("l1", thermo._l1_coherences)
+    monkeypatch.setattr(thermo, "_l1_coherences", l1)
+    monkeypatch.setattr(protocols, "_l1_coherences", l1)
+    beta = omega = 0.2
+    bath = BathSpec(beta=beta, alignment=1.0)
+    rho0 = protocol_initial_state(beta, omega)
+    n_rounds = []
+    for max_rounds in (1, 3, 64):
+        counts.update(eigvalsh=0, l1=0)
+        _, rounds = run_protocol1(rho0, omega, beta, bath, max_rounds=max_rounds)
+        n_rounds.append(len(rounds))
+        assert counts == {"eigvalsh": 2, "l1": 1}
+    assert n_rounds[0] == 1 and n_rounds[-1] > 5
+    counts.update(eigvalsh=0, l1=0)
+    protocol2(GeneralInitialState(b=0.4, n_norm=0.6, theta=1.0, phi=0.3),
+              omega, beta, bath)
+    assert counts == {"eigvalsh": 0, "l1": 1}
 
 def test_quasistatic_work_values():
     w = quasistatic_work(1.0, 2.0, 1.0, 1.0)
