@@ -47,7 +47,6 @@ from .neardegen import (
 from .numerics import (
     NumericsError,
     OdeSolution,
-    SolverConfig,
     integrate_1d,
     integrate_ode,
     lambert_w_principal,
@@ -102,7 +101,6 @@ __all__ = [
     "RatePair",
     "RoundPlan",
     "RoundResult",
-    "SolverConfig",
     "analytic_evolution_aligned",
     "bath_from_json",
     "coherence_generator",

@@ -29,9 +29,9 @@ from . import __version__
 from .bath import BathSpec, _json_number, bath_from_json
 from .bloch import DensityMatrix
 from .dynamics import (
-    ALIGNED_TOL,
     CoherenceVector,
     DegenerateSystem,
+    _is_aligned,
     analytic_evolution_aligned,
     evolve_trajectory,
     steady_state,
@@ -154,10 +154,6 @@ def _built(what: str, factory, *args):
         return factory(*args)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-
-
-def _aligned(bath: BathSpec) -> bool:
-    return abs(bath.alignment - 1.0) <= ALIGNED_TOL
 
 
 def _merge_config(user: dict) -> dict:
@@ -314,7 +310,7 @@ def _parse(config: dict, command: str) -> _Run:
         config["initial"] = "coherent-steady" if protocol else "ground"
     _check_sections(config)
     bath = _built("bath is invalid", bath_from_json, config["bath"])
-    if command in _PROTOCOL_COMMANDS and not _aligned(bath):
+    if command in _PROTOCOL_COMMANDS and not _is_aligned(bath):
         raise ConfigError(f"{command} requires an aligned bath (alignment 1)")
     system = _system(config["system"], command)
     rho0 = _initial_state(config["initial"], system, bath)
@@ -373,7 +369,7 @@ def cmd_evolve(run: _Run) -> int:
         "t_final": t_final,
         "samples": samples,
     }
-    if _aligned(bath):
+    if _is_aligned(bath):
         init = CoherenceVector.from_density(rho0)
         r22, r00, r12 = analytic_evolution_aligned(
             (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im),
@@ -523,7 +519,7 @@ def cmd_neardegen_check(run: _Run) -> int:
     init = CoherenceVector.from_density(run.rho0)
     init4 = (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im)
     t_final, samples, times = _time_grid(run.config["neardegen"])
-    aligned = _aligned(bath)
+    aligned = _is_aligned(bath)
 
     columns = ["t", "num_rho22", "num_rho00", "num_rho_plus", "num_rho_minus_im"]
     if aligned:

@@ -40,6 +40,11 @@ ALIGNED_TOL = 1e-12
 CONDITION_GUARD = 1e12
 
 
+def _is_aligned(bath: BathSpec) -> bool:
+    """Whether the bath's dipoles are aligned (alignment 1 within ALIGNED_TOL)."""
+    return abs(bath.alignment - 1.0) <= ALIGNED_TOL
+
+
 @dataclass(frozen=True)
 class DegenerateSystem:
     """Two degenerate excited levels at energy omega above the ground state."""
@@ -82,14 +87,12 @@ class CoherenceVector:
     def rho12(self) -> complex:
         return self.rho_plus - 1j * self.rho_minus_im
 
-    @property
-    def rho_minus(self) -> complex:
-        return 1j * self.rho_minus_im
-
     def as_array(self) -> np.ndarray:
         return np.array([self.rho22, self.rho00, self.rho_plus, self.rho_minus_im])
 
-    def validate(self, tol: float = 1e-9) -> "CoherenceVector":
+    def validate(self) -> "CoherenceVector":
+        """Check the populations lie in [0, 1], to within 1e-9."""
+        tol = 1e-9
         if not -tol <= self.rho22 <= 1.0 + tol:
             raise ValueError(f"rho22 = {self.rho22!r} outside [0, 1]")
         if not -tol <= self.rho00 <= 1.0 + tol:
@@ -149,8 +152,8 @@ class GeneratorMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.matrix)
 
-    def is_singular(self, tol: float = 1e-12) -> bool:
-        return bool(np.min(np.abs(self.eigenvalues())) < tol)
+    def is_singular(self) -> bool:
+        return bool(np.min(np.abs(self.eigenvalues())) < 1e-12)
 
     def real_form(self) -> Tuple[np.ndarray, np.ndarray]:
         """The generator rewritten on the real vector (r22, r00, r+, d).
@@ -278,10 +281,10 @@ def evolve_trajectory(
     e^{(a +- b) t}.  Rows at t = 0 are rho0 itself.
     """
     times = [float(t) for t in times]
-    if any(t < 0.0 for t in times) or any(
+    if not all(0.0 <= t < math.inf for t in times) or any(
         t2 < t1 for t1, t2 in zip(times, times[1:])
     ):
-        raise ValueError("times must be non-negative and non-decreasing")
+        raise ValueError("times must be finite, non-negative and non-decreasing")
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
     m_real, b_real = coherence_generator(system, bath).real_form()
@@ -367,7 +370,7 @@ def analytic_evolution_aligned(
     and x = exp(-beta omega).  Accepts a scalar or array of times and
     returns (rho22, rho00, rho12) with rho12 complex.
     """
-    if abs(bath.alignment - 1.0) > ALIGNED_TOL:
+    if not _is_aligned(bath):
         raise ValueError("closed-form evolution requires alignment = 1")
     a, b, c, d = (float(v) for v in init)
     CoherenceVector(a, b, c, d).to_density().validate()

@@ -35,10 +35,10 @@ import numpy as np
 from .bath import BathSpec, RatePair, rate_derivative, rates_at
 from .bloch import DensityMatrix
 from .dynamics import (
-    ALIGNED_TOL,
     CoherenceVector,
     GeneratorMatrix,
     _aligned_vector,
+    _is_aligned,
     _sigma_ops,
 )
 from .numerics import propagate_affine
@@ -46,19 +46,19 @@ from .numerics import propagate_affine
 logger = logging.getLogger(__name__)
 
 VALIDITY_WINDOW_LIMIT = 0.3
+SPLITTING_GUARD = 0.1
 
 
 @dataclass(frozen=True)
 class NearDegenerateSystem:
     """Excited levels at omega1 and omega2 >= omega1 with a small splitting.
 
-    The guard ratio bounds delta / omega1; the default 0.1 keeps the
-    perturbative treatment honest but can be widened deliberately.
+    delta / omega1 must stay below SPLITTING_GUARD, which keeps the
+    perturbative treatment honest.
     """
 
     omega1: float
     omega2: float
-    max_delta_ratio: float = 0.1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.omega1) and math.isfinite(self.omega2)):
@@ -67,10 +67,10 @@ class NearDegenerateSystem:
             raise ValueError("both excited energies must be positive")
         if self.omega2 < self.omega1:
             raise ValueError("omega2 must not be below omega1")
-        if self.delta / self.omega1 >= self.max_delta_ratio:
+        if self.delta / self.omega1 >= SPLITTING_GUARD:
             raise ValueError(
                 f"splitting ratio {self.delta / self.omega1:.3g} exceeds "
-                f"guard {self.max_delta_ratio:.3g}"
+                f"guard {SPLITTING_GUARD:.3g}"
             )
 
     @property
@@ -155,8 +155,8 @@ def neardegenerate_generator(
 def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
     """times as an array; warns once if the grid leaves the validity window."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("evolution time must be non-negative")
+    if not np.all((times >= 0.0) & (times < np.inf)):
+        raise ValueError("evolution time must be finite and non-negative")
     t = float(np.max(times, initial=0.0))
     product = t * system.delta
     if product > VALIDITY_WINDOW_LIMIT:
@@ -273,7 +273,7 @@ def _first_order(
 
 def _perturbative_series(init, system, bath, times) -> np.ndarray:
     """Rows (r22, r00, r+, d) of perturbative_solution at each of times."""
-    if abs(bath.alignment - 1.0) > ALIGNED_TOL:
+    if not _is_aligned(bath):
         raise ValueError("perturbative solution requires alignment = 1")
     a, b, c, d = (float(v) for v in init)
     CoherenceVector(a, b, c, d).to_density().validate()
@@ -320,13 +320,13 @@ def thermalize_independent(
     omega1}, 1)/Z regardless of the input state.
     """
     rho.validate()
-    return _independent_gibbs(system, bath)
+    return _independent_gibbs(system.omega1, system.omega2, bath.beta)
 
 
-def _independent_gibbs(system: NearDegenerateSystem, bath: BathSpec) -> DensityMatrix:
-    """Diagonal Gibbs state of the split levels, with no input check."""
-    w2 = math.exp(-bath.beta * system.omega2)
-    w1 = math.exp(-bath.beta * system.omega1)
+def _independent_gibbs(omega1: float, omega2: float, beta: float) -> DensityMatrix:
+    """Diagonal Gibbs state of levels at omega2, omega1 and 0; no checks."""
+    w2 = math.exp(-beta * omega2)
+    w1 = math.exp(-beta * omega1)
     z = 1.0 + w1 + w2
     return DensityMatrix(np.diag([w2 / z, w1 / z, 1.0 / z]))
 

@@ -4,8 +4,8 @@ Deterministic scalar and ODE routines used across the package: the
 principal branch of the Lambert W function, bracketed scalar
 maximization, exact propagation of linear time-independent equations,
 adaptive ODE integration with dense output, and adaptive Gauss-Kronrod
-quadrature.  All kernels use fixed iteration orders and no randomness,
-so identical inputs give bit-identical results.
+quadrature.  All kernels use fixed iteration orders, fixed tolerances
+and no randomness, so identical inputs give bit-identical results.
 
 Importing this module loads numpy only.  scipy is imported on first use
 by the two routines that need it: propagate_affine's scaling-and-squaring
@@ -30,38 +30,17 @@ class NumericsError(RuntimeError):
     """A kernel failed to meet its convergence contract."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and iteration limits shared by the numerical kernels.
-
-    abs_tol and rel_tol must lie in (0, 1e-2]; max_iter must be positive.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol <= 1e-2):
-            raise ValueError("abs_tol must lie in (0, 1e-2]")
-        if not (0.0 < self.rel_tol <= 1e-2):
-            raise ValueError("rel_tol must lie in (0, 1e-2]")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be a positive integer")
-
-
 _INV_E = math.exp(-1.0)
 
 
-def lambert_w_principal(z: float, config: SolverConfig | None = None) -> float:
+def lambert_w_principal(z: float) -> float:
     """Principal branch W_p of the Lambert W function, w * exp(w) = z.
 
     Valid for z >= -1/e, returning the branch with w >= -1.  Uses a
     Halley iteration seeded by a branch-point series near z = -1/e and
-    by log-based asymptotics for large z.  The result satisfies
-    |w e^w - z| <= 1e-14 * max(1, |z|).
+    by log-based asymptotics for large z, for at most 100 steps.  The
+    result satisfies |w e^w - z| <= 1e-14 * max(1, |z|).
     """
-    cfg = config or SolverConfig(abs_tol=1e-14, rel_tol=1e-14, max_iter=100)
     z = float(z)
     if not math.isfinite(z):
         raise ValueError("lambert_w_principal requires finite z")
@@ -84,7 +63,7 @@ def lambert_w_principal(z: float, config: SolverConfig | None = None) -> float:
         llz = math.log(lz) if lz > 1.0 else 0.0
         w = lz - llz
 
-    for _ in range(cfg.max_iter):
+    for _ in range(100):
         ew = math.exp(w)
         f = w * ew - z
         if abs(f) <= 1e-15 * max(1.0, abs(z)):
@@ -122,19 +101,17 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def maximize_scalar(
     f: Callable[[float], float],
     bracket: Tuple[float, float],
-    config: SolverConfig | None = None,
 ) -> MaximizeResult:
     """Maximize a continuous scalar function on a closed bracket.
 
-    Golden-section search down to argument tolerance config.abs_tol,
-    followed by two clamped Newton polishing steps built from
+    Golden-section search down to argument tolerance 1e-10 (at most 200
+    steps), followed by two clamped Newton polishing steps built from
     central finite differences.  The polish removes the O(sqrt(eps))
     plateau inherent to comparison-only searches on smooth maxima, which
     matters when the argmax is compared against closed forms at the
     1e-8 level.  If the maximum sits on a bracket endpoint (monotone f),
     the endpoint is returned with at_boundary set.
     """
-    cfg = config or SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=200)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
@@ -150,7 +127,7 @@ def maximize_scalar(
     d = a + _INV_PHI * (b - a)
     fc, fd = eval_f(c), eval_f(d)
     iterations = 0
-    while (b - a) > cfg.abs_tol and iterations < cfg.max_iter:
+    while (b - a) > 1e-10 and iterations < 200:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -234,20 +211,18 @@ def integrate_ode(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_span: Tuple[float, float],
-    config: SolverConfig | None = None,
     fixed_steps: Optional[int] = None,
 ) -> OdeSolution:
     """Integrate dy/dt = rhs(t, y) over t_span with dense output.
 
     The default path is scipy's adaptive embedded Runge-Kutta 5(4)
-    scheme, imported on first use so that importing the package loads
-    no scipy.
+    scheme at rtol = atol = 1e-12, imported on first use so that
+    importing the package loads no scipy.
     Passing fixed_steps switches to a classical fixed-step RK4 walk with
     that many equal steps, trading accuracy for step-for-step
     reproducibility.  Step-size underflow or any other integrator
     failure raises NumericsError carrying the time actually reached.
     """
-    cfg = config or SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=10 ** 6)
     y0 = np.asarray(y0)
     t0, t1 = float(t_span[0]), float(t_span[1])
 
@@ -292,8 +267,8 @@ def integrate_ode(
         (t0, t1),
         y0,
         method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
+        rtol=1e-12,
+        atol=1e-12,
         dense_output=True,
     )
     if not sol.success:
@@ -328,24 +303,22 @@ def integrate_1d(
     f: Callable[[float], float],
     a: float,
     b: float,
-    config: SolverConfig | None = None,
 ) -> float:
     """Adaptive Gauss-Kronrod 7/15 quadrature of f over [a, b]; b may be +inf.
 
     Bisects the panel with the largest |K15 - G7| until the summed error
-    estimate meets max(abs_tol, rel_tol * |value|).  b = +inf is mapped
+    estimate meets max(1e-12, 1e-10 * |value|).  b = +inf is mapped
     onto [0, 1) by x = a + t / (1 - t); the rule's nodes are interior, and
     one that rounds onto t = 1 in a tiny panel raises NumericsError.
     a > b gives the negative of the integral over [b, a].  numpy only:
     it replaces scipy's quad so that importing the package loads no scipy.
-    Raises NumericsError after config.max_iter bisections without
-    convergence, or on a non-finite value.
+    Raises NumericsError after 200 bisections without convergence, or on
+    a non-finite value.
     """
-    cfg = config or SolverConfig(abs_tol=1e-12, rel_tol=1e-10, max_iter=200)
     if a == b:
         return 0.0
     if a > b:
-        return -integrate_1d(f, b, a, cfg)
+        return -integrate_1d(f, b, a)
     if not math.isfinite(a):
         raise ValueError("integrate_1d needs a finite lower limit")
 
@@ -370,9 +343,9 @@ def integrate_1d(
         error = -math.fsum(p[0] for p in panels)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise NumericsError(f"quadrature gave a non-finite value {value!r}")
-        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if error <= max(1e-12, 1e-10 * abs(value)):
             return value
-        if bisections == cfg.max_iter:
+        if bisections == 200:
             raise NumericsError(
                 f"quadrature did not converge in {bisections} bisections "
                 f"(error estimate {error:.3e})"

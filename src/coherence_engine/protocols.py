@@ -37,9 +37,9 @@ import numpy as np
 
 from .bath import BathSpec
 from .bloch import DensityMatrix, _validate_all
-from .dynamics import ALIGNED_TOL, DegenerateSystem, steady_state
-from .neardegen import NearDegenerateSystem, _independent_gibbs
-from .numerics import SolverConfig, integrate_1d, lambert_w_principal
+from .dynamics import DegenerateSystem, _is_aligned, steady_state
+from .neardegen import _independent_gibbs
+from .numerics import integrate_1d, lambert_w_principal
 from .thermo import _l1_coherences
 
 SHIFT_ROOT_TOL = 1e-13
@@ -71,9 +71,6 @@ class ProtocolLedger:
     """Ordered step record with running work totals."""
 
     steps: List[ProtocolStep] = field(default_factory=list)
-
-    def append(self, step: ProtocolStep) -> None:
-        self.steps.append(step)
 
     @property
     def net_work(self) -> float:
@@ -256,9 +253,12 @@ def _conjugate(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
-def _require_aligned(bath: BathSpec) -> None:
-    if abs(bath.alignment - 1.0) > ALIGNED_TOL:
+def _require_bath(bath: BathSpec, beta: float) -> None:
+    """A protocol's bath must be aligned and at the protocol's beta."""
+    if not _is_aligned(bath):
         raise ValueError("protocol requires a fully aligned bath")
+    if beta != bath.beta:
+        raise ValueError(f"beta {beta!r} differs from the bath's beta {bath.beta!r}")
 
 
 def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
@@ -294,8 +294,7 @@ def _round_rows(
     """Ledger rows, rotated and final state of one round; no checks."""
     rotated = _conjugate(ROUND_ROTATION, state)
     pop_top = max(float(rotated.matrix[0, 0].real), 0.0)
-    split = NearDegenerateSystem(omega, omega + shift, max_delta_ratio=math.inf)
-    thermal = _independent_gibbs(split, bath)
+    thermal = _independent_gibbs(omega, omega + shift, bath.beta)
     top, ground = float(thermal.matrix[0, 0].real), float(thermal.matrix[2, 2].real)
     final = steady_state(DegenerateSystem(omega=omega), bath, (top, ground, 0.0, 0.0))
     rows = [
@@ -325,7 +324,7 @@ def protocol1_round(
     """
     if shift <= 0.0:
         raise ValueError("level shift must be positive")
-    _require_aligned(bath)
+    _require_bath(bath, beta)
     state.validate()
     rows, rotated, final = _round_rows(state, omega, shift, bath)
     _validate_all([rotated, final])
@@ -448,7 +447,7 @@ def run_protocol1(
         raise ValueError("at least one round is required")
     if shift_floor < 0.0:
         raise ValueError("shift floor must be non-negative")
-    _require_aligned(bath)
+    _require_bath(bath, beta)
     initial.validate()
 
     rows: list = []
@@ -554,7 +553,6 @@ def quasistatic_work_quadrature(
     omega_to: float,
     fixed_other_level: float,
     mode: str = "single-level-sweep",
-    config: Optional[SolverConfig] = None,
 ) -> float:
     """Quadrature route to quasistatic_work, for cross-checks.
 
@@ -563,7 +561,7 @@ def quasistatic_work_quadrature(
     the integrator's improper-integral handling.
     """
     _, population = _sweep_model(beta, fixed_other_level, mode)
-    return integrate_1d(population, omega_to, omega_from, config)
+    return integrate_1d(population, omega_to, omega_from)
 
 
 def discretized_quasistatic(
@@ -619,9 +617,9 @@ def protocol2(
         raise ValueError("matching requires a nonzero ground population")
     if work_mode not in ("closed", "quadrature"):
         raise ValueError(f"unknown work mode: {work_mode!r}")
-    if beta <= 0.0 or omega <= 0.0:
-        raise ValueError("inverse temperature and frequency must be positive")
-    _require_aligned(bath)
+    if omega <= 0.0:
+        raise ValueError("frequency must be positive")
+    _require_bath(bath, beta)
 
     rho = init.to_density()
     rotation = coherence_unitary(init.theta, init.phi)

@@ -26,7 +26,7 @@ from coherence_engine.neardegen import (
     neardegenerate_generator,
     perturbative_solution,
 )
-from coherence_engine.numerics import SolverConfig, maximize_scalar
+from coherence_engine.numerics import maximize_scalar
 from coherence_engine.protocols import (
     GeneralInitialState,
     coherence_unitary,
@@ -155,7 +155,6 @@ def test_criterion_03_gibbs_convergence_partial_alignment():
 def test_criterion_04_lambert_optimum_vs_golden_section():
     """Closed-form first-round shift equals the brute-force maximizer."""
     worst = 0.0
-    config = SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=400)
     for beta in np.linspace(0.1, 5.0, 10):
         for omega in np.linspace(0.5, 3.0, 10):
             beta, omega = float(beta), float(omega)
@@ -165,9 +164,7 @@ def test_criterion_04_lambert_optimum_vs_golden_section():
                 u = math.exp(-beta * shift)
                 return shift * x * u / (1.0 + x + x * u)
 
-            found = maximize_scalar(
-                round1_work, (1e-6 / beta, 6.0 / beta), config
-            )
+            found = maximize_scalar(round1_work, (1e-6 / beta, 6.0 / beta))
             worst = max(worst, abs(found.argmax - optimal_shift_round1(beta, omega)))
     ok = worst <= 1e-8
     _report(4, ok, f"max |shift gap| over 10x10 (beta, omega) grid = "

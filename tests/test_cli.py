@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import coherence_engine
 import coherence_engine.cli as cli
 import coherence_engine.neardegen as neardegen
 from coherence_engine import __version__
@@ -403,3 +404,10 @@ def test_package_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_package_all_resolves_unique_and_sorted():
+    names = coherence_engine.__all__
+    assert all(hasattr(coherence_engine, name) for name in names)
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

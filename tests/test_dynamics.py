@@ -20,6 +20,11 @@ from coherence_engine.dynamics import (
     trajectory_columns,
     trajectory_rows,
 )
+from coherence_engine.neardegen import (
+    NearDegenerateSystem,
+    evolve_neardegenerate,
+    perturbative_solution,
+)
 from coherence_engine.thermo import l1_coherence
 
 
@@ -168,6 +173,22 @@ def test_evolve_time_edge_cases():
     assert evolve(rho0, system, bath, 0.0) is rho0
     with pytest.raises(ValueError):
         evolve(rho0, system, bath, -0.1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_evolvers_reject_non_finite_times(t):
+    bath = BathSpec(beta=1.0, alignment=0.5)
+    rho0 = DensityMatrix.ground()
+    with pytest.raises(ValueError):
+        evolve(rho0, DegenerateSystem(1.0), bath, t)
+    with pytest.raises(ValueError):
+        evolve_trajectory(rho0, DegenerateSystem(1.0), bath, [0.0, 1.0, t])
+    near = NearDegenerateSystem(1.0, 1.001)
+    init = (0.2, 0.3, 0.05, 0.01)
+    with pytest.raises(ValueError):
+        evolve_neardegenerate(CoherenceVector(*init), near, bath, t)
+    with pytest.raises(ValueError):
+        perturbative_solution(init, near, BathSpec(beta=1.0), t)
 
 
 def test_analytic_matches_numerical_evolution(subspace_sampler):

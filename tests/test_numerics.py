@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from coherence_engine.numerics import (
     NumericsError,
-    SolverConfig,
     integrate_1d,
     integrate_ode,
     lambert_w_principal,
@@ -15,17 +14,6 @@ from coherence_engine.numerics import (
     propagate_affine,
 )
 from coherence_engine.protocols import _sweep_model
-
-
-def test_solver_config_validation():
-    cfg = SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=100)
-    assert cfg.abs_tol == 1e-10
-    with pytest.raises(ValueError):
-        SolverConfig(abs_tol=0.0, rel_tol=1e-10, max_iter=100)
-    with pytest.raises(ValueError):
-        SolverConfig(abs_tol=1e-10, rel_tol=0.1, max_iter=100)
-    with pytest.raises(ValueError):
-        SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=0)
 
 
 def test_lambert_trivial_points():
@@ -77,11 +65,7 @@ def test_maximize_round1_work_function():
         u = math.exp(-beta * s)
         return s * x * u / (1.0 + x + x * u)
 
-    res = maximize_scalar(
-        work,
-        (1e-12, 12.0),
-        SolverConfig(abs_tol=1e-10, rel_tol=1e-10, max_iter=500),
-    )
+    res = maximize_scalar(work, (1e-12, 12.0))
     assert res.argmax == pytest.approx(1.0903875089495634, abs=1e-8)
 
 
@@ -109,14 +93,13 @@ def test_integrate_ode_degenerate_span():
 
 
 def test_integrate_ode_matches_matrix_exponential(rng):
-    cfg = SolverConfig(abs_tol=1e-12, rel_tol=1e-12, max_iter=10 ** 6)
     for _ in range(100):
         a = rng.normal(size=(4, 4))
         abscissa = float(np.max(np.linalg.eigvals(a).real))
         target = float(rng.uniform(-10.0, -0.1))
         a = a + (target - abscissa) * np.eye(4)
         y0 = rng.normal(size=4)
-        sol = integrate_ode(lambda t, y, a=a: a @ y, y0, (0.0, 1.0), cfg)
+        sol = integrate_ode(lambda t, y, a=a: a @ y, y0, (0.0, 1.0))
         expected = expm(a) @ y0
         assert np.max(np.abs(sol.y[:, -1] - expected)) <= 1e-9
 
@@ -171,8 +154,8 @@ def test_integrate_1d_basic():
     assert integrate_1d(math.exp, 3.0, -1.0) == pytest.approx(
         math.exp(-1.0) - math.exp(3.0), abs=1e-12
     )
-    with pytest.raises(NumericsError):
-        integrate_1d(lambda x: math.exp(-x * x), 0.0, 20.0, SolverConfig(max_iter=1))
+    with pytest.raises(NumericsError, match="did not converge in 200 bisections"):
+        integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 def test_integrate_1d_improper():

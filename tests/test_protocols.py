@@ -60,11 +60,9 @@ def test_protocol_step_work_sign_convention():
 
 
 def test_ledger_accumulation_and_export():
-    ledger = ProtocolLedger()
     with pytest.raises(ValueError):
-        ledger.final_state
-    ledger.append(_dummy_step(work_in=0.2))
-    ledger.append(_dummy_step(work_out=0.7))
+        ProtocolLedger().final_state
+    ledger = ProtocolLedger([_dummy_step(work_in=0.2), _dummy_step(work_out=0.7)])
     assert ledger.net_work == pytest.approx(0.5)
     assert ledger.final_state is ledger.steps[-1].state_after
     header, rows = ledger.csv_rows()
@@ -198,6 +196,20 @@ def test_protocol1_round_rejections():
         protocol1_round(rho0, 1.0, 1.0, 0.0, BATH)
     with pytest.raises(ValueError):
         protocol1_round(rho0, 1.0, 1.0, 0.5, BathSpec(beta=1.0, alignment=0.5))
+
+
+def test_protocols_reject_a_bath_at_another_beta():
+    # The physics runs on the bath, so a beta argument that differs from
+    # it would silently give the ledger of the bath's temperature.
+    rho0 = protocol_initial_state(1.0, 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        protocol1_round(rho0, 1.0, 5.0, 0.5, BATH)
+    with pytest.raises(ValueError, match="beta"):
+        run_protocol1(rho0, 1.0, 5.0, BATH)
+    init = GeneralInitialState(b=0.4, n_norm=0.5, theta=0.3, phi=0.2)
+    with pytest.raises(ValueError, match="beta"):
+        protocol2(init, 1.0, 5.0, BATH)
+    assert run_protocol1(rho0, 1.0, 1.0, BATH)[0].net_work > 0.0
 
 
 def test_optimal_shift_round1_closed_form():
