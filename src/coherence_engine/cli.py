@@ -32,6 +32,7 @@ from .dynamics import (
     CoherenceVector,
     DegenerateSystem,
     _is_aligned,
+    _thermalizes,
     analytic_evolution_aligned,
     evolve_trajectory,
     steady_state,
@@ -386,7 +387,7 @@ def cmd_evolve(run: _Run) -> int:
             float(np.abs(populations[:, 1] - (1.0 - r22 - r00)).max()),
             float(np.abs(ms[:, 1, 0] - r12).max()),
         )
-    elif abs(bath.alignment) < 1.0:
+    elif _thermalizes(bath):
         ham = HamiltonianSpec.degenerate(system.omega)
         dist = trace_distance(final, gibbs(ham, bath.beta))
         summary["gibbs_trace_distance"] = dist

@@ -25,24 +25,35 @@ and a one-parameter family of coherent steady states appears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .bath import BathSpec, cross_rates, rates_at
 from .bloch import DensityMatrix, _hermitian_eigenvalues, _require_hermitian_unit_trace
-from .numerics import integrate_ode, propagate_affine
+from .numerics import exp_modes, integrate_ode, propagate_affine
 from .thermo import _l1_coherences
 
 TRACE_DRIFT_TOL = 1e-12
 ALIGNED_TOL = 1e-12
-CONDITION_GUARD = 1e12
 
 
 def _is_aligned(bath: BathSpec) -> bool:
     """Whether the bath's dipoles are aligned (alignment 1 within ALIGNED_TOL)."""
     return abs(bath.alignment - 1.0) <= ALIGNED_TOL
+
+
+def _thermalizes(bath: BathSpec) -> bool:
+    """Whether every state relaxes to Gibbs: |alignment| not within ALIGNED_TOL of 1."""
+    return abs(abs(bath.alignment) - 1.0) > ALIGNED_TOL
+
+
+def _model_bath(bath: BathSpec) -> BathSpec:
+    """bath, with an alignment within ALIGNED_TOL of +-1 set to +-1 exactly."""
+    if _thermalizes(bath) or abs(bath.alignment) == 1.0:
+        return bath
+    return replace(bath, alignment=math.copysign(1.0, bath.alignment))
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,7 @@ class CoherenceVector:
     rho_plus = (rho21 + rho12)/2 is real for Hermitian states and
     rho_minus = (rho21 - rho12)/2 is purely imaginary; the latter is
     stored through its imaginary part rho_minus_im, so all four fields
-    are real.  Range checks live in validate(), not the constructor, so
-    integrator iterates with tiny constraint violations stay
-    representable.
+    are real.  to_density().validate() checks the state.
     """
 
     rho22: float
@@ -89,17 +98,6 @@ class CoherenceVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho22, self.rho00, self.rho_plus, self.rho_minus_im])
-
-    def validate(self) -> "CoherenceVector":
-        """Check the populations lie in [0, 1], to within 1e-9."""
-        tol = 1e-9
-        if not -tol <= self.rho22 <= 1.0 + tol:
-            raise ValueError(f"rho22 = {self.rho22!r} outside [0, 1]")
-        if not -tol <= self.rho00 <= 1.0 + tol:
-            raise ValueError(f"rho00 = {self.rho00!r} outside [0, 1]")
-        if self.rho22 + self.rho00 > 1.0 + tol:
-            raise ValueError("rho22 + rho00 exceeds 1")
-        return self
 
     @classmethod
     def from_array(cls, values: Sequence[float]) -> "CoherenceVector":
@@ -148,12 +146,6 @@ class GeneratorMatrix:
         c.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "constant", c)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
-
-    def is_singular(self) -> bool:
-        return bool(np.min(np.abs(self.eigenvalues())) < 1e-12)
 
     def real_form(self) -> Tuple[np.ndarray, np.ndarray]:
         """The generator rewritten on the real vector (r22, r00, r+, d).
@@ -274,7 +266,8 @@ def evolve_trajectory(
     """States along a time grid, by exact propagation of each sector.
 
     The 4-vector (rho22, rho00, rho_plus, rho_minus) is propagated on the
-    real form of coherence_generator, one decomposition for every time.
+    real form of coherence_generator about steady_state (alignments within
+    ALIGNED_TOL of +-1 taken as +-1), one decomposition for every time.
     The ground-excited coherences obey d/dt (rho20, rho10) =
     [[a, b], [b, a]] (rho20, rho10) with a = -i omega - gamma_plus/2 -
     gamma_minus and b = -p gamma_plus/2, so rho20 +- rho10 decay as
@@ -287,21 +280,22 @@ def evolve_trajectory(
         raise ValueError("times must be finite, non-negative and non-decreasing")
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
-    m_real, b_real = coherence_generator(system, bath).real_form()
-    r22, r00, rp, d = propagate_affine(
-        m_real, b_real, CoherenceVector.from_density(rho0).as_array(), times
-    ).T
+    bath = _model_bath(bath)
+    init = CoherenceVector.from_density(rho0).as_array()
+    fixed = CoherenceVector.from_density(steady_state(system, bath, init)).as_array()
+    m_real, _b_real = coherence_generator(system, bath).real_form()
+    r22, r00, rp, d = propagate_affine(m_real, fixed, init, times).T
     pair = rates_at(bath, system.omega)
     a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
     b = -0.5 * bath.alignment * pair.gamma_plus
     t = np.array(times)
-    even = 0.5 * (m0[0, 2] + m0[1, 2]) * np.exp((a + b) * t)
-    odd = 0.5 * (m0[0, 2] - m0[1, 2]) * np.exp((a - b) * t)
     ms = np.zeros((t.size, 3, 3), dtype=complex)
     ms[:, 0, 0], ms[:, 1, 1], ms[:, 2, 2] = r22, 1.0 - r22 - r00, r00
     ms[:, 0, 1] = rp + 1j * d
-    ms[:, 0, 2] = even + odd
-    ms[:, 1, 2] = even - odd
+    if m0[0, 2] or m0[1, 2]:  # without them these columns stay exact zeros
+        even = 0.5 * (m0[0, 2] + m0[1, 2]) * exp_modes(a + b, t)
+        odd = 0.5 * (m0[0, 2] - m0[1, 2]) * exp_modes(a - b, t)
+        ms[:, 0, 2], ms[:, 1, 2] = even + odd, even - odd
     ms[:, 1, 0], ms[:, 2, 0], ms[:, 2, 1] = (
         ms[:, 0, 1].conj(), ms[:, 0, 2].conj(), ms[:, 1, 2].conj()
     )
@@ -378,8 +372,7 @@ def analytic_evolution_aligned(
     g = pair.gamma_plus
     x = math.exp(-bath.beta * system.omega)
     t = np.asarray(t, dtype=float)
-    slow = np.exp(-g * t)
-    fast = np.exp(-2.0 * (1.0 + x) * g * t)
+    slow, fast = exp_modes(-g, t), exp_modes(-2.0 * (1.0 + x) * g, t)
     rho22, rho00, rho_plus, d_t = _aligned_vector((a, b, c, d), x, slow, fast)
     rho12 = rho_plus - 1j * d_t
     if rho22.ndim == 0:
@@ -392,33 +385,20 @@ def steady_state(
     bath: BathSpec,
     init: Tuple[float, float, float, float],
 ) -> DensityMatrix:
-    """Long-time state of the coherence sector.
+    """Long-time state of the coherence sector, in closed form.
 
-    Without emission (gamma_plus = 0 at omega) the generator vanishes and
-    every state is stationary, so the initial state is returned.  For
-    |alignment| < 1 the generator is invertible and the fixed point
-    is the Gibbs state, independent of the initial data.  For aligned
-    dipoles the generator is singular and the steady state retains a
-    memory of the initial (rho00, rho_plus); anti-aligned dipoles map
-    onto the aligned case by flipping the sign of rho_plus, which is a
-    conjugation by diag(1, -1) on the excited subspace.  Alignments
-    within the condition-number guard of +-1 route to the analytic
-    branch to avoid catastrophic cancellation in the linear solve.
+    The initial state when nothing emits (gamma_plus = 0 at omega); else
+    the Gibbs state, unless |alignment| is within ALIGNED_TOL of 1, where
+    the state keeps a memory of the initial (rho00, rho_plus).  Anti-aligned
+    dipoles map onto aligned ones by flipping the sign of rho_plus.
     """
     a, b, c, d = (float(v) for v in init)
     if rates_at(bath, system.omega).gamma_plus == 0.0:
         return CoherenceVector(a, b, c, d).to_density()
-    p = bath.alignment
     x = math.exp(-bath.beta * system.omega)
-    use_aligned = abs(abs(p) - 1.0) <= ALIGNED_TOL
-    if not use_aligned:
-        gen = coherence_generator(system, bath)
-        m_real, b_real = gen.real_form()
-        if np.linalg.cond(m_real) > CONDITION_GUARD:
-            use_aligned = True
-        else:
-            vec = np.linalg.solve(m_real, b_real)
-            return CoherenceVector.from_array(vec).to_density()
-    sign = 1.0 if p >= 0.0 else -1.0
+    if _thermalizes(bath):
+        z = 1.0 + 2.0 * x
+        return CoherenceVector(x / z, 1.0 / z, 0.0).to_density()
+    sign = 1.0 if bath.alignment >= 0.0 else -1.0
     r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
     return CoherenceVector(r22, r00, sign * rp, 0.0).to_density()

@@ -36,12 +36,15 @@ from .bath import BathSpec, RatePair, rate_derivative, rates_at
 from .bloch import DensityMatrix
 from .dynamics import (
     CoherenceVector,
+    DegenerateSystem,
     GeneratorMatrix,
     _aligned_vector,
     _is_aligned,
+    _model_bath,
     _sigma_ops,
+    steady_state,
 )
-from .numerics import propagate_affine
+from .numerics import exp_modes, propagate_affine
 
 logger = logging.getLogger(__name__)
 
@@ -178,10 +181,21 @@ def _neardegenerate_series(
     bath: BathSpec,
     times: Sequence[float],
 ) -> np.ndarray:
-    """Rows (r22, r00, r+, d) at each of times, from one decomposition."""
+    """Rows (r22, r00, r+, d) at each of times, from one decomposition.
+
+    Anchored at the two-frequency Gibbs vector, or without a splitting at
+    steady_state (alignments within ALIGNED_TOL of +-1 taken as +-1).
+    """
     times = _checked_times(times, system)
-    m_real, b_real = neardegenerate_generator(system, bath).real_form()
-    return propagate_affine(m_real, b_real, pi0.as_array(), times)
+    bath = _model_bath(bath)
+    m_real, _b_real = neardegenerate_generator(system, bath).real_form()
+    init = pi0.as_array()
+    if system.delta == 0.0:
+        limit = steady_state(DegenerateSystem(system.omega1), bath, init)
+    else:
+        limit = _independent_gibbs(system.omega1, system.omega2, bath.beta)
+    fixed = CoherenceVector.from_density(limit).as_array()
+    return propagate_affine(m_real, fixed, init, times)
 
 
 def evolve_neardegenerate(
@@ -281,7 +295,7 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     base = rates_at(bath, system.omega1)
     g = base.gamma_plus
     x = math.exp(-bath.beta * system.omega1)
-    slow, fast = np.exp(-g * times), np.exp(-2.0 * (1.0 + x) * g * times)
+    slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
     zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast))
     delta = system.delta
     if delta == 0.0:

@@ -413,17 +413,6 @@ def _optimal_shift_for_population(
     return shift
 
 
-def optimal_shift_next(prev: RoundPlan, beta: float, omega: float) -> Optional[float]:
-    """Optimal shift for the round following prev, or None at exhaustion.
-
-    After a completed round the rotated population on the top level is
-    (1 - 1/Z_prev)/2; the next shift is the stationary point of the net
-    round work inside the positive-work interval.
-    """
-    pre_population = 0.5 * (1.0 - 1.0 / prev.partition)
-    return _optimal_shift_for_population(pre_population, beta, omega)
-
-
 def run_protocol1(
     initial: DensityMatrix,
     omega: float,

@@ -15,8 +15,14 @@ import coherence_engine.neardegen as neardegen
 from coherence_engine import __version__
 from coherence_engine.bath import BathSpec
 from coherence_engine.cli import main
-from coherence_engine.dynamics import CoherenceVector, trajectory_columns
+from coherence_engine.dynamics import (
+    CoherenceVector,
+    DegenerateSystem,
+    steady_state,
+    trajectory_columns,
+)
 from coherence_engine.numerics import NumericsError
+from coherence_engine.thermo import l1_coherence
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -81,6 +87,80 @@ def test_evolve_long_horizon(tmp_path):
     summary = json.loads((tmp_path / "long.json").read_text())
     assert summary["gibbs_within_tolerance"] is True
     assert summary["final_c_l1"] < 1e-12
+
+
+def _summary(tmp_path, command, config, name, extra=()):
+    """Run command with config written to name; return its JSON summary."""
+    config = {**config, "out": str(tmp_path / name)}
+    assert _run(tmp_path, command, config, extra) == 0
+    return json.loads((tmp_path / f"{name}.json").read_text())
+
+
+def test_aligned_evolution_at_1e16_ends_in_its_closed_form_limit(tmp_path):
+    """A zero eigenvalue rounded off its null space must not move the limit."""
+    init = [0.2, 0.5, 0.1, 0.05]
+    config = {"initial": {"coherence_vector": init},
+              "evolve": {"t_final": 1e16, "samples": 3}}
+    summary = _summary(tmp_path, "evolve", config, "far", ("--beta", "30"))
+    limit = steady_state(DegenerateSystem(1.0), BathSpec(beta=30.0), init)
+    assert summary["analytic_max_deviation"] <= 1e-15
+    assert summary["final_c_l1"] == pytest.approx(l1_coherence(limit), abs=1e-15)
+    assert summary["final_c_l1"] == pytest.approx(0.15, abs=1e-12)
+
+
+def test_slow_relaxation_reaches_gibbs_at_the_longest_horizon(tmp_path):
+    config = {"bath": {"alignment": 0.999999999},
+              "evolve": {"t_final": 1e308, "samples": 5}}
+    summary = _summary(tmp_path, "evolve", config, "slow")
+    assert summary["gibbs_within_tolerance"] is True
+    assert summary["gibbs_trace_distance"] <= 1e-15
+
+
+@pytest.mark.parametrize("beta, alignment", [(0.05, 1.0 - 1e-11), (10.0, 1.0 - 2e-12)])
+def test_steady_state_just_short_of_alignment_is_gibbs(tmp_path, beta, alignment):
+    """|alignment| < 1 beyond ALIGNED_TOL: the closed-form Gibbs state, no solve."""
+    config = {"bath": {"beta": beta, "alignment": alignment}}
+    summary = _summary(tmp_path, "steady", config, "near")
+    assert summary["gibbs_trace_distance"] <= 1e-15
+    assert summary["c_l1"] == 0.0
+
+
+def test_extreme_horizons_end_in_the_limit_or_in_exit_3(tmp_path, capsys, monkeypatch):
+    """t_final up to 1e308: the limit state and exit 0, or exit 3 and no files.
+
+    Runs in-process under warnings-as-errors, so a numpy warning would
+    escape main as a traceback.
+    """
+    monkeypatch.setenv("COHERENCE_ENGINE_LOG", "error")
+    cases = [
+        ({"system": {"omega": 3.0}, "bath": {"alignment": 0.3}}, 1e308),
+        ({"bath": {"alignment": 1.0, "beta": 2.0},
+          "initial": {"coherence_vector": [0.3, 0.2, 0.1, 0.05]}}, 1e20),
+        ({"system": {"omega": 3.0}, "bath": {"alignment": -1.0},
+          "initial": {"coherence_vector": [0.3, 0.2, -0.1, 0.05]}}, 1e308),
+        ({"system": {"omega": 3.0}, "bath": {"gamma_plus": 0.0}}, 1e308),
+    ]
+    for k, (config, t_final) in enumerate(cases):
+        config = {**config, "evolve": {"t_final": t_final, "samples": 5}}
+        summary = _summary(tmp_path, "evolve", config, f"far{k}")
+        assert capsys.readouterr().err == ""
+        rows = [[float(v) for v in line.split(",")]
+                for line in _read_lines(tmp_path / f"far{k}.csv")[3:]]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert min(row[-1] for row in rows) >= -1e-15
+        assert summary.get("gibbs_trace_distance", 0.0) <= 1e-15
+        assert summary.get("analytic_max_deviation", 0.0) <= 1e-15
+    # No damping and a splitting of 1.9: the phase 1.9 t overflows.
+    config = {"system": {"omega1": 20.0, "omega2": 21.9},
+              "bath": {"gamma_plus": 0.0, "alignment": 0.5},
+              "initial": {"coherence_vector": [0.3, 0.2, 0.1, 0.05]},
+              "neardegen": {"t_final": 1e308, "samples": 3},
+              "out": str(tmp_path / "undamped")}
+    assert _run(tmp_path, "neardegen-check", config) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
+    assert "1e+308" in json.loads(err[0])["message"]
+    assert not list(tmp_path.glob("undamped*"))
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -404,6 +484,34 @@ def test_package_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    """The runtime needs numpy only: every subcommand, scipy made unimportable.
+
+    Covers the default config of each subcommand (neardegen-check needs a
+    split system), a splitting of 1e-12 and a cold aligned bath, in a
+    fresh interpreter where `import scipy` fails.
+    """
+    split = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.005}},
+                          "split.json")
+    tiny = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.0 + 1e-12}},
+                         "tiny.json")
+    cases = [[command] for command in ("evolve", "steady", "protocol1", "protocol2",
+                                       "figure-wfed")]
+    cases += [["neardegen-check", "--config", split],
+              ["neardegen-check", "--config", tiny],
+              ["evolve", "--alignment", "1", "--beta", "100"]]
+    cases = [args + ["--out", str(tmp_path / f"run{k}")]
+             for k, args in enumerate(cases)]
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "from coherence_engine.cli import main; "
+            "print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(cases)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * len(cases)
 
 
 def test_package_all_resolves_unique_and_sorted():

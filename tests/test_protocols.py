@@ -17,7 +17,6 @@ from coherence_engine.protocols import (
     RoundResult,
     coherence_unitary,
     discretized_quasistatic,
-    optimal_shift_next,
     optimal_shift_round1,
     protocol1_round,
     protocol2,
@@ -244,9 +243,8 @@ def test_optimal_shift_next_maximizes_executed_round():
     shift1 = optimal_shift_round1(beta, omega)
     rho0 = protocol_initial_state(beta, omega)
     _, state1 = protocol1_round(rho0, omega, beta, shift1, BATH)
-    plan1 = RoundPlan.build(1, shift1, beta, omega)
-    shift2 = optimal_shift_next(plan1, beta, omega)
-    assert shift2 is not None and 0.0 < shift2 < shift1
+    shift2 = run_protocol1(rho0, omega, beta, BATH)[1][1].plan.shift
+    assert 0.0 < shift2 < shift1
 
     def round_net(shift):
         ledger, _ = protocol1_round(state1, omega, beta, shift, BATH)
