@@ -46,9 +46,7 @@ from .neardegen import (
 )
 from .numerics import (
     NumericsError,
-    OdeSolution,
     integrate_1d,
-    integrate_ode,
     lambert_w_principal,
 )
 from .protocols import (
@@ -93,7 +91,6 @@ __all__ = [
     "HamiltonianSpec",
     "NearDegenerateSystem",
     "NumericsError",
-    "OdeSolution",
     "PerturbationCoefficients",
     "PhysicalityError",
     "ProtocolLedger",
@@ -118,7 +115,6 @@ __all__ = [
     "gibbs",
     "gksl_rhs_matrix",
     "integrate_1d",
-    "integrate_ode",
     "l1_coherence",
     "lambert_w_principal",
     "neardegenerate_generator",

@@ -548,8 +548,7 @@ def cmd_neardegen_check(run: _Run) -> int:
         "t_final": t_final,
         "samples": samples,
         "max_perturbative_deviation": max_dev if aligned else None,
-        "validity_limit_t": (math.inf if system.delta == 0.0
-                             else 0.3 / system.delta),
+        "validity_limit_t": None if system.delta == 0.0 else 0.3 / system.delta,
         "independent_fixed_point": thermal.to_json(),
     }
     _write_json(run.paths[".json"], summary, run.digest)

@@ -221,8 +221,8 @@ def gksl_rhs_matrix(
     return out
 
 
-def _reference_states(rho0, system, bath, times, fixed_steps=None):
-    """States at times by direct RK45 integration, or fixed-step RK4.
+def _reference_states(rho0, system, bath, times):
+    """States at times by direct RK45 integration.
 
     The independent route that the exact propagation is tested against;
     evolve does not use it.  The 9x9 superoperator is read off
@@ -232,9 +232,7 @@ def _reference_states(rho0, system, bath, times, fixed_steps=None):
         [gksl_rhs_matrix(e.reshape(3, 3), system, bath).ravel() for e in np.eye(9)]
     )
     y0 = rho0.matrix.ravel()
-    sol = integrate_ode(
-        lambda _t, y: superop @ y, y0, (0.0, max(times)), fixed_steps=fixed_steps
-    )
+    sol = integrate_ode(lambda _t, y: superop @ y, y0, (0.0, max(times)))
     return [DensityMatrix((sol.at(t) if t > 0.0 else y0).reshape(3, 3))
             for t in times]
 

@@ -107,10 +107,14 @@ def perturbation_coefficients(
     """Closed-form coefficient set for the splitting correction.
 
     base_rates holds the emission/absorption pair at omega1 and
-    diff_rates the difference quotients across the splitting.
+    diff_rates the difference quotients across the splitting.  Every
+    coefficient is per unit base emission rate, so a rate of 0 at
+    omega1 raises ValueError.
     """
     a, b, c, _d = (float(v) for v in init)
     g = base_rates.gamma_plus
+    if g == 0.0:
+        raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
     dgp, dgm = diff_rates.gamma_plus, diff_rates.gamma_minus
     big_a = 1.0 + x
     big_b = 1.0 + 2.0 * x

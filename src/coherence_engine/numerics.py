@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
 Deterministic scalar and ODE routines used across the package: the
-principal branch of the Lambert W function, bracketed scalar
-maximization, exact propagation of linear time-independent equations,
-adaptive ODE integration with dense output, and adaptive Gauss-Kronrod
-quadrature.  All kernels use fixed iteration orders, fixed tolerances
-and no randomness, so identical inputs give bit-identical results.
+principal branch of the Lambert W function, exact propagation of linear
+time-independent equations, adaptive ODE integration with dense output,
+and adaptive Gauss-Kronrod quadrature.  All kernels use fixed iteration
+orders, fixed tolerances and no randomness, so identical inputs give
+bit-identical results.
 
 The runtime needs numpy only.  scipy, a test dependency, is imported on
 first use by integrate_ode alone, the adaptive RK45 integrator that the
@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -80,86 +80,6 @@ def lambert_w_principal(z: float) -> float:
             f"Lambert W iteration stalled at w={w!r} with residual {residual:.3e}"
         )
     return w
-
-
-@dataclass(frozen=True)
-class MaximizeResult:
-    """Result of a bracketed scalar maximization."""
-
-    argmax: float
-    value: float
-    at_boundary: bool
-    iterations: int
-
-    def __iter__(self):
-        yield self.argmax
-        yield self.value
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def maximize_scalar(
-    f: Callable[[float], float],
-    bracket: Tuple[float, float],
-) -> MaximizeResult:
-    """Maximize a continuous scalar function on a closed bracket.
-
-    Golden-section search down to argument tolerance 1e-10 (at most 200
-    steps), followed by two clamped Newton polishing steps built from
-    central finite differences.  The polish removes the O(sqrt(eps))
-    plateau inherent to comparison-only searches on smooth maxima, which
-    matters when the argmax is compared against closed forms at the
-    1e-8 level.  If the maximum sits on a bracket endpoint (monotone f),
-    the endpoint is returned with at_boundary set.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-
-    def eval_f(x: float) -> float:
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise NumericsError(f"objective returned non-finite value at x={x!r}")
-        return fx
-
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = eval_f(c), eval_f(d)
-    iterations = 0
-    while (b - a) > 1e-10 and iterations < 200:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = eval_f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = eval_f(d)
-        iterations += 1
-
-    x = 0.5 * (a + b)
-    fx = eval_f(x)
-
-    f_lo, f_hi = eval_f(lo), eval_f(hi)
-    if f_lo >= fx and f_lo >= f_hi:
-        return MaximizeResult(lo, f_lo, True, iterations)
-    if f_hi >= fx:
-        return MaximizeResult(hi, f_hi, True, iterations)
-
-    for _ in range(2):
-        h = 1e-5 * max(1.0, abs(x))
-        fp, fm = eval_f(x + h), eval_f(x - h)
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * fx + fm) / (h * h)
-        if d2 >= 0.0:
-            break
-        step = -d1 / d2
-        x = min(max(x + step, lo), hi)
-        fx = eval_f(x)
-
-    return MaximizeResult(x, fx, False, iterations)
 
 
 def exp_modes(rates, times) -> np.ndarray:
@@ -225,49 +145,16 @@ def integrate_ode(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_span: Tuple[float, float],
-    fixed_steps: Optional[int] = None,
 ) -> OdeSolution:
     """Integrate dy/dt = rhs(t, y) over t_span with dense output.
 
-    The default path is scipy's adaptive embedded Runge-Kutta 5(4)
-    scheme at rtol = atol = 1e-12, imported on first use so that
-    importing the package loads no scipy.
-    Passing fixed_steps switches to a classical fixed-step RK4 walk with
-    that many equal steps, trading accuracy for step-for-step
-    reproducibility.  Step-size underflow or any other integrator
-    failure raises NumericsError carrying the time actually reached.
+    scipy's adaptive embedded Runge-Kutta 5(4) scheme at rtol = atol =
+    1e-12, imported on first use so that importing the package loads no
+    scipy.  Step-size underflow or any other integrator failure raises
+    NumericsError carrying the time actually reached.
     """
     y0 = np.asarray(y0)
     t0, t1 = float(t_span[0]), float(t_span[1])
-
-    if fixed_steps is not None:
-        if fixed_steps < 1:
-            raise ValueError("fixed_steps must be >= 1")
-        ts = np.linspace(t0, t1, fixed_steps + 1)
-        ys = np.empty((y0.size, ts.size), dtype=np.result_type(y0.dtype, float))
-        ys[:, 0] = y0
-        h = (t1 - t0) / fixed_steps
-        y = y0.astype(ys.dtype)
-        for k in range(fixed_steps):
-            t = ts[k]
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(t + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ys[:, k + 1] = y
-
-        def interp(t: float) -> np.ndarray:
-            cols = np.array(
-                [np.interp(t, ts, ys[i].real) for i in range(ys.shape[0])]
-            )
-            if np.iscomplexobj(ys):
-                cols = cols + 1j * np.array(
-                    [np.interp(t, ts, ys[i].imag) for i in range(ys.shape[0])]
-                )
-            return cols
-
-        return OdeSolution(ts, ys, interp)
 
     if t1 == t0:
         ts = np.array([t0])

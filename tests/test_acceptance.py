@@ -26,7 +26,6 @@ from coherence_engine.neardegen import (
     neardegenerate_generator,
     perturbative_solution,
 )
-from coherence_engine.numerics import maximize_scalar
 from coherence_engine.protocols import (
     GeneralInitialState,
     coherence_unitary,
@@ -44,6 +43,7 @@ from coherence_engine.thermo import (
     l1_coherence,
     trace_distance,
 )
+from reference import maximize_scalar
 
 ALIGNED = BathSpec(beta=1.0, alignment=1.0)
 

@@ -278,6 +278,46 @@ def test_neardegen_check_outputs(tmp_path, capsys):
     assert summary["validity_limit_t"] == pytest.approx(0.3 / 0.005)
 
 
+def test_neardegen_check_without_emission_exits_3(tmp_path, capsys):
+    """A split system whose bath emits nothing at omega1 has no correction."""
+    config = {"system": {"omega1": 1.0, "omega2": 1.005},
+              "bath": {"gamma_plus": 0.0},
+              "out": str(tmp_path / "dark")}
+    assert _run(tmp_path, "neardegen-check", config) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
+    assert "emission rate" in json.loads(err[0])["message"]
+    assert not list(tmp_path.glob("dark*"))
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_every_written_json_file_is_strict_json(tmp_path):
+    """No NaN or +-Infinity in any output; at delta = 0 the limit is null."""
+    split = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.005}},
+                          "split.json")
+    degenerate = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.0}},
+                               "degenerate.json")
+    cases = [[command] for command in ("evolve", "steady", "protocol1", "protocol2",
+                                       "figure-wfed")]
+    cases += [["neardegen-check", "--config", split],
+              ["neardegen-check", "--config", degenerate]]
+    for k, args in enumerate(cases):
+        out = tmp_path / f"run{k}"
+        out.mkdir()
+        assert main(args + ["--out", str(out / "out")]) == 0
+        for path in out.glob("*.json"):
+            _strict_json(path)
+    split_limit = _strict_json(tmp_path / "run5" / "out.json")["validity_limit_t"]
+    assert split_limit == pytest.approx(0.3 / 0.005)
+    assert _strict_json(tmp_path / "run6" / "out.json")["validity_limit_t"] is None
+
+
 def test_neardegen_check_decomposes_once(tmp_path, monkeypatch):
     """One propagation for the whole grid, equal to the per-sample route."""
     calls = []

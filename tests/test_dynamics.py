@@ -163,8 +163,8 @@ def test_evolve_preserves_trace_and_positivity():
     rho_t = evolve(rho0, system, bath, 2.0)
     assert rho_t.trace == pytest.approx(1.0, abs=1e-12)
     assert rho_t.min_eigenvalue() >= -1e-9
-    fixed = _reference_states(rho0, system, bath, [2.0], fixed_steps=4000)[0]
-    np.testing.assert_allclose(fixed.matrix, rho_t.matrix, atol=1e-8)
+    reference = _reference_states(rho0, system, bath, [2.0])[0]
+    np.testing.assert_allclose(reference.matrix, rho_t.matrix, atol=1e-8)
 
 
 def test_evolve_time_edge_cases():

