@@ -36,11 +36,9 @@ from .dynamics import (
 )
 from .neardegen import (
     NearDegenerateSystem,
-    PerturbationCoefficients,
     evolve_neardegenerate,
     neardegenerate_generator,
     nonsecular_rhs_matrix,
-    perturbation_coefficients,
     perturbative_solution,
     thermalize_independent,
 )
@@ -53,7 +51,6 @@ from .protocols import (
     GeneralInitialState,
     ProtocolLedger,
     ProtocolStep,
-    RoundPlan,
     RoundResult,
     coherence_unitary,
     discretized_quasistatic,
@@ -66,7 +63,6 @@ from .protocols import (
     run_protocol1,
 )
 from .thermo import (
-    EigenTriple,
     HamiltonianSpec,
     eigen_subspace,
     fed,
@@ -85,18 +81,15 @@ __all__ = [
     "CoherenceVector",
     "DegenerateSystem",
     "DensityMatrix",
-    "EigenTriple",
     "GeneralInitialState",
     "GeneratorMatrix",
     "HamiltonianSpec",
     "NearDegenerateSystem",
     "NumericsError",
-    "PerturbationCoefficients",
     "PhysicalityError",
     "ProtocolLedger",
     "ProtocolStep",
     "RatePair",
-    "RoundPlan",
     "RoundResult",
     "analytic_evolution_aligned",
     "bath_from_json",
@@ -120,7 +113,6 @@ __all__ = [
     "neardegenerate_generator",
     "nonsecular_rhs_matrix",
     "optimal_shift_round1",
-    "perturbation_coefficients",
     "perturbative_solution",
     "protocol1_round",
     "protocol2",

@@ -96,6 +96,8 @@ def rates_at(bath: BathSpec, omega: float) -> RatePair:
     if not omega > 0.0:
         raise ValueError(f"transition frequency must be positive, got {omega}")
     gamma_plus = float(bath.rate_fn(omega))
+    if not math.isfinite(gamma_plus):
+        raise ValueError(f"rate profile returned non-finite rate at omega={omega}")
     if gamma_plus < 0.0:
         raise ValueError(f"rate profile returned negative rate at omega={omega}")
     return RatePair(gamma_plus, math.exp(-bath.beta * omega) * gamma_plus)

@@ -128,10 +128,3 @@ class DensityMatrix:
         return [
             [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
         ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[Sequence[float]]]) -> "DensityMatrix":
-        m = np.array(
-            [[complex(pair[0], pair[1]) for pair in row] for row in data]
-        )
-        return cls(m)

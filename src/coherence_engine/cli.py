@@ -7,8 +7,9 @@ rerun with the same config and version is byte identical.
 
 Subcommands: evolve, steady, protocol1, protocol2, figure-wfed,
 neardegen-check.  Exit codes: 0 success, 2 config error, 3 numerical
-failure.  Diagnostics go to stderr as single-line JSON.  The env var
-COHERENCE_ENGINE_LOG in {error, warn, info, debug} sets log verbosity.
+failure or out of memory.  Diagnostics go to stderr as single-line JSON.
+The env var COHERENCE_ENGINE_LOG in {error, warn, info, debug} sets log
+verbosity.
 """
 
 from __future__ import annotations
@@ -453,10 +454,10 @@ def cmd_protocol1(run: _Run) -> int:
         cumulative += r.net_work
         rows.append(
             [
-                float(r.plan.index),
-                r.plan.shift,
-                r.plan.lifted_level,
-                r.plan.partition,
+                float(r.index),
+                r.shift,
+                r.lifted_level,
+                r.partition,
                 r.work_in,
                 r.work_out,
                 r.net_work,
@@ -638,6 +639,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except (ValueError, NumericsError) as exc:
         _diagnostic("numerical", str(exc))
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        _diagnostic("numerical", f"out of memory: {exc}")
         return EXIT_NUMERICAL
     except OSError as exc:
         _diagnostic("config", f"output failure: {exc}")

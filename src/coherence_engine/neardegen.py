@@ -81,54 +81,6 @@ class NearDegenerateSystem:
         return self.omega2 - self.omega1
 
 
-@dataclass(frozen=True)
-class PerturbationCoefficients:
-    """Initial-condition combinations entering the first-order correction.
-
-    All six are dimensionless functions of the initial data (a, b, c, d),
-    the Boltzmann factor x, the base emission rate, and the differential
-    rates.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-    b3: float
-
-
-def perturbation_coefficients(
-    init: Tuple[float, float, float, float],
-    base_rates: RatePair,
-    diff_rates: RatePair,
-    x: float,
-) -> PerturbationCoefficients:
-    """Closed-form coefficient set for the splitting correction.
-
-    base_rates holds the emission/absorption pair at omega1 and
-    diff_rates the difference quotients across the splitting.  Every
-    coefficient is per unit base emission rate, so a rate of 0 at
-    omega1 raises ValueError.
-    """
-    a, b, c, _d = (float(v) for v in init)
-    g = base_rates.gamma_plus
-    if g == 0.0:
-        raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
-    dgp, dgm = diff_rates.gamma_plus, diff_rates.gamma_minus
-    big_a = 1.0 + x
-    big_b = 1.0 + 2.0 * x
-    return PerturbationCoefficients(
-        a1=(2.0 * dgm * (1.0 + b + 2.0 * c) - dgp * (1.0 + 2.0 * x - b - 2.0 * c))
-        / (4.0 * g * big_a),
-        a2=dgp * (1.0 - 2.0 * a - b) / (2.0 * g),
-        a3=(2.0 * dgm + dgp) * (big_b * b - 1.0 - 2.0 * c) / (4.0 * g * big_a),
-        b1=(dgp - dgm) * (1.0 + b + 2.0 * c) / (2.0 * g * big_a),
-        b2=dgp * (2.0 * a + b - 1.0) / (2.0 * g),
-        b3=(dgp + dgm) * (1.0 + 2.0 * c - big_b * b) / (2.0 * g * big_a),
-    )
-
-
 def neardegenerate_generator(
     system: NearDegenerateSystem, bath: BathSpec
 ) -> GeneratorMatrix:
@@ -220,7 +172,6 @@ def _first_order(
     x: float,
     g: float,
     diff: RatePair,
-    coeffs: PerturbationCoefficients,
 ) -> np.ndarray:
     """First-order splitting correction (per unit delta), by direct solution.
 
@@ -235,7 +186,7 @@ def _first_order(
     fast are those two decay factors at t.
     """
     a, b, c, d = init
-    dgp = diff.gamma_plus
+    dgp, dgm = diff.gamma_plus, diff.gamma_minus
     big_a = 1.0 + x
     big_b = 1.0 + 2.0 * x
     p1 = (2.0 * a + b - 1.0) / 2.0
@@ -243,14 +194,17 @@ def _first_order(
     t_inf = (-1.0 + big_b * (b + 2.0 * c)) / (4.0 * big_a)
     s_inf = (1.0 + b + 2.0 * c) / (2.0 * big_a)
 
-    # Source amplitudes for the population-transfer sector.  The five
-    # transient/initial-asymmetry amplitudes reduce to the closed-form
-    # coefficient set; the constant source mixes the steady populations
-    # with the Boltzmann-weighted emission derivative.
-    s0_inf = g * coeffs.a1
-    s0_2 = g * coeffs.a3
-    s1_inf = (x * dgp - diff.gamma_minus) * s_inf
-    s1_2 = g * coeffs.b3
+    # Source amplitudes for the population-transfer sector.  Three are g
+    # times a coefficient per unit base emission rate, left uncancelled
+    # to keep their rounding; the constant source mixes the steady
+    # populations with the Boltzmann-weighted emission derivative.
+    s0_inf = g * (
+        (2.0 * dgm * (1.0 + b + 2.0 * c) - dgp * (1.0 + 2.0 * x - b - 2.0 * c))
+        / (4.0 * g * big_a)
+    )
+    s0_2 = g * ((2.0 * dgm + dgp) * (big_b * b - 1.0 - 2.0 * c) / (4.0 * g * big_a))
+    s1_inf = (x * dgp - dgm) * s_inf
+    s1_2 = g * ((dgp + dgm) * (1.0 + 2.0 * c - big_b * b) / (2.0 * g * big_a))
 
     s3_inf = -t_inf
     s3_1 = -(dgp / 2.0) * d
@@ -296,8 +250,7 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     a, b, c, d = (float(v) for v in init)
     CoherenceVector(a, b, c, d).to_density().validate()
     times = _checked_times(times, system)
-    base = rates_at(bath, system.omega1)
-    g = base.gamma_plus
+    g = rates_at(bath, system.omega1).gamma_plus
     x = math.exp(-bath.beta * system.omega1)
     slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
     zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast))
@@ -305,8 +258,10 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     if delta == 0.0:
         return zeroth.T
     diff = rate_derivative(bath, system.omega1, delta)
-    coeffs = perturbation_coefficients((a, b, c, d), base, diff, x)
-    first = _first_order(times, slow, fast, (a, b, c, d), x, g, diff, coeffs)
+    # The correction is per unit base emission rate.
+    if g == 0.0:
+        raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
+    first = _first_order(times, slow, fast, (a, b, c, d), x, g, diff)
     return (zeroth + delta * first).T
 
 

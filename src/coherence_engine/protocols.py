@@ -54,7 +54,6 @@ class ProtocolStep:
     work_out: float
     coherence_before: float
     coherence_after: float
-    state_before: DensityMatrix
     state_after: DensityMatrix
 
     def __post_init__(self) -> None:
@@ -181,32 +180,17 @@ class GeneralInitialState:
 
 
 @dataclass(frozen=True)
-class RoundPlan:
-    """Level bookkeeping for one round of the repeated protocol."""
+class RoundResult:
+    """Per-round series entry of the repeated protocol driver.
+
+    The round lifts a level from omega to lifted_level = omega + shift;
+    partition is the split system's 1 + e^{-beta omega} + e^{-beta lifted}.
+    """
 
     index: int
     shift: float
     lifted_level: float
     partition: float
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError("round index starts at 1")
-        if self.shift <= 0.0:
-            raise ValueError("shift must be positive")
-
-    @classmethod
-    def build(cls, index: int, shift: float, beta: float, omega: float) -> "RoundPlan":
-        lifted = omega + shift
-        z = 1.0 + math.exp(-beta * omega) + math.exp(-beta * lifted)
-        return cls(index=index, shift=shift, lifted_level=lifted, partition=z)
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Per-round series entry of the repeated protocol driver."""
-
-    plan: RoundPlan
     work_in: float
     work_out: float
     coherence_after: float
@@ -282,8 +266,8 @@ def _ledger(rows) -> ProtocolLedger:
     c = _l1_coherences(ms.reshape(-1, 3, 3)).tolist()
     return ProtocolLedger(
         [
-            ProtocolStep(label, w_in, w_out, c[2 * k], c[2 * k + 1], before, after)
-            for k, (label, before, after, w_in, w_out) in enumerate(rows)
+            ProtocolStep(label, w_in, w_out, c[2 * k], c[2 * k + 1], after)
+            for k, (label, _before, after, w_in, w_out) in enumerate(rows)
         ]
     )
 
@@ -441,7 +425,7 @@ def run_protocol1(
 
     rows: list = []
     checked: List[DensityMatrix] = []
-    plans: List[RoundPlan] = []
+    shifts: List[float] = []
     state = initial
     for index in range(1, max_rounds + 1):
         m = state.matrix
@@ -458,20 +442,26 @@ def run_protocol1(
         )
         rows += round_rows
         checked += [state, rotated]
-        plans.append(RoundPlan.build(index, shift, beta, omega))
+        shifts.append(shift)
         state = final
-    if plans:
+    if shifts:
         _validate_all(checked + [state])
     ledger = _ledger(rows)
-    results = [
-        RoundResult(
-            plan=plan,
-            work_in=math.fsum(s.work_in for s in ledger.steps[5 * k : 5 * k + 5]),
-            work_out=math.fsum(s.work_out for s in ledger.steps[5 * k : 5 * k + 5]),
-            coherence_after=ledger.steps[5 * k + 4].coherence_after,
+    results = []
+    for k, shift in enumerate(shifts):
+        lifted = omega + shift
+        steps = ledger.steps[5 * k : 5 * k + 5]
+        results.append(
+            RoundResult(
+                index=k + 1,
+                shift=shift,
+                lifted_level=lifted,
+                partition=1.0 + math.exp(-beta * omega) + math.exp(-beta * lifted),
+                work_in=math.fsum(s.work_in for s in steps),
+                work_out=math.fsum(s.work_out for s in steps),
+                coherence_after=steps[4].coherence_after,
+            )
         )
-        for k, plan in enumerate(plans)
-    ]
     return ledger, results
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -23,18 +24,15 @@ _ENTROPY_CLAMP = 1e-300
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Diagonal system Hamiltonian (E2, E1, E0) in basis order (|2>, |1>, |0>).
+    """Diagonal system Hamiltonian (E2, E1, 0) in basis order (|2>, |1>, |0>).
 
-    The ground energy is the reference and must be exactly zero.
+    The ground energy is the reference, fixed at zero.
     """
 
     e2: float
     e1: float
-    e0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.e0 != 0.0:
-            raise ValueError("ground-state energy must be zero (reference level)")
         if self.e2 < 0.0 or self.e1 < 0.0:
             raise ValueError("excited energies must be non-negative")
 
@@ -43,30 +41,7 @@ class HamiltonianSpec:
         return cls(e2=omega, e1=omega)
 
     def matrix(self) -> np.ndarray:
-        return np.diag([self.e2, self.e1, self.e0]).astype(complex)
-
-    def partition_function(self, beta: float) -> float:
-        return 1.0 + math.exp(-beta * self.e1) + math.exp(-beta * self.e2)
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """Eigenvalues (lambda0, lambda_plus, lambda_minus) of a subspace state."""
-
-    lambda0: float
-    lambda_plus: float
-    lambda_minus: float
-
-    def __post_init__(self) -> None:
-        total = self.lambda0 + self.lambda_plus + self.lambda_minus
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"eigenvalues must sum to 1, got {total!r}")
-        for lam in (self.lambda0, self.lambda_plus, self.lambda_minus):
-            if lam < -1e-12:
-                raise ValueError(f"eigenvalue {lam!r} below zero")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lambda0, self.lambda_plus, self.lambda_minus])
+        return np.diag([self.e2, self.e1, 0.0]).astype(complex)
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
@@ -80,12 +55,14 @@ def _l1_coherences(ms: np.ndarray) -> np.ndarray:
     return m.sum(axis=(-2, -1)) - m.trace(axis1=-2, axis2=-1)
 
 
-def eigen_subspace(rho: DensityMatrix) -> EigenTriple:
+def eigen_subspace(rho: DensityMatrix) -> Tuple[float, float, float]:
     """Closed-form spectrum of a state with no ground-excited coherence.
 
     For rho20 = rho10 = 0 the ground level decouples, leaving
     lambda0 = rho00 and the two excited-block eigenvalues
     lambda_pm = [rho11 + rho22 +- sqrt((rho11 - rho22)^2 + 4 |rho12|^2)] / 2.
+    Returns (lambda0, lambda_plus, lambda_minus); one below -1e-12 raises
+    ValueError.
     """
     m = rho.matrix
     outer = max(abs(m[0, 2]), abs(m[1, 2]))
@@ -98,7 +75,10 @@ def eigen_subspace(rho: DensityMatrix) -> EigenTriple:
     root = math.sqrt((r11 - r22) ** 2 + 4.0 * abs(m[0, 1]) ** 2)
     lam_plus = 0.5 * (r11 + r22 + root)
     lam_minus = 0.5 * (r11 + r22 - root)
-    return EigenTriple(lam0, lam_plus, lam_minus)
+    for lam in (lam0, lam_plus, lam_minus):
+        if lam < -1e-12:
+            raise ValueError(f"eigenvalue {lam!r} below zero")
+    return lam0, lam_plus, lam_minus
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -143,12 +123,12 @@ def fed_subspace(rho: DensityMatrix, omega: float, beta: float) -> float:
     with Z = 1 + 2 exp(-beta omega).  Agrees with the generic fed() path
     to high precision and exists as an independent route for testing.
     """
-    triple = eigen_subspace(rho)
+    spectrum = eigen_subspace(rho)
     m = rho.matrix
     excited = float(m[0, 0].real + m[1, 1].real)
     z = 1.0 + 2.0 * math.exp(-beta * omega)
     lam_sum = 0.0
-    for lam in triple.as_array():
+    for lam in spectrum:
         if lam > _ENTROPY_CLAMP:
             lam_sum += lam * math.log(lam)
     return omega * excited + (lam_sum + math.log(z)) / beta

@@ -65,6 +65,15 @@ def test_rates_at_requires_positive_frequency():
         rates_at(bath, 0.0)
 
 
+def test_rates_at_rejects_non_finite_rates():
+    # NaN passes a "< 0" check, and a non-finite rate would otherwise
+    # reach the steady state and the protocols as a plausible number.
+    for bad in (math.nan, math.inf, -math.inf):
+        bath = BathSpec(beta=1.0, rate_fn=lambda omega, bad=bad: bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            rates_at(bath, 1.0)
+
+
 def test_cross_rates_pattern():
     bath = BathSpec(beta=1.0, alignment=0.4)
     gamma_plus, gamma_minus = cross_rates(bath, 1.0)

@@ -506,6 +506,31 @@ def test_numerical_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert "diverged" in err["message"]
 
 
+def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch):
+    """A time grid too large to allocate is a numerical failure, not a traceback."""
+    real_linspace = np.linspace
+
+    def linspace(start, stop, num=50, **kwargs):
+        if num > 10**9:  # what numpy raises, without allocating
+            raise MemoryError(f"Unable to allocate {num * 8} bytes")
+        return real_linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    for command, system, section in (
+        ("evolve", {"omega": 1.0}, "evolve"),
+        ("neardegen-check", {"omega1": 1.0, "omega2": 1.005}, "neardegen"),
+    ):
+        out = tmp_path / command
+        config = {"system": system, section: {"samples": 10**15}, "out": str(out)}
+        assert _run(tmp_path, command, config) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numerical"
+        assert "out of memory" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_runtime_value_error_exit_3(tmp_path, capsys, monkeypatch):
     def reject(*args, **kwargs):
         raise ValueError("state drifted")

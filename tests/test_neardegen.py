@@ -7,10 +7,8 @@ import pytest
 
 from coherence_engine.bath import (
     BathSpec,
-    RatePair,
     flat_rate,
     rate_derivative,
-    rates_at,
     tabulated_rate,
 )
 from coherence_engine.bloch import DensityMatrix
@@ -28,7 +26,6 @@ from coherence_engine.neardegen import (
     evolve_neardegenerate,
     neardegenerate_generator,
     nonsecular_rhs_matrix,
-    perturbation_coefficients,
     perturbative_solution,
     thermalize_independent,
 )
@@ -235,48 +232,45 @@ def test_validity_window_warning(caplog):
     assert any("validity window" in r.message for r in caplog.records)
 
 
-def test_perturbation_coefficients_formulas():
-    init = (0.3, 0.25, 0.1, 0.02)
-    a, b, c, _ = init
+def test_first_order_richardson_slope_matches_numerics(subspace_sampler):
+    """The first-order slope, extrapolated to delta -> 0, agrees between routes.
+
+    s(delta) = (solution - zeroth order) / delta has an O(delta) error on
+    either route; 2 s(delta/2) - s(delta) removes it, so every term of the
+    correction, and not only its leading one, is checked against the
+    exact propagation.
+    """
     bath = BathSpec(beta=1.0, rate_fn=RAMP, alignment=1.0)
-    base = rates_at(bath, 1.0)
-    diff = rate_derivative(bath, 1.0, 0.04)
-    x = math.exp(-1.0)
-    co = perturbation_coefficients(init, base, diff, x)
-    g = base.gamma_plus
-    dgp, dgm = diff.gamma_plus, diff.gamma_minus
-    assert co.a1 == pytest.approx(
-        (2.0 * dgm * (1.0 + b + 2.0 * c) - dgp * (1.0 + 2.0 * x - b - 2.0 * c))
-        / (4.0 * g * (1.0 + x))
-    )
-    assert co.a2 == pytest.approx(dgp * (1.0 - 2.0 * a - b) / (2.0 * g))
-    assert co.b2 == pytest.approx(-co.a2)
-    assert co.a3 == pytest.approx(
-        (2.0 * dgm + dgp)
-        * ((1.0 + 2.0 * x) * b - 1.0 - 2.0 * c)
-        / (4.0 * g * (1.0 + x))
-    )
-    assert co.b3 == pytest.approx(
-        (dgp + dgm)
-        * (1.0 + 2.0 * c - (1.0 + 2.0 * x) * b)
-        / (2.0 * g * (1.0 + x))
-    )
-    # a flat profile has no emission-rate slope, so the dgp terms drop out
-    flat_bath = BathSpec(beta=1.0, alignment=1.0)
-    flat_diff = rate_derivative(flat_bath, 1.0, 0.04)
-    assert flat_diff.gamma_plus == 0.0
-    flat_co = perturbation_coefficients(
-        init, rates_at(flat_bath, 1.0), flat_diff, x
-    )
-    assert flat_co.a2 == 0.0
-    assert flat_co.b2 == 0.0
+    delta = 2e-3
+    flat = NearDegenerateSystem(1.0, 1.0)
+    for _ in range(3):
+        init = subspace_sampler()
+        for t in (0.5, 1.0, 3.0, 8.0):
+            zeroth = perturbative_solution(init, flat, bath, t).as_array()
+
+            def slopes(d):
+                system = NearDegenerateSystem(1.0, 1.0 + d)
+                pert = perturbative_solution(init, system, bath, t).as_array()
+                exact = evolve_neardegenerate(
+                    CoherenceVector(*init), system, bath, t
+                ).as_array()
+                return (pert - zeroth) / d, (exact - zeroth) / d
+
+            (pert_half, exact_half), (pert_full, exact_full) = (
+                slopes(0.5 * delta), slopes(delta)
+            )
+            np.testing.assert_allclose(
+                2.0 * pert_half - pert_full,
+                2.0 * exact_half - exact_full,
+                rtol=0.0,
+                atol=1e-5,
+                err_msg=f"init={init}, t={t}",
+            )
 
 
 def test_splitting_correction_needs_emission_at_omega1():
-    """Every coefficient is per unit emission rate: g = 0 is a ValueError."""
+    """The correction is per unit emission rate: g = 0 is a ValueError."""
     init = (0.3, 0.25, 0.1, 0.02)
-    with pytest.raises(ValueError, match="emission rate"):
-        perturbation_coefficients(init, RatePair(0.0, 0.0), RatePair(0.5, 0.1), 0.5)
     dark = BathSpec(beta=1.0, rate_fn=flat_rate(0.0), alignment=1.0)
     with pytest.raises(ValueError, match="emission rate"):
         perturbative_solution(init, NearDegenerateSystem(1.0, 1.005), dark, 1.0)

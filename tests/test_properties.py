@@ -120,7 +120,7 @@ def test_protocol1_consumes_coherence_as_fuel(beta, omega):
     for before, after in zip(coherence, coherence[1:]):
         assert after <= before, (before, after)
     for r in rounds:
-        assert r.net_work >= -ROUNDING, (r.plan.index, r.net_work)
+        assert r.net_work >= -ROUNDING, (r.index, r.net_work)
 
 
 def _gibbs_residual(generator, rho):

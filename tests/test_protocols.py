@@ -12,7 +12,6 @@ from coherence_engine.protocols import (
     GeneralInitialState,
     ProtocolLedger,
     ProtocolStep,
-    RoundPlan,
     RoundResult,
     coherence_unitary,
     discretized_quasistatic,
@@ -44,7 +43,6 @@ def _dummy_step(work_in=0.0, work_out=0.0):
         work_out=work_out,
         coherence_before=0.0,
         coherence_after=0.0,
-        state_before=state,
         state_after=state,
     )
 
@@ -243,7 +241,7 @@ def test_optimal_shift_next_maximizes_executed_round():
     shift1 = optimal_shift_round1(beta, omega)
     rho0 = protocol_initial_state(beta, omega)
     _, state1 = protocol1_round(rho0, omega, beta, shift1, BATH)
-    shift2 = run_protocol1(rho0, omega, beta, BATH)[1][1].plan.shift
+    shift2 = run_protocol1(rho0, omega, beta, BATH)[1][1].shift
     assert 0.0 < shift2 < shift1
 
     def round_net(shift):
@@ -260,7 +258,7 @@ def test_run_protocol1_full_series():
     rho0 = protocol_initial_state(beta, omega)
     ledger, rounds = run_protocol1(rho0, omega, beta, BATH)
     assert len(rounds) == 8
-    shifts = [r.plan.shift for r in rounds]
+    shifts = [r.shift for r in rounds]
     assert shifts[0] == pytest.approx(optimal_shift_round1(beta, omega), abs=1e-12)
     assert all(s2 < s1 for s1, s2 in zip(shifts, shifts[1:]))
     assert all(r.net_work > 0.0 for r in rounds)
@@ -277,6 +275,15 @@ def test_run_protocol1_full_series():
     final = ledger.final_state
     target = gibbs(HamiltonianSpec.degenerate(omega), beta)
     assert trace_distance(final, target) < 1e-6
+
+
+def test_run_protocol1_rejects_a_non_finite_rate_profile():
+    """A NaN or inf rate raises instead of booking the flat-rate work."""
+    rho0 = protocol_initial_state(1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        bath = BathSpec(beta=1.0, rate_fn=lambda omega, bad=bad: bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_protocol1(rho0, 1.0, 1.0, bath)
 
 
 def test_run_protocol1_exhausted_inputs():
@@ -327,13 +334,17 @@ def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
     assert rounds
     steps, expected_rounds, state = [], [], rho0
     for r in rounds:
-        round_ledger, state = protocol1_round(state, omega, beta, r.plan.shift, bath)
+        round_ledger, state = protocol1_round(state, omega, beta, r.shift, bath)
         steps += [
-            dataclasses.replace(s, label=f"round {r.plan.index}: {s.label}")
+            dataclasses.replace(s, label=f"round {r.index}: {s.label}")
             for s in round_ledger.steps
         ]
+        lifted = omega + r.shift
         expected_rounds.append(RoundResult(
-            plan=RoundPlan.build(r.plan.index, r.plan.shift, beta, omega),
+            index=r.index,
+            shift=r.shift,
+            lifted_level=lifted,
+            partition=1.0 + math.exp(-beta * omega) + math.exp(-beta * lifted),
             work_in=math.fsum(s.work_in for s in round_ledger.steps),
             work_out=math.fsum(s.work_out for s in round_ledger.steps),
             coherence_after=round_ledger.steps[-1].coherence_after,
@@ -341,8 +352,7 @@ def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
 
     def bits(step):
         return repr((step.label, step.work_in, step.work_out, step.coherence_before,
-                     step.coherence_after, step.state_before.matrix.tolist(),
-                     step.state_after.matrix.tolist()))
+                     step.coherence_after, step.state_after.matrix.tolist()))
 
     assert [bits(s) for s in ledger.steps] == [bits(s) for s in steps]
     assert repr(rounds) == repr(expected_rounds)

@@ -6,7 +6,6 @@ import pytest
 from coherence_engine.bloch import DensityMatrix
 from coherence_engine.dynamics import CoherenceVector
 from coherence_engine.thermo import (
-    EigenTriple,
     HamiltonianSpec,
     _l1_coherences,
     eigen_subspace,
@@ -37,11 +36,6 @@ def _coherent_stationary_state(beta, omega):
 def test_hamiltonian_spec():
     ham = HamiltonianSpec.degenerate(1.3)
     np.testing.assert_allclose(ham.matrix(), np.diag([1.3, 1.3, 0.0]), atol=0.0)
-    assert ham.partition_function(2.0) == pytest.approx(
-        1.0 + 2.0 * math.exp(-2.6), rel=1e-15
-    )
-    with pytest.raises(ValueError):
-        HamiltonianSpec(e2=1.0, e1=1.0, e0=0.5)
     with pytest.raises(ValueError):
         HamiltonianSpec(e2=-1.0, e1=1.0)
 
@@ -65,11 +59,9 @@ def test_eigen_subspace_matches_dense_diagonalization(subspace_sampler):
     for _ in range(40):
         a, b, c, d = subspace_sampler()
         rho = CoherenceVector(a, b, c, d).to_density()
-        triple = eigen_subspace(rho)
+        spectrum = eigen_subspace(rho)
         dense = np.linalg.eigvalsh(rho.matrix)
-        np.testing.assert_allclose(
-            np.sort(triple.as_array()), np.sort(dense), atol=1e-12
-        )
+        np.testing.assert_allclose(np.sort(spectrum), np.sort(dense), atol=1e-12)
 
 
 def test_eigen_subspace_rejects_outer_coherence():
@@ -79,12 +71,17 @@ def test_eigen_subspace_rejects_outer_coherence():
         eigen_subspace(DensityMatrix(m))
 
 
-def test_eigen_triple_validation():
-    EigenTriple(0.2, 0.5, 0.3)
-    with pytest.raises(ValueError):
-        EigenTriple(0.2, 0.5, 0.4)
-    with pytest.raises(ValueError):
-        EigenTriple(-0.2, 0.7, 0.5)
+def test_eigen_subspace_rejects_negative_eigenvalue():
+    # |rho12| = 0.4 exceeds sqrt(rho22 rho11) = 0.3: lambda_minus = -0.1.
+    m = np.diag([0.3, 0.3, 0.4]).astype(complex)
+    m[0, 1] = m[1, 0] = 0.4
+    with pytest.raises(ValueError, match="below zero"):
+        eigen_subspace(DensityMatrix(m))
+    # within the -1e-12 tolerance the spectrum is returned as computed
+    m[0, 1] = m[1, 0] = 0.3 + 1e-13
+    lam0, lam_plus, lam_minus = eigen_subspace(DensityMatrix(m))
+    assert -1e-12 < lam_minus < 0.0
+    assert (lam0, lam_plus) == pytest.approx((0.4, 0.6), abs=1e-12)
 
 
 def test_entropy_limits():
