@@ -508,7 +508,8 @@ def cmd_figure_wfed(run: _Run) -> int:
             shift_floor=float(p1["shift_floor"]),
         )
         x = math.exp(-beta * omega)
-        fed_value = math.log((1.0 + 2.0 * x) / (1.0 + x)) / beta
+        # ln((1 + 2x)/(1 + x)) / beta, in a form that keeps its digits as x -> 0
+        fed_value = math.log1p(x / (1.0 + x)) / beta
         rows.append([beta, ledger.net_work, fed_value])
     csv_path = run.paths[".csv"]
     _write_csv(csv_path, ["beta", "work_protocol1", "fed"], rows, run.digest)

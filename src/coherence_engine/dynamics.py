@@ -3,11 +3,13 @@
 The excited states |2> and |1> share the energy omega and both decay to
 the ground state |0> through dipole transitions whose cross-coupling is
 set by the bath alignment p.  The master equation splits into two
-decoupled sectors.  The 4-vector Pi = (rho22, rho00, rho_plus,
-rho_minus) of excited populations and excited-excited coherence obeys
-the affine equation dPi/dt = M Pi - b.  The block (rho20, rho10) of
-ground-excited coherences obeys a homogeneous 2x2 equation and only
-decays; its conjugate (rho02, rho01) follows by Hermiticity.
+decoupled sectors.  The real 4-vector Pi = (r22, r00, r+ = Re rho21,
+d = Im rho21) obeys the affine equation dPi/dt = M Pi - b, with M built
+by the same function as neardegen's, whose splitting delta couples r+
+and d through the pair (+delta, -delta); here delta = 0.  The block
+(rho20, rho10) of ground-excited coherences obeys a homogeneous 2x2
+equation and only decays; its conjugate (rho02, rho01) follows by
+Hermiticity.
 
 Sign convention: with the generator written as dPi/dt = M Pi - b, every
 eigenvalue of M has a non-positive real part; for |p| < 1 all real
@@ -30,7 +32,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .bath import BathSpec, cross_rates, rates_at
+from .bath import BathSpec, RatePair, cross_rates, rates_at
 from .bloch import DensityMatrix, _hermitian_eigenvalues, _require_hermitian_unit_trace
 from .numerics import exp_modes, integrate_ode, propagate_affine
 from .thermo import _l1_coherences
@@ -126,59 +128,45 @@ class CoherenceVector:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Affine generator (M, b) of the coherence-vector equation.
-
-    dPi/dt = matrix . Pi - constant.  The matrix acts on the complex
-    vector (rho22, rho00, rho_plus, rho_minus); for the degenerate
-    system it is real, while the near-degenerate generator carries
-    imaginary couplings between rho_plus and rho_minus.
-    """
+    """Read-only generator (M, b): dPi/dt = M Pi - b on the real (r22, r00, r+, d)."""
 
     matrix: np.ndarray
     constant: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        c = np.array(self.constant, dtype=complex)
-        if m.shape != (4, 4) or c.shape != (4,):
-            raise ValueError("generator needs a 4x4 matrix and a 4-vector")
-        m.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "constant", c)
+        self.matrix.setflags(write=False)
+        self.constant.setflags(write=False)
 
     def real_form(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The generator rewritten on the real vector (r22, r00, r+, d).
+        """Writable copies of (matrix, constant)."""
+        return self.matrix.copy(), self.constant.copy()
 
-        Substituting rho_minus = i d amounts to conjugating by
-        diag(1, 1, 1, i): column 4 picks up a factor i and row 4 a
-        factor -i, which turns the -i delta couplings of the
-        near-degenerate generator into the real pair (+delta, -delta).
-        """
-        transform = np.diag([1.0, 1.0, 1.0, 1j])
-        inverse = np.diag([1.0, 1.0, 1.0, -1j])
-        m_real = inverse @ self.matrix @ transform
-        b_real = inverse @ self.constant
-        if np.max(np.abs(m_real.imag)) > 1e-14 or np.max(np.abs(b_real.imag)) > 1e-14:
-            raise ValueError("generator has no real form on (r22, r00, r+, d)")
-        return m_real.real.copy(), b_real.real.copy()
+
+def _generator(r1: RatePair, r2: RatePair, p: float, delta: float) -> GeneratorMatrix:
+    """The generator for excited levels at omega1 (rates r1) and omega1 + delta (r2).
+
+    At r1 = r2 and delta = 0 it is the degenerate generator bit for bit:
+    gm1 + gm2 is then exactly 2 gm.
+    """
+    gp1, gm1 = r1.gamma_plus, r1.gamma_minus
+    gp2, gm2 = r2.gamma_plus, r2.gamma_minus
+    loss = gp1 + (gm1 + gm2)
+    matrix = np.array(
+        [
+            [-gp2, gm2, -p * gp1, 0.0],
+            [gp2 - gp1, -loss, p * (gp1 + gp2), 0.0],
+            [0.5 * p * (gp1 - gp2), 0.5 * p * loss, -0.5 * (gp1 + gp2), delta],
+            [0.0, 0.0, -delta, -0.5 * (gp1 + gp2)],
+        ]
+    )
+    constant = np.array([0.0, -gp1, 0.5 * p * gp1, 0.0])
+    return GeneratorMatrix(matrix, constant)
 
 
 def coherence_generator(system: DegenerateSystem, bath: BathSpec) -> GeneratorMatrix:
     """The affine generator of the degenerate coherence-vector equation."""
     pair = rates_at(bath, system.omega)
-    gp, gm = pair.gamma_plus, pair.gamma_minus
-    p = bath.alignment
-    matrix = np.array(
-        [
-            [-gp, gm, -p * gp, 0.0],
-            [0.0, -(gp + 2.0 * gm), 2.0 * p * gp, 0.0],
-            [0.0, 0.5 * p * (gp + 2.0 * gm), -gp, 0.0],
-            [0.0, 0.0, 0.0, -gp],
-        ]
-    )
-    constant = np.array([0.0, -gp, 0.5 * p * gp, 0.0])
-    return GeneratorMatrix(matrix, constant)
+    return _generator(pair, pair, bath.alignment, 0.0)
 
 
 def _sigma_ops() -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -263,9 +251,9 @@ def evolve_trajectory(
 ) -> List[DensityMatrix]:
     """States along a time grid, by exact propagation of each sector.
 
-    The 4-vector (rho22, rho00, rho_plus, rho_minus) is propagated on the
-    real form of coherence_generator about steady_state (alignments within
-    ALIGNED_TOL of +-1 taken as +-1), one decomposition for every time.
+    The 4-vector (r22, r00, r+, d) is propagated on coherence_generator
+    about steady_state (alignments within ALIGNED_TOL of +-1 taken as +-1),
+    one decomposition for every time.
     The ground-excited coherences obey d/dt (rho20, rho10) =
     [[a, b], [b, a]] (rho20, rho10) with a = -i omega - gamma_plus/2 -
     gamma_minus and b = -p gamma_plus/2, so rho20 +- rho10 decay as
@@ -281,8 +269,8 @@ def evolve_trajectory(
     bath = _model_bath(bath)
     init = CoherenceVector.from_density(rho0).as_array()
     fixed = CoherenceVector.from_density(steady_state(system, bath, init)).as_array()
-    m_real, _b_real = coherence_generator(system, bath).real_form()
-    r22, r00, rp, d = propagate_affine(m_real, fixed, init, times).T
+    matrix = coherence_generator(system, bath).matrix
+    r22, r00, rp, d = propagate_affine(matrix, fixed, init, times).T
     pair = rates_at(bath, system.omega)
     a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
     b = -0.5 * bath.alignment * pair.gamma_plus
@@ -359,17 +347,19 @@ def analytic_evolution_aligned(
     For perfectly aligned dipoles the coherence-vector equation has the
     explicit solution of _aligned_vector, parameterized by the initial
     data rho22(0) = a, rho00(0) = b, rho_plus(0) = c, rho_minus(0) = i d
-    and x = exp(-beta omega).  Accepts a scalar or array of times and
-    returns (rho22, rho00, rho12) with rho12 complex.
+    and x = exp(-beta omega).  Accepts a scalar or array of finite,
+    non-negative times and returns (rho22, rho00, rho12) with rho12 complex.
     """
     if not _is_aligned(bath):
         raise ValueError("closed-form evolution requires alignment = 1")
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise ValueError("evolution time must be finite and non-negative")
     a, b, c, d = (float(v) for v in init)
     CoherenceVector(a, b, c, d).to_density().validate()
     pair = rates_at(bath, system.omega)
     g = pair.gamma_plus
     x = math.exp(-bath.beta * system.omega)
-    t = np.asarray(t, dtype=float)
     slow, fast = exp_modes(-g, t), exp_modes(-2.0 * (1.0 + x) * g, t)
     rho22, rho00, rho_plus, d_t = _aligned_vector((a, b, c, d), x, slow, fast)
     rho12 = rho_plus - 1j * d_t

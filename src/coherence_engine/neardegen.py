@@ -12,9 +12,8 @@ The equation is written for the dressed combinations
 rho_plus/minus = (e^{-i delta t} rho21 +- e^{i delta t} rho12)/2 of the
 interaction-picture state.  Those combinations equal the plain
 Schroedinger-picture coherences, so the generator here is
-time-independent and acts on the ordinary coherence vector; the
-off-diagonal -i*delta entries are exactly the commutator of the excited
-splitting.
+time-independent and acts on the real vector (r22, r00, r+, d = Im rho21);
+its pair (+delta, -delta) is exactly the excited splitting's commutator.
 
 The reduced description is trusted only inside the window
 tau_S << t << 1/delta (tau_S = 1/omega1); evolutions beyond
@@ -39,6 +38,7 @@ from .dynamics import (
     DegenerateSystem,
     GeneratorMatrix,
     _aligned_vector,
+    _generator,
     _is_aligned,
     _model_bath,
     _sigma_ops,
@@ -86,29 +86,11 @@ def neardegenerate_generator(
 ) -> GeneratorMatrix:
     """Affine generator of the dressed coherence-vector equation.
 
-    Reduces entrywise to the degenerate generator when the splitting
-    vanishes; for delta > 0 the (rho_plus, rho_minus) pair is coupled by
-    -i delta.  The constant vector keeps the base-frequency emission
-    rate.
+    dynamics' builder with rates at omega1 and omega2 and the coupling
+    (+delta, -delta) of (r+, d); at delta = 0 it is coherence_generator.
     """
-    r1 = rates_at(bath, system.omega1)
-    r2 = rates_at(bath, system.omega2)
-    p = bath.alignment
-    delta = system.delta
-    gp1, gm1 = r1.gamma_plus, r1.gamma_minus
-    gp2, gm2 = r2.gamma_plus, r2.gamma_minus
-    matrix = np.array(
-        [
-            [-gp2, gm2, -p * gp1, 0.0],
-            [gp2 - gp1, -(gp1 + gm1 + gm2), p * (gp1 + gp2), 0.0],
-            [0.5 * p * (gp1 - gp2), 0.5 * p * (gp1 + gm1 + gm2),
-             -0.5 * (gp1 + gp2), -1j * delta],
-            [0.0, 0.0, -1j * delta, -0.5 * (gp1 + gp2)],
-        ],
-        dtype=complex,
-    )
-    constant = np.array([0.0, -gp1, 0.5 * p * gp1, 0.0], dtype=complex)
-    return GeneratorMatrix(matrix, constant)
+    r1, r2 = rates_at(bath, system.omega1), rates_at(bath, system.omega2)
+    return _generator(r1, r2, bath.alignment, system.delta)
 
 
 def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
@@ -144,14 +126,14 @@ def _neardegenerate_series(
     """
     times = _checked_times(times, system)
     bath = _model_bath(bath)
-    m_real, _b_real = neardegenerate_generator(system, bath).real_form()
+    matrix = neardegenerate_generator(system, bath).matrix
     init = pi0.as_array()
     if system.delta == 0.0:
         limit = steady_state(DegenerateSystem(system.omega1), bath, init)
     else:
         limit = _independent_gibbs(system.omega1, system.omega2, bath.beta)
     fixed = CoherenceVector.from_density(limit).as_array()
-    return propagate_affine(m_real, fixed, init, times)
+    return propagate_affine(matrix, fixed, init, times)
 
 
 def evolve_neardegenerate(

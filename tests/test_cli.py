@@ -231,7 +231,7 @@ def test_protocol2_quadrature_mode(tmp_path):
 
 
 def test_figure_wfed_serial_and_parallel(tmp_path):
-    grid = [0.5, 1.0, 2.0]
+    grid = [0.5, 1.0, 2.0, 20.0, 40.0]
     serial = {
         "figure": {"beta_grid": grid, "jobs": 1},
         "out": str(tmp_path / "serial"),
@@ -246,6 +246,11 @@ def test_figure_wfed_serial_and_parallel(tmp_path):
     assert row[2] == pytest.approx(0.23818302641382832, abs=1e-13)
     assert all(0.0 < r1 < r2 for _, r1, r2 in
                ([float(v) for v in line.split(",")] for line in serial_lines[3:]))
+    # fed = ln(1 + u)/beta, u = x/(1 + x) ~ 2e-9: u - u^2/2 is exact to rounding
+    beta, _work, fed_cold = (float(v) for v in serial_lines[6].split(","))
+    assert beta == 20.0
+    u = math.exp(-beta) / (1.0 + math.exp(-beta))
+    assert fed_cold == pytest.approx((u - 0.5 * u * u) / beta, rel=1e-15, abs=0.0)
 
     parallel = {
         "figure": {"beta_grid": grid, "jobs": 2},

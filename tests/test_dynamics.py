@@ -30,14 +30,14 @@ from coherence_engine.thermo import l1_coherence
 
 
 def _rhs_from_operator_form(pi, system, bath):
-    """Map the operator-form master equation onto the coherence vector."""
+    """Map the operator-form master equation onto (r22, r00, r+, d = Im rho_minus)."""
     m_dot = gksl_rhs_matrix(pi.to_density().matrix, system, bath)
     return np.array(
         [
             m_dot[0, 0],
             m_dot[2, 2],
             0.5 * (m_dot[0, 1] + m_dot[1, 0]),
-            0.5 * (m_dot[0, 1] - m_dot[1, 0]),
+            -0.5j * (m_dot[0, 1] - m_dot[1, 0]),
         ]
     )
 
@@ -83,8 +83,7 @@ def test_generator_matches_operator_form(subspace_sampler):
         for _ in range(10):
             a, b, c, d = subspace_sampler()
             pi = CoherenceVector(a, b, c, d)
-            vec = np.array([a, b, c, 1j * d])
-            from_generator = gen.matrix @ vec - gen.constant
+            from_generator = gen.matrix @ pi.as_array() - gen.constant
             from_operator = _rhs_from_operator_form(pi, system, bath)
             np.testing.assert_allclose(from_generator, from_operator, atol=1e-14)
 
@@ -176,7 +175,7 @@ def test_evolve_time_edge_cases():
         evolve(rho0, system, bath, -0.1)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_evolvers_reject_non_finite_times(t):
     bath = BathSpec(beta=1.0, alignment=0.5)
     rho0 = DensityMatrix.ground()
@@ -190,6 +189,8 @@ def test_evolvers_reject_non_finite_times(t):
         evolve_neardegenerate(CoherenceVector(*init), near, bath, t)
     with pytest.raises(ValueError):
         perturbative_solution(init, near, BathSpec(beta=1.0), t)
+    with pytest.raises(ValueError):
+        analytic_evolution_aligned(init, DegenerateSystem(1.0), BathSpec(beta=1.0), t)
 
 
 def test_analytic_matches_numerical_evolution(subspace_sampler):
