@@ -130,9 +130,10 @@ def _neardegenerate_series(
     init = pi0.as_array()
     if system.delta == 0.0:
         limit = steady_state(DegenerateSystem(system.omega1), bath, init)
+        fixed = CoherenceVector.from_density(limit).as_array()
     else:
-        limit = _independent_gibbs(system.omega1, system.omega2, bath.beta)
-    fixed = CoherenceVector.from_density(limit).as_array()
+        r22, _, r00 = _gibbs_populations(system.omega1, system.omega2, bath.beta)
+        fixed = np.array([r22, r00, 0.0, 0.0])
     return propagate_affine(matrix, fixed, init, times)
 
 
@@ -278,12 +279,17 @@ def thermalize_independent(
     return _independent_gibbs(system.omega1, system.omega2, bath.beta)
 
 
-def _independent_gibbs(omega1: float, omega2: float, beta: float) -> DensityMatrix:
-    """Diagonal Gibbs state of levels at omega2, omega1 and 0; no checks."""
+def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
+    """(rho22, rho11, rho00) of the Gibbs state of levels at omega2, omega1 and 0."""
     w2 = math.exp(-beta * omega2)
     w1 = math.exp(-beta * omega1)
     z = 1.0 + w1 + w2
-    return DensityMatrix(np.diag([w2 / z, w1 / z, 1.0 / z]))
+    return w2 / z, w1 / z, 1.0 / z
+
+
+def _independent_gibbs(omega1: float, omega2: float, beta: float) -> DensityMatrix:
+    """Diagonal Gibbs state of levels at omega2, omega1 and 0; no checks."""
+    return DensityMatrix(np.diag(_gibbs_populations(omega1, omega2, beta)))
 
 
 def nonsecular_rhs_matrix(

@@ -5,7 +5,8 @@ principal branch of the Lambert W function, exact propagation of linear
 time-independent equations, adaptive ODE integration with dense output,
 and adaptive Gauss-Kronrod quadrature.  All kernels use fixed iteration
 orders, fixed tolerances and no randomness, so identical inputs give
-bit-identical results.
+bit-identical results.  Propagation decomposes each distinct generator
+once, in a bounded cache keyed on the generator's bytes.
 
 The runtime needs numpy only.  scipy, a test dependency, is imported on
 first use by integrate_ode alone, the adaptive RK45 integrator that the
@@ -14,6 +15,7 @@ tests use as an independent reference.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -99,6 +101,23 @@ def exp_modes(rates, times) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _decomposition(data: bytes, shape: Tuple[int, ...], dtype: np.dtype):
+    """Read-only (vals, vecs, inverse) of the matrix in data; errors are not cached."""
+    matrix = np.frombuffer(data, dtype=dtype).reshape(shape)
+    vals, vecs = np.linalg.eig(matrix)
+    inverse = np.linalg.inv(vecs)
+    cond = np.linalg.norm(vecs, 1) * np.linalg.norm(inverse, 1)
+    if not cond <= EIGVEC_COND_LIMIT:
+        raise NumericsError(f"nearly defective generator: cond(V) = {cond:.3g}")
+    if max(vals.real.tolist()) > 0.0:
+        tol = vals.size * np.finfo(float).eps * cond * np.linalg.norm(matrix, 1)
+        vals = np.where((vals.real > 0.0) & (vals.real <= tol), vals - vals.real, vals)
+    for part in (vals, vecs, inverse):
+        part.setflags(write=False)
+    return vals, vecs, inverse
+
+
 def propagate_affine(
     matrix: np.ndarray, fixed: np.ndarray, y0: np.ndarray, times: Sequence[float]
 ) -> np.ndarray:
@@ -109,17 +128,11 @@ def propagate_affine(
     real output.  The generators are dissipative, so a positive real part
     within the rounding bound n eps cond(V) |matrix| is clipped to 0.  A
     1-norm cond(V) above EIGVEC_COND_LIMIT (a nearly defective matrix)
-    raises NumericsError.
+    raises NumericsError.  Each distinct generator is decomposed once, in
+    a bounded cache keyed on its bytes, shape and dtype.
     """
     times = np.asarray(times, dtype=float)
-    vals, vecs = np.linalg.eig(matrix)
-    inverse = np.linalg.inv(vecs)
-    cond = np.linalg.norm(vecs, 1) * np.linalg.norm(inverse, 1)
-    if not cond <= EIGVEC_COND_LIMIT:
-        raise NumericsError(f"nearly defective generator: cond(V) = {cond:.3g}")
-    if max(vals.real.tolist()) > 0.0:
-        tol = vals.size * np.finfo(float).eps * cond * np.linalg.norm(matrix, 1)
-        vals = np.where((vals.real > 0.0) & (vals.real <= tol), vals - vals.real, vals)
+    vals, vecs, inverse = _decomposition(matrix.tobytes(), matrix.shape, matrix.dtype)
     modes = exp_modes(vals, times) * (inverse @ (y0 - fixed))[:, None]
     out = fixed + (vecs @ modes).T
     out = out.real if np.isrealobj(matrix) else out

@@ -17,6 +17,7 @@ from coherence_engine.dynamics import (
     DegenerateSystem,
     analytic_evolution_aligned,
     coherence_generator,
+    evolve_trajectory,
     gksl_rhs_matrix,
 )
 from coherence_engine.neardegen import (
@@ -29,7 +30,7 @@ from coherence_engine.neardegen import (
     perturbative_solution,
     thermalize_independent,
 )
-from coherence_engine.numerics import integrate_ode
+from coherence_engine.numerics import _decomposition, integrate_ode
 
 RAMP = tabulated_rate(((0.2, 0.8), (1.5, 1.3), (3.0, 1.1)))
 
@@ -370,3 +371,32 @@ def test_perturbative_rejections():
         perturbative_solution(
             (0.2, 0.3, 0.05, 0.0), system, BathSpec(beta=1.0, alignment=1.0), -1.0
         )
+
+
+def test_evolvers_give_the_same_bits_on_a_warm_cache(subspace_sampler):
+    """Outputs from a cleared decomposition cache equal those from a warm one."""
+    times = [0.0, 0.5, 3.0, 10.0]
+    configs = [
+        (rate_fn, p, omega2)
+        for rate_fn in (flat_rate(), RAMP)
+        for p in (1.0, -1.0, 1.0 - 1e-13, 0.99, 0.5, 0.0)
+        for omega2 in (1.0, 1.004)
+    ]
+    starts = [CoherenceVector(*subspace_sampler()) for _ in configs]
+
+    def run(rate_fn, p, omega2, pi0):
+        bath = BathSpec(beta=0.8, rate_fn=rate_fn, alignment=p)
+        system = NearDegenerateSystem(1.0, omega2)
+        states = evolve_trajectory(pi0.to_density(), DegenerateSystem(1.0), bath, times)
+        series = [evolve_neardegenerate(pi0, system, bath, t).as_array() for t in times]
+        return np.array([s.matrix for s in states]), np.array(series)
+
+    cold = []
+    for config, pi0 in zip(configs, starts):
+        _decomposition.cache_clear()
+        cold.append(run(*config, pi0))
+    for config, pi0, (states, series) in zip(configs, starts, cold):
+        warm_states, warm_series = run(*config, pi0)
+        assert np.array_equal(warm_states, states)
+        assert np.array_equal(warm_series, series)
+    assert _decomposition.cache_info().hits > 0

@@ -7,6 +7,7 @@ from scipy.linalg import block_diag, expm
 
 from coherence_engine.numerics import (
     NumericsError,
+    _decomposition,
     integrate_1d,
     integrate_ode,
     lambert_w_principal,
@@ -138,10 +139,60 @@ def test_propagate_affine_matches_expm_of_augmented_generator(rng):
 
 
 def test_propagate_affine_jordan_block_raises():
-    """A defective generator has no eigenvector basis: NumericsError, no fallback."""
+    """A defective generator has no eigenvector basis: NumericsError, no fallback.
+
+    The failure is not cached, so a second call raises again.
+    """
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NumericsError, match="nearly defective"):
-        propagate_affine(jordan, np.zeros(2), np.array([0.7, -1.3]), [0.0, 0.5, 3.0])
+    y0 = np.array([0.7, -1.3])
+    for _ in range(2):
+        with pytest.raises(NumericsError, match="nearly defective"):
+            propagate_affine(jordan, np.zeros(2), y0, [0.0, 0.5, 3.0])
+
+
+def _affine_problem(rng):
+    m = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
+    return m, rng.normal(size=4), rng.normal(size=4), [0.0, 0.3, 1.0, 4.0]
+
+
+def test_propagate_affine_warm_equals_cold(rng):
+    for _ in range(10):
+        m, fixed, y0, times = _affine_problem(rng)
+        _decomposition.cache_clear()
+        cold = propagate_affine(m, fixed, y0, times)
+        warm = propagate_affine(m.copy(), fixed, y0, times)
+        assert _decomposition.cache_info().hits == 1
+        assert np.array_equal(warm, cold)
+
+
+def test_propagate_affine_answers_for_a_matrix_changed_in_place(rng):
+    m, fixed, y0, times = _affine_problem(rng)
+    before = propagate_affine(m, fixed, y0, times)
+    m[0, 1] += 0.5
+    after = propagate_affine(m, fixed, y0, times)
+    _decomposition.cache_clear()
+    assert np.array_equal(after, propagate_affine(m, fixed, y0, times))
+    assert not np.array_equal(after, before)
+
+
+def test_propagate_affine_rows_do_not_alias_the_cache(rng):
+    m, fixed, y0, times = _affine_problem(rng)
+    first = propagate_affine(m, fixed, y0, times)
+    expected = first.copy()
+    first[:] = np.nan
+    assert np.array_equal(propagate_affine(m, fixed, y0, times), expected)
+    vals, vecs, inverse = _decomposition(m.tobytes(), m.shape, m.dtype)
+    assert not (vals.flags.writeable or vecs.flags.writeable or inverse.flags.writeable)
+
+
+def test_decomposition_cache_stays_bounded(rng):
+    maxsize = _decomposition.cache_info().maxsize
+    _decomposition.cache_clear()
+    for _ in range(maxsize + 10):
+        m, fixed, y0, times = _affine_problem(rng)
+        propagate_affine(m, fixed, y0, times)
+        assert _decomposition.cache_info().currsize <= maxsize
+    assert _decomposition.cache_info().currsize == maxsize
 
 
 def test_integrate_1d_basic():
