@@ -41,6 +41,7 @@ from .dynamics import (
     trajectory_rows,
 )
 from .neardegen import (
+    VALIDITY_WINDOW_LIMIT,
     NearDegenerateSystem,
     _neardegenerate_series,
     _perturbative_series,
@@ -74,20 +75,16 @@ _LOG_LEVELS = {
 # coherent-steady unless the config names another state.
 _PROTOCOL_COMMANDS = ("protocol1", "protocol2", "figure-wfed")
 
-# The files each command writes, as suffixes of the out prefix.  Commands
-# write through _Run.paths, which is built from this table alone.
-_OUTPUTS = {
-    "evolve": (".csv", ".json"),
-    "steady": (".json",),
-    "protocol1": ("_ledger.json", "_rounds.csv"),
-    "protocol2": ("_ledger.json", "_steps.csv"),
-    "figure-wfed": (".csv",),
-    "neardegen-check": (".csv", ".json"),
-}
-
 
 class ConfigError(ValueError):
     """Configuration rejected before execution."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a config error instead of usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,12 +104,12 @@ def _default_config() -> dict:
         "system": {"omega": 1.0},
         "bath": {"beta": 1.0, "gamma_plus": 1.0, "alignment": 1.0},
         "initial": None,
-        "evolve": {"t_final": 50.0, "samples": 501, "tol": 1e-10},
+        "evolve": {"t_final": 50.0, "samples": 501},
         "steady": {},
         "protocol1": {"max_rounds": 64, "shift_floor": 1e-06},
         "protocol2": {"work_mode": "closed"},
-        "figure": {"beta_grid": [round(0.2 * k, 10) for k in range(1, 16)], "jobs": 1},
-        "neardegen": {"t_final": 10.0, "samples": 101, "tol": 1e-10},
+        "figure": {"beta_grid": [round(0.2 * k, 10) for k in range(1, 16)]},
+        "neardegen": {"t_final": 10.0, "samples": 101},
         "out": "coherence_run",
     }
 
@@ -189,16 +186,14 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
         config["system"]["omega"] = args.omega
     if args.out is not None:
         config["out"] = args.out
+    # --jobs is checked so old command lines run; it changes no output.
     if getattr(args, "jobs", None) is not None:
-        config["figure"]["jobs"] = args.jobs
+        _require_int("--jobs", args.jobs, 1)
 
 
 def _config_hash(config: dict) -> str:
-    """Digest of the effective config; figure.jobs changes no output."""
-    figure = {k: v for k, v in config["figure"].items() if k != "jobs"}
-    canonical = json.dumps(
-        {**config, "figure": figure}, sort_keys=True, separators=(",", ":")
-    )
+    """Digest of the effective config."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -206,12 +201,9 @@ def _check_sections(config: dict) -> None:
     """Rules of the sections that only the command line reads."""
     for name in ("evolve", "neardegen"):
         section = config[name]
-        _check_keys(name, section, ["t_final", "samples", "tol"])
+        _check_keys(name, section, ["t_final", "samples"])
         _require_number(f"{name}.t_final", section["t_final"], low=0.0)
         _require_int(f"{name}.samples", section["samples"], 1)
-        # Accepted and checked so that old configs run; exact evolution
-        # has no tolerance.
-        _require_number(f"{name}.tol", section["tol"], low=0.0, strict=True)
 
     _check_keys("steady", config["steady"], [])
 
@@ -226,13 +218,12 @@ def _check_sections(config: dict) -> None:
         raise ConfigError("protocol2.work_mode must be 'closed' or 'quadrature'")
 
     section = config["figure"]
-    _check_keys("figure", section, ["beta_grid", "jobs"])
+    _check_keys("figure", section, ["beta_grid"])
     grid = section["beta_grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("figure.beta_grid must be a nonempty list")
     for i, b in enumerate(grid):
         _require_number(f"figure.beta_grid.{i}", b, low=0.0, strict=True)
-    _require_int("figure.jobs", section["jobs"], 1)
 
     if not isinstance(config["out"], str) or not config["out"]:
         raise ConfigError("out must be a nonempty string")
@@ -316,7 +307,7 @@ def _parse(config: dict, command: str) -> _Run:
         raise ConfigError(f"{command} requires an aligned bath (alignment 1)")
     system = _system(config["system"], command)
     rho0 = _initial_state(config["initial"], system, bath)
-    paths = {suffix: config["out"] + suffix for suffix in _OUTPUTS[command]}
+    paths = {suffix: config["out"] + suffix for suffix in _COMMANDS[command][1]}
     return _Run(config, _config_hash(config), bath, system, rho0, paths)
 
 
@@ -372,13 +363,8 @@ def cmd_evolve(run: _Run) -> int:
         "samples": samples,
     }
     if _is_aligned(bath):
-        init = CoherenceVector.from_density(rho0)
-        r22, r00, r12 = analytic_evolution_aligned(
-            (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im),
-            system,
-            bath,
-            times,
-        )
+        init = CoherenceVector.from_density(rho0).as_array()
+        r22, r00, r12 = analytic_evolution_aligned(init, system, bath, times)
         ms = np.array([state.matrix for state in states])
         populations = ms.diagonal(axis1=1, axis2=2).real
         summary["analytic_max_deviation"] = max(
@@ -400,10 +386,8 @@ def cmd_evolve(run: _Run) -> int:
 
 def cmd_steady(run: _Run) -> int:
     bath, system = run.bath, run.system
-    init = CoherenceVector.from_density(run.rho0)
-    state = steady_state(
-        system, bath, (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im)
-    )
+    init = CoherenceVector.from_density(run.rho0).as_array()
+    state = steady_state(system, bath, init)
     ham = HamiltonianSpec.degenerate(system.omega)
     payload = {
         "state": state.to_json(),
@@ -520,7 +504,6 @@ def cmd_figure_wfed(run: _Run) -> int:
 def cmd_neardegen_check(run: _Run) -> int:
     bath, system = run.bath, run.system
     init = CoherenceVector.from_density(run.rho0)
-    init4 = (init.rho22, init.rho00, init.rho_plus, init.rho_minus_im)
     t_final, samples, times = _time_grid(run.config["neardegen"])
     aligned = _is_aligned(bath)
 
@@ -537,7 +520,7 @@ def cmd_neardegen_check(run: _Run) -> int:
     rows = [[float(t)] + list(numeric) for t, numeric in zip(times, series)]
     max_dev = 0.0
     if aligned:
-        perturbative = _perturbative_series(init4, system, bath, times)
+        perturbative = _perturbative_series(init.as_array(), system, bath, times)
         for row, numeric, pert in zip(rows, series, perturbative):
             dev = float(np.max(np.abs(numeric - pert)))
             max_dev = max(max_dev, dev)
@@ -550,7 +533,8 @@ def cmd_neardegen_check(run: _Run) -> int:
         "t_final": t_final,
         "samples": samples,
         "max_perturbative_deviation": max_dev if aligned else None,
-        "validity_limit_t": None if system.delta == 0.0 else 0.3 / system.delta,
+        "validity_limit_t": (None if system.delta == 0.0
+                             else VALIDITY_WINDOW_LIMIT / system.delta),
         "independent_fixed_point": thermal.to_json(),
     }
     _write_json(run.paths[".json"], summary, run.digest)
@@ -561,18 +545,21 @@ def cmd_neardegen_check(run: _Run) -> int:
     return EXIT_OK
 
 
+# Each command's handler and the files it writes, as suffixes of the out
+# prefix.  Commands write through _Run.paths, which is built from this
+# table alone.
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "steady": cmd_steady,
-    "protocol1": cmd_protocol1,
-    "protocol2": cmd_protocol2,
-    "figure-wfed": cmd_figure_wfed,
-    "neardegen-check": cmd_neardegen_check,
+    "evolve": (cmd_evolve, (".csv", ".json")),
+    "steady": (cmd_steady, (".json",)),
+    "protocol1": (cmd_protocol1, ("_ledger.json", "_rounds.csv")),
+    "protocol2": (cmd_protocol2, ("_ledger.json", "_steps.csv")),
+    "figure-wfed": (cmd_figure_wfed, (".csv",)),
+    "neardegen-check": (cmd_neardegen_check, (".csv", ".json")),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coherence-engine",
         description="Simulate V-system coherence dynamics and work extraction",
     )
@@ -585,9 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alignment", type=float, help="override bath.alignment")
         p.add_argument("--out", help="override output path prefix")
         if name == "figure-wfed":
-            p.add_argument(
-                "--jobs", type=int, help="accepted; the grid runs in-process"
-            )
+            p.add_argument("--jobs", type=int, help="accepted; changes nothing")
     return parser
 
 
@@ -617,8 +602,8 @@ def _diagnostic(kind: str, message: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _setup_logging()
         user_config: dict = {}
         if args.config:
@@ -634,7 +619,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = _parse(config, args.command)
         if args.config:
             _refuse_overwrite(run.paths.values(), args.config)
-        return _COMMANDS[args.command](run)
+        return _COMMANDS[args.command][0](run)
     except ConfigError as exc:
         _diagnostic("config", str(exc))
         return EXIT_CONFIG

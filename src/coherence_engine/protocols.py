@@ -40,7 +40,7 @@ from .bloch import DensityMatrix, _validate_all
 from .dynamics import DegenerateSystem, _is_aligned, steady_state
 from .neardegen import _independent_gibbs
 from .numerics import integrate_1d, lambert_w_principal
-from .thermo import _l1_coherences
+from .thermo import SUBSPACE_TOL, _l1_coherences
 
 SHIFT_ROOT_TOL = 1e-13
 
@@ -162,7 +162,7 @@ class GeneralInitialState:
     def from_density(cls, rho: DensityMatrix) -> "GeneralInitialState":
         rho.validate()
         m = rho.matrix
-        if abs(m[0, 2]) > 1e-12 or abs(m[1, 2]) > 1e-12:
+        if abs(m[0, 2]) > SUBSPACE_TOL or abs(m[1, 2]) > SUBSPACE_TOL:
             raise ValueError("state has coherence with the ground level")
         b = float(m[2, 2].real)
         w = 1.0 - b
@@ -332,10 +332,8 @@ def optimal_shift_round1(beta: float, omega: float) -> float:
 
 
 def _shift_upper_bound(pre_population: float, beta: float, omega: float) -> float:
-    """Largest shift with positive net work; non-positive means none."""
+    """Largest positive-work shift (pre_population > 0); non-positive means none."""
     x = math.exp(-beta * omega)
-    if pre_population <= 0.0:
-        return math.inf
     ratio = x * (1.0 - pre_population) / ((1.0 + x) * pre_population)
     if ratio <= 1.0:
         return 0.0

@@ -233,7 +233,7 @@ def test_protocol2_quadrature_mode(tmp_path):
 def test_figure_wfed_serial_and_parallel(tmp_path):
     grid = [0.5, 1.0, 2.0, 20.0, 40.0]
     serial = {
-        "figure": {"beta_grid": grid, "jobs": 1},
+        "figure": {"beta_grid": grid},
         "out": str(tmp_path / "serial"),
     }
     assert _run(tmp_path, "figure-wfed", serial) == 0
@@ -253,16 +253,17 @@ def test_figure_wfed_serial_and_parallel(tmp_path):
     assert fed_cold == pytest.approx((u - 0.5 * u * u) / beta, rel=1e-15, abs=0.0)
 
     parallel = {
-        "figure": {"beta_grid": grid, "jobs": 2},
+        "figure": {"beta_grid": grid},
         "out": str(tmp_path / "parallel"),
     }
     assert main(["figure-wfed", "--config",
-                 _write_config(tmp_path, parallel, "par.json")]) == 0
+                 _write_config(tmp_path, parallel, "par.json"), "--jobs", "2"]) == 0
     parallel_lines = _read_lines(tmp_path / "parallel.csv")
     assert parallel_lines[3:] == serial_lines[3:]
     assert not list(tmp_path.glob("*.part-*"))
-    # figure.jobs changes no output, so it is not part of the config hash
-    assert _run(tmp_path, "figure-wfed", {**parallel, "out": serial["out"]}) == 0
+    # --jobs changes no output and stays out of the config hash
+    assert _run(tmp_path, "figure-wfed", {**parallel, "out": serial["out"]},
+                ("--jobs", "2")) == 0
     assert _read_lines(tmp_path / "serial.csv") == serial_lines
 
 
@@ -418,6 +419,49 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys):
     assert "unknown keys" in _config_error(capsys)
     assert _run(tmp_path, "evolve", {"bath": {"beta": -1.0}}) == 2
     _config_error(capsys)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("evolve", {"evolve": {"tol": 1e-10}}),
+    ("neardegen-check", {"system": {"omega1": 1.0, "omega2": 1.005},
+                         "neardegen": {"tol": 1e-10}}),
+    ("figure-wfed", {"figure": {"jobs": 2}}),
+])
+def test_keys_that_change_nothing_are_unknown(tmp_path, capsys, command, config):
+    """evolve.tol, neardegen.tol and figure.jobs are gone from the config."""
+    assert _run(tmp_path, command, {**config, "out": str(tmp_path / "x")}) == 2
+    assert "unknown keys" in _config_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--beta", "abc"],
+    ["figure-wfed", "--jobs", "1.5"],
+    ["figure-wfed", "--jobs", "0"],
+    ["no-such-command"],
+])
+def test_bad_flags_exit_2_with_one_json_line(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure-wfed", "--help"])
+    assert exc.value.code == 0
+    assert "--jobs" in capsys.readouterr().out
+
+
+def test_readme_config_block_names_the_default_keys():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("defaults shown:\n\n```json\n")[1].split("```")[0]
+    documented, defaults = json.loads(block), cli._default_config()
+    assert list(documented) == list(defaults)
+    for name, section in defaults.items():
+        if isinstance(section, dict):
+            assert sorted(documented[name]) == sorted(section), name
 
 
 def test_bad_values_exit_2(tmp_path, capsys):
