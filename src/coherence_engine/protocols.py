@@ -21,10 +21,13 @@ work_in and work_out entries, and a ledger totals them.  Energies are
 measured in units of the reference transition frequency times hbar, so
 "lowering a level by w with population p" extracts p*w.
 
-States are checked once per run: the repeated protocol validates its
-input up front and, before it returns, every round's input, rotated
-and final state in one stacked pass.  Each ledger takes all of its l1
-coherences from one stacked pass over its states.
+The repeated protocol runs as a scalar recurrence in x = e^{-beta omega}
+and u = e^{-beta shift}: after round 1 the pre-lift population is
+x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
+keeps its digits where x is far below machine epsilon.  Every round's
+states follow from closed forms in one stacked pass and are checked,
+with the input, in another; each ledger takes all of its l1 coherences
+from one stacked pass over its states.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bath import BathSpec
+from .bath import BathSpec, rates_at
 from .bloch import DensityMatrix, _validate_all
 from .dynamics import DegenerateSystem, _is_aligned, steady_state
-from .neardegen import _independent_gibbs
 from .numerics import integrate_1d, lambert_w_principal
 from .thermo import SUBSPACE_TOL, _l1_coherences
 
@@ -256,39 +258,59 @@ def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
     return steady_state(system, bath, (0.0, 1.0, 0.0, 0.0))
 
 
-def _ledger(rows) -> ProtocolLedger:
-    """Ledger of (label, before, after, work_in, work_out) rows.
+def _ledger(rows, chain: np.ndarray) -> ProtocolLedger:
+    """Ledger of (label, state_after, work_in, work_out) rows.
 
-    Every coherence comes from one stacked l1 pass over the states; the
-    reshape keeps a run of no rounds a (0, 3, 3) stack.
+    Each step starts where the step before ended; chain stacks the first
+    state and every state_after, for one l1 pass over all coherences.
     """
-    ms = np.array([s.matrix for row in rows for s in row[1:3]], dtype=complex)
-    c = _l1_coherences(ms.reshape(-1, 3, 3)).tolist()
+    c = _l1_coherences(chain).tolist()
     return ProtocolLedger(
         [
-            ProtocolStep(label, w_in, w_out, c[2 * k], c[2 * k + 1], after)
-            for k, (label, _before, after, w_in, w_out) in enumerate(rows)
+            ProtocolStep(label, w_in, w_out, c[k], c[k + 1], after)
+            for k, (label, after, w_in, w_out) in enumerate(rows)
         ]
     )
 
 
-def _round_rows(
-    state: DensityMatrix, omega: float, shift: float, bath: BathSpec, prefix: str = ""
-):
-    """Ledger rows, rotated and final state of one round; no checks."""
-    rotated = _conjugate(ROUND_ROTATION, state)
-    pop_top = max(float(rotated.matrix[0, 0].real), 0.0)
-    thermal = _independent_gibbs(omega, omega + shift, bath.beta)
-    top, ground = float(thermal.matrix[0, 0].real), float(thermal.matrix[2, 2].real)
-    final = steady_state(DegenerateSystem(omega=omega), bath, (top, ground, 0.0, 0.0))
-    rows = [
-        (prefix + "rotate", state, rotated, 0.0, 0.0),
-        (prefix + "lift", rotated, rotated, shift * pop_top, 0.0),
-        (prefix + "thermalize-split", rotated, thermal, 0.0, 0.0),
-        (prefix + "extract", thermal, thermal, 0.0, shift * top),
-        (prefix + "rebuild-coherence", thermal, final, 0.0, 0.0),
+def _chain(first: DensityMatrix, rows) -> np.ndarray:
+    """The chain stack of _ledger: first, then the rows' states_after."""
+    return np.array([first.matrix] + [row[1].matrix for row in rows])
+
+
+def _round_states(x: float, beta_shifts: np.ndarray, emits: bool):
+    """(rounds, 3, 3) stacks of the thermal and final states, u = e^{-beta_shifts}.
+
+    The thermal state is diag(xu, x, 1)/Z, Z = 1 + x + xu.  The final state
+    is dynamics._aligned_vector's fixed point from ground population 1/Z,
+    written in x and u so that nothing cancels at low temperature; without
+    emission the bath leaves the thermal state as it is.
+    """
+    u = np.exp(-beta_shifts)
+    z = 1.0 + x + x * u
+    thermal = np.zeros((u.size, 3, 3), dtype=complex)
+    thermal[:, 0, 0] = x * u / z
+    thermal[:, 1, 1] = x / z
+    thermal[:, 2, 2] = 1.0 / z
+    if not emits:
+        return thermal, thermal
+    big_a = 1.0 + x
+    final = np.zeros_like(thermal)
+    final[:, 0, 0] = final[:, 1, 1] = x * (2.0 + (1.0 + u) / z) / (4.0 * big_a)
+    final[:, 2, 2] = (1.0 + 1.0 / z) / (2.0 * big_a)
+    final[:, 0, 1] = final[:, 1, 0] = -x * np.expm1(-beta_shifts) / (4.0 * big_a * z)
+    return thermal, final
+
+
+def _round_rows(prefix: str, rotated, thermal, final, work_in: float, work_out: float):
+    """Ledger rows of one round: rotate, lift, thermalize, extract, rebuild."""
+    return [
+        (prefix + "rotate", rotated, 0.0, 0.0),
+        (prefix + "lift", rotated, work_in, 0.0),
+        (prefix + "thermalize-split", thermal, 0.0, 0.0),
+        (prefix + "extract", thermal, 0.0, work_out),
+        (prefix + "rebuild-coherence", final, 0.0, 0.0),
     ]
-    return rows, rotated, final
 
 
 def protocol1_round(
@@ -310,9 +332,17 @@ def protocol1_round(
         raise ValueError("level shift must be positive")
     _require_bath(bath, beta)
     state.validate()
-    rows, rotated, final = _round_rows(state, omega, shift, bath)
+    emits = rates_at(bath, omega).gamma_plus > 0.0
+    rotated = _conjugate(ROUND_ROTATION, state)
+    thermal, final = (
+        DensityMatrix(m[0])
+        for m in _round_states(math.exp(-beta * omega), np.array([beta * shift]), emits)
+    )
     _validate_all([rotated, final])
-    return _ledger(rows), final
+    lifted = max(float(rotated.matrix[0, 0].real), 0.0)
+    extracted = float(thermal.matrix[0, 0].real)
+    rows = _round_rows("", rotated, thermal, final, shift * lifted, shift * extracted)
+    return _ledger(rows, _chain(state, rows)), final
 
 
 def optimal_shift_round1(beta: float, omega: float) -> float:
@@ -331,67 +361,54 @@ def optimal_shift_round1(beta: float, omega: float) -> float:
     return (1.0 + lambert_w_principal(arg)) / beta
 
 
-def _shift_upper_bound(pre_population: float, beta: float, omega: float) -> float:
-    """Largest positive-work shift (pre_population > 0); non-positive means none."""
-    x = math.exp(-beta * omega)
-    ratio = x * (1.0 - pre_population) / ((1.0 + x) * pre_population)
-    if ratio <= 1.0:
-        return 0.0
-    return math.log(ratio) / beta
+def _stationarity(shift: float, q: float, r: float, x: float, beta: float):
+    """Residual of the round work's stationarity and its derivative in the shift.
 
-
-def _stationarity(shift: float, pre_population: float, beta: float, omega: float):
-    """Stationarity residual of the round work and its derivative."""
-    x = math.exp(-beta * omega)
-    u = math.exp(-beta * shift)
-    z = 1.0 + x + x * u
-    big_a = 1.0 + x
-    h = x * u * z - pre_population * z * z - beta * shift * x * u * big_a
-    du = -beta * x * u
-    dz = du
-    dh = (
-        du * z
-        + x * u * dz
-        - 2.0 * pre_population * z * dz
-        - beta * x * u * big_a
-        - beta * shift * du * big_a
-    )
+    The round work is shift (xu/Z - xq); its derivative times Z^2/x is
+    u Z - q Z^2 - beta shift u (1 + x), with no factor x to underflow.  In
+    e = 1 - u and r = 1 - q(1 + 2x) no term of it is a difference of
+    numbers of order 1, so a small shift keeps its relative digits.
+    """
+    v = beta * shift
+    e = -math.expm1(-v)
+    u = math.exp(-v)
+    big_a, w = 1.0 + x, e * (1.0 - q * x)
+    h = (1.0 + 2.0 * x) * r - big_a * (e + v * u) + x * e * (w - 2.0 * r)
+    dh = beta * (2.0 * x * u * (w - r) - big_a * u * (2.0 - v))
     return h, dh
 
 
-def _optimal_shift_for_population(
-    pre_population: float, beta: float, omega: float
+def _optimal_shift(
+    q: float, r: float, x: float, beta: float, omega: float
 ) -> Optional[float]:
-    """Shift maximizing the round work for a given pre-lift population.
+    """Shift maximizing the round work for the pre-lift population x q.
 
-    Returns None when no positive-work shift exists, which signals that
-    the repeated protocol has exhausted the state.
+    r = 1 - q(1 + 2x) comes in closed form where the caller has one; q = 0
+    is round 1 of the charged state, in closed form.  Returns None when no
+    positive-work shift exists: the protocol has exhausted the state.
     """
-    if pre_population <= 0.0:
+    if q == 0.0:
         return optimal_shift_round1(beta, omega)
-    hi = _shift_upper_bound(pre_population, beta, omega)
+    # The work is positive below hi, where the residual is negative; at
+    # shift 0 the residual is (1 + 2x) r, so the root is bracketed.
+    hi = math.log1p(r / (q * (1.0 + x))) / beta if r > 0.0 else 0.0
     if hi <= 0.0:
         return None
-    lo = 0.0
-    h_lo, _ = _stationarity(1e-14 * hi, pre_population, beta, omega)
-    h_hi, _ = _stationarity(hi * (1.0 - 1e-14), pre_population, beta, omega)
-    if h_lo <= 0.0 or h_hi >= 0.0:
-        return None
-    shift = 0.5 * hi
+    lo, shift = 0.0, 0.5 * hi
     for _ in range(200):
-        h, dh = _stationarity(shift, pre_population, beta, omega)
+        h, dh = _stationarity(shift, q, r, x, beta)
         if h > 0.0:
             lo = shift
         else:
             hi = shift
-        step = h / dh if dh != 0.0 else 0.0
-        candidate = shift - step
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        if abs(candidate - shift) <= SHIFT_ROOT_TOL * max(1.0, abs(shift)):
-            shift = candidate
-            break
-        shift = candidate
+        # A converged step is taken before the bracket test: at the root it
+        # rounds onto the bracket end the residual's sign just moved.
+        step = h / dh if dh != 0.0 else math.inf
+        if abs(step) <= SHIFT_ROOT_TOL * shift:
+            return shift - step
+        shift -= step
+        if not lo < shift < hi:
+            shift = 0.5 * (lo + hi)
     return shift
 
 
@@ -405,14 +422,15 @@ def run_protocol1(
 ) -> Tuple[ProtocolLedger, List[RoundResult]]:
     """Drive the repeated protocol until the optimal shift collapses.
 
-    Shifts are chosen per round from the actual pre-lift population.
-    The driver stops before executing a round whose optimal shift falls
-    below the floor, when no positive-work shift exists, or after
-    max_rounds rounds.  After round 1 the pre-lift population is
-    (1 - 1/Z)/2 > 0; when it computes to 0 (e^{-beta omega} below machine
-    epsilon) the state is exhausted and the run stops there.  The rounds'
-    states are checked together at the end, in the order the rounds
-    made them, so a failure raises the first unphysical state's error.
+    A scalar recurrence in x = e^{-beta omega} and u = e^{-beta shift}:
+    round 1 lifts the pre-lift population of the given state, every later
+    round x(1 + u)/(2Z), Z = 1 + x + xu, of the round before, never read
+    from a matrix.  The driver stops before a round whose optimal shift
+    falls below the floor, when no positive-work shift exists, when the
+    population underflows to 0, or after max_rounds rounds.  The states
+    follow in one stacked pass and are checked together in the order the
+    rounds made them, so a failure raises the first unphysical state's
+    error.
     """
     if max_rounds < 1:
         raise ValueError("at least one round is required")
@@ -420,47 +438,52 @@ def run_protocol1(
         raise ValueError("shift floor must be non-negative")
     _require_bath(bath, beta)
     initial.validate()
-
-    rows: list = []
-    checked: List[DensityMatrix] = []
-    shifts: List[float] = []
-    state = initial
-    for index in range(1, max_rounds + 1):
-        m = state.matrix
-        pre_population = float(
-            (0.5 * (m[0, 0] + m[1, 1]) - 0.5 * (m[0, 1] + m[1, 0])).real
-        )
-        if index > 1 and pre_population <= 0.0:
-            break
-        shift = _optimal_shift_for_population(max(pre_population, 0.0), beta, omega)
+    emits = rates_at(bath, omega).gamma_plus > 0.0
+    x = math.exp(-beta * omega)
+    m = initial.matrix
+    population = float(
+        (0.5 * (m[0, 0] + m[1, 1]) - 0.5 * (m[0, 1] + m[1, 0])).real
+    )
+    # rho11 = 1 - rho22 - rho00 is off by about eps, so a population within eps
+    # of 0 is 0: the charged state's round 1 is the closed form by construction.
+    if population <= math.ulp(1.0):
+        population, q, r = 0.0, 0.0, 1.0
+    else:
+        q = population / x if x > 0.0 else math.inf
+        r = 1.0 - q * (1.0 + 2.0 * x)
+    rounds = []
+    while len(rounds) < max_rounds:
+        shift = _optimal_shift(q, r, x, beta, omega)
         if shift is None or shift < shift_floor:
             break
-        round_rows, rotated, final = _round_rows(
-            state, omega, shift, bath, f"round {index}: "
-        )
-        rows += round_rows
-        checked += [state, rotated]
-        shifts.append(shift)
-        state = final
-    if shifts:
-        _validate_all(checked + [state])
-    ledger = _ledger(rows)
-    results = []
-    for k, shift in enumerate(shifts):
-        lifted = omega + shift
-        steps = ledger.steps[5 * k : 5 * k + 5]
-        results.append(
-            RoundResult(
-                index=k + 1,
-                shift=shift,
-                lifted_level=lifted,
-                partition=1.0 + math.exp(-beta * omega) + math.exp(-beta * lifted),
-                work_in=math.fsum(s.work_in for s in steps),
-                work_out=math.fsum(s.work_out for s in steps),
-                coherence_after=steps[4].coherence_after,
-            )
-        )
-    return ledger, results
+        u = math.exp(-beta * shift)
+        z = 1.0 + x + x * u
+        rounds.append((shift, population, z))
+        q, r = (1.0 + u) / (2.0 * z), -math.expm1(-beta * shift) / (2.0 * z)
+        population = x * q
+        if population <= 0.0:
+            break
+    if not rounds:
+        return ProtocolLedger(), []
+    shifts, lifted, partitions = zip(*rounds)
+
+    thermal, final = _round_states(x, beta * np.array(shifts), emits)
+    inputs = np.concatenate((m[None], final[:-1]))
+    rotated = ROUND_ROTATION @ inputs @ ROUND_ROTATION.conj().T
+    works_in = (np.array(shifts) * lifted).tolist()
+    works_out = (np.array(shifts) * thermal[:, 0, 0].real).tolist()
+    rot, th, fin = ([DensityMatrix(a) for a in ms] for ms in (rotated, thermal, final))
+    _validate_all([s for pair in zip([initial, *fin], rot) for s in pair] + fin[-1:])
+    rows = []
+    for k, states in enumerate(zip(rot, th, fin, works_in, works_out), 1):
+        rows += _round_rows(f"round {k}: ", *states)
+    steps = np.stack((rotated, rotated, thermal, thermal, final), axis=1)
+    ledger = _ledger(rows, np.concatenate((m[None], steps.reshape(-1, 3, 3))))
+    return ledger, [
+        RoundResult(k + 1, s, omega + s, partitions[k], works_in[k], works_out[k],
+                    ledger.steps[5 * k + 4].coherence_after)
+        for k, s in enumerate(shifts)
+    ]
 
 
 def _shift_work(population: float, w_from: float, w_to: float) -> float:
@@ -625,16 +648,13 @@ def protocol2(
     x = math.exp(-beta * omega)
     z = 1.0 + 2.0 * x
     final = DensityMatrix(np.diag([x / z, x / z, 1.0 / z]))
-    return _ledger(
-        [
-            ("rotate", rho, diagonal, 0.0, 0.0),
-            ("match-middle-level", diagonal, diagonal,
-             max(-w_lower, 0.0), max(w_lower, 0.0)),
-            ("match-top-level", diagonal, diagonal,
-             max(w_raise, 0.0), max(-w_raise, 0.0)),
-            ("sweep-to-common-level", diagonal, merged,
-             max(-w_sweep_down, 0.0), max(w_sweep_down, 0.0)),
-            ("sweep-to-physical-level", merged, final,
-             max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
-        ]
-    )
+    rows = [
+        ("rotate", diagonal, 0.0, 0.0),
+        ("match-middle-level", diagonal, max(-w_lower, 0.0), max(w_lower, 0.0)),
+        ("match-top-level", diagonal, max(w_raise, 0.0), max(-w_raise, 0.0)),
+        ("sweep-to-common-level", merged,
+         max(-w_sweep_down, 0.0), max(w_sweep_down, 0.0)),
+        ("sweep-to-physical-level", final,
+         max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
+    ]
+    return _ledger(rows, _chain(rho, rows))

@@ -110,6 +110,22 @@ def test_protocol_work_bounded_by_fed(beta, omega, init):
 
 
 @PROPERTY
+@given(beta=st.floats(min_value=0.05, max_value=700.0), omega=OMEGAS)
+def test_protocol1_work_within_relative_fed_bound(beta, omega):
+    """0 <= W1 <= FED (1 + 1e-12) for the charged state, at every temperature.
+
+    The FED of the charged state is log1p(x/(1 + x))/beta, x = e^{-beta omega},
+    which keeps its digits where x is far below eps.
+    """
+    bath = BathSpec(beta=beta, alignment=1.0)
+    charged = protocol_initial_state(beta, omega)
+    ledger, _rounds = run_protocol1(charged, omega, beta, bath)
+    x = math.exp(-beta * omega)
+    bound = math.log1p(x / (1.0 + x)) / beta
+    assert 0.0 <= ledger.net_work <= bound * (1.0 + 1e-12), (ledger.net_work, bound)
+
+
+@PROPERTY
 @given(beta=BETAS, omega=OMEGAS)
 def test_protocol1_consumes_coherence_as_fuel(beta, omega):
     """Each round of protocol 1 yields work >= 0 and leaves no more coherence."""

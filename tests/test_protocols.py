@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from coherence_engine import protocols, thermo
-from coherence_engine.bath import BathSpec
+from coherence_engine.bath import BathSpec, flat_rate
 from coherence_engine.bloch import DensityMatrix, PhysicalityError
+from coherence_engine.dynamics import DegenerateSystem, steady_state
 from coherence_engine.protocols import (
     ROUND_ROTATION,
     GeneralInitialState,
@@ -30,7 +31,7 @@ from coherence_engine.thermo import (
     l1_coherence,
     trace_distance,
 )
-from reference import maximize_scalar
+from reference import maximize_scalar, protocol1_decimal
 
 BATH = BathSpec(beta=1.0, alignment=1.0)
 
@@ -296,15 +297,16 @@ def test_run_protocol1_exhausted_inputs():
     assert rounds == []
 
 
-def test_run_protocol1_stops_after_one_round_at_low_temperature():
-    # e^{-beta omega} is below machine epsilon: round 1 leaves a pre-lift
-    # population that computes to 0, so the state is exhausted.
+def test_run_protocol1_runs_the_full_series_at_low_temperature():
+    # e^{-beta omega} is below machine epsilon, yet every round's pre-lift
+    # population x(1 + u)/(2Z) keeps its digits, so the series runs as long
+    # as the 50-digit model's.
     for beta, omega in ((40.0, 1.0), (8.0, 5.0)):
         bath = BathSpec(beta=beta, alignment=1.0)
         rho0 = protocol_initial_state(beta, omega)
         ledger, rounds = run_protocol1(rho0, omega, beta, bath)
         x = math.exp(-beta * omega)
-        assert len(rounds) == 1
+        assert len(rounds) == len(protocol1_decimal(beta, omega)[0]) > 1
         assert 0.0 <= ledger.net_work <= math.log1p(x / (1.0 + x)) / beta
     warm = BathSpec(beta=3.0, alignment=1.0)
     _, rounds = run_protocol1(protocol_initial_state(3.0, 1.0), 1.0, 3.0, warm)
@@ -321,17 +323,100 @@ def test_run_protocol1_shift_floor_cuts_series():
         run_protocol1(rho0, 1.0, 1.0, BATH, max_rounds=0)
 
 
+def test_run_protocol1_first_shift_of_the_charged_state_is_the_closed_form():
+    # The charged state's pre-lift population is 0 exactly and computes to
+    # within eps of 0 either side, so round 1 takes the Lambert form, bit
+    # for bit, whatever the sign of the residue.
+    for omega in (0.5, 1.0, 3.0):
+        for beta in np.linspace(0.05, 40.0, 400).tolist():
+            bath = BathSpec(beta=beta, alignment=1.0)
+            rho0 = protocol_initial_state(beta, omega)
+            _, rounds = run_protocol1(rho0, omega, beta, bath, max_rounds=1)
+            assert rounds[0].shift == optimal_shift_round1(beta, omega), (beta, omega)
+
+
+def _assert_matches_decimal_model(ledger, rounds, beta, omega, max_rounds=64):
+    """Every shift and the total work to 1e-12 relative, the round count exactly."""
+    shifts, work = protocol1_decimal(beta, omega, max_rounds)
+    assert len(rounds) == len(shifts), (beta, omega)
+    for r, shift in zip(rounds, shifts):
+        assert r.shift == pytest.approx(float(shift), rel=1e-12, abs=0.0)
+    assert ledger.net_work == pytest.approx(float(work), rel=1e-12, abs=0.0)
+
+
+def test_run_protocol1_agrees_with_a_50_digit_model():
+    # From high temperature to x = e^{-700}.
+    for omega in (0.5, 1.0, 3.0):
+        for beta_omega in np.geomspace(0.05, 700.0, 15).tolist():
+            beta = beta_omega / omega
+            bath = BathSpec(beta=beta, alignment=1.0)
+            rho0 = protocol_initial_state(beta, omega)
+            ledger, rounds = run_protocol1(rho0, omega, beta, bath)
+            _assert_matches_decimal_model(ledger, rounds, beta, omega)
+
+
+def _per_round_states(rho0, omega, beta, bath, rounds):
+    """Ledger states of the given rounds, each built from its own matrices.
+
+    The rotation is a conjugation, the split thermal state a Gibbs state
+    of the lifted levels and the rebuilt state dynamics.steady_state of
+    it: an independent route to the recurrence's closed forms.
+    """
+    states, state = [], rho0.matrix
+    for r in rounds:
+        rotated = ROUND_ROTATION @ state @ ROUND_ROTATION.conj().T
+        weights = np.exp(-beta * np.array([omega + r.shift, omega, 0.0]))
+        thermal = np.diag(weights / weights.sum()).astype(complex)
+        top, ground = thermal[0, 0].real, thermal[2, 2].real
+        state = steady_state(
+            DegenerateSystem(omega), bath, (top, ground, 0.0, 0.0)
+        ).matrix
+        states += [rotated, rotated, thermal, thermal, state]
+    return states
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
+    # Without emission (gamma_plus = 0) the aligned bath leaves each
+    # round's thermal state as it is; with it, the state relaxes to the
+    # aligned fixed point.
+    for beta, omega in ((0.2, 1.0), (1.0, 1.5), (3.0, 0.7)):
+        bath = BathSpec(beta=beta, rate_fn=flat_rate(gamma), alignment=1.0)
+        rho0 = protocol_initial_state(beta, omega)
+        ledger, rounds = run_protocol1(rho0, omega, beta, bath)
+        assert len(rounds) > 5
+        expected = _per_round_states(rho0, omega, beta, bath, rounds)
+        assert len(ledger.steps) == len(expected)
+        for step, matrix in zip(ledger.steps, expected):
+            np.testing.assert_allclose(
+                step.state_after.matrix, matrix, rtol=0.0, atol=1e-15
+            )
+        if gamma == 0.0:
+            for thermal, final in zip(ledger.steps[3::5], ledger.steps[4::5]):
+                assert np.array_equal(
+                    final.state_after.matrix, thermal.state_after.matrix
+                )
+
+
 
 @pytest.mark.parametrize("beta, omega, max_rounds", [
     (1.0, 1.5, 64), (0.2, 1.0, 64), (3.0, 0.7, 64), (40.0, 1.0, 64), (0.5, 2.0, 3),
 ])
 def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
-    # The public single round, given the shifts run_protocol1 chose, must
-    # give run_protocol1's ledger and series bit for bit.
+    # The public single round, given the shifts run_protocol1 chose, gives
+    # run_protocol1's ledger and series to rounding: it rotates the state
+    # it is given by the matrix route and books the lift from it, where
+    # the series takes its populations from the scalar recurrence.  At
+    # beta = 40, x = e^{-beta omega} is below eps and the matrix route has
+    # lost its digits, so there the series is checked against the
+    # 50-digit model instead.
     bath = BathSpec(beta=beta, alignment=1.0)
     rho0 = protocol_initial_state(beta, omega)
     ledger, rounds = run_protocol1(rho0, omega, beta, bath, max_rounds=max_rounds)
     assert rounds
+    if beta > 3.0:
+        _assert_matches_decimal_model(ledger, rounds, beta, omega, max_rounds)
+        return
     steps, expected_rounds, state = [], [], rho0
     for r in rounds:
         round_ledger, state = protocol1_round(state, omega, beta, r.shift, bath)
@@ -350,25 +435,37 @@ def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
             coherence_after=round_ledger.steps[-1].coherence_after,
         ))
 
-    def bits(step):
-        return repr((step.label, step.work_in, step.work_out, step.coherence_before,
-                     step.coherence_after, step.state_after.matrix.tolist()))
+    def numbers(s):
+        return [s.work_in, s.work_out, s.coherence_before, s.coherence_after]
 
-    assert [bits(s) for s in ledger.steps] == [bits(s) for s in steps]
-    assert repr(rounds) == repr(expected_rounds)
+    assert [s.label for s in ledger.steps] == [s.label for s in steps]
+    for got, want in zip(ledger.steps, steps):
+        np.testing.assert_allclose(numbers(got), numbers(want), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            got.state_after.matrix, want.state_after.matrix, rtol=0.0, atol=1e-15
+        )
+    assert len(rounds) == len(expected_rounds)
+    for got, want in zip(rounds, expected_rounds):
+        assert (got.index, got.shift, got.lifted_level) == (
+            want.index, want.shift, want.lifted_level
+        )
+        np.testing.assert_allclose(
+            [got.partition, got.work_in, got.work_out, got.coherence_after],
+            [want.partition, want.work_in, want.work_out, want.coherence_after],
+            rtol=0.0,
+            atol=1e-15,
+        )
     assert ledger.final_state is ledger.steps[-1].state_after
-    assert repr(state.matrix.tolist()) == repr(ledger.final_state.matrix.tolist())
+    np.testing.assert_allclose(
+        ledger.final_state.matrix, state.matrix, rtol=0.0, atol=1e-15
+    )
 
 
-def _with_negative_eigenvalue(rho, value):
-    """A unit-trace state with the given eigenvalue and rho's pre-lift population.
-
-    Keeping the population that the next round lifts keeps run_protocol1
-    going past the injected state.
-    """
+def _with_negative_eigenvalue(m, value):
+    """A unit-trace state with the given eigenvalue and m's pre-lift population."""
     u = ROUND_ROTATION
-    top = (u @ rho.matrix @ u.conj().T)[0, 0].real
-    return DensityMatrix(u.conj().T @ np.diag([top, value, 1.0 - top - value]) @ u)
+    top = (u @ m @ u.conj().T)[0, 0].real
+    return u.conj().T @ np.diag([top, value, 1.0 - top - value]) @ u
 
 
 @pytest.mark.parametrize("where", ["inner", "last"])
@@ -378,20 +475,21 @@ def test_run_protocol1_raises_first_unphysical_state(monkeypatch, where):
     rho0 = protocol_initial_state(beta, omega)
     n_rounds = len(run_protocol1(rho0, omega, beta, bath)[1])
     assert n_rounds > 4
-    # inner: a second, later unphysical state must not mask the first one
+    # inner: a second, later unphysical state must not mask the first one.
+    # Round k's final state is the input of round k + 1.
     inject = {2: -1e-9, 4: -2e-9} if where == "inner" else {n_rounds: -1e-9}
-    calls, injected = [], []
-    real_steady_state = protocols.steady_state
+    injected = []
+    real_round_states = protocols._round_states
 
-    def steady_state(*args):
-        rho = real_steady_state(*args)
-        calls.append(rho)
-        if len(calls) in inject:
-            injected.append(_with_negative_eigenvalue(rho, inject[len(calls)]))
-            return injected[-1]
-        return rho
+    def round_states(*args):
+        thermal, final = real_round_states(*args)
+        final = final.copy()
+        for index, value in inject.items():
+            final[index - 1] = _with_negative_eigenvalue(final[index - 1], value)
+            injected.append(DensityMatrix(final[index - 1]))
+        return thermal, final
 
-    monkeypatch.setattr(protocols, "steady_state", steady_state)
+    monkeypatch.setattr(protocols, "_round_states", round_states)
     with pytest.raises(PhysicalityError) as raised:
         run_protocol1(rho0, omega, beta, bath)
     with pytest.raises(PhysicalityError) as expected:
