@@ -17,7 +17,9 @@ its pair (+delta, -delta) is exactly the excited splitting's commutator.
 
 The reduced description is trusted only inside the window
 tau_S << t << 1/delta (tau_S = 1/omega1); evolutions beyond
-t * delta = 0.3 emit a warning on the module logger.  At very late
+t * delta = 0.3 emit a warning on the module logger.  The generator is
+linear in delta, so its first order in the splitting is the Frechet
+derivative of the delta = 0 propagation along that slope.  At very late
 times the cross terms average out and the system thermalizes as two
 independent two-level systems.
 """
@@ -44,7 +46,7 @@ from .dynamics import (
     _sigma_ops,
     steady_state,
 )
-from .numerics import exp_modes, propagate_affine
+from .numerics import _affine_derivative, exp_modes, propagate_affine
 
 logger = logging.getLogger(__name__)
 
@@ -147,85 +149,6 @@ def evolve_neardegenerate(
     return CoherenceVector.from_array(_neardegenerate_series(pi0, system, bath, [t])[0])
 
 
-def _first_order(
-    t,
-    slow,
-    fast,
-    init,
-    x: float,
-    g: float,
-    diff: RatePair,
-) -> np.ndarray:
-    """First-order splitting correction (per unit delta), by direct solution.
-
-    The correction obeys the degenerate equation driven by the source
-    M1 . Pi(t), whose components split into constant, slow (e^{-g t}),
-    and fast (e^{-2(1+x) g t}) parts.  Solving by variation of
-    parameters gives constant responses, resonant t e^{-g t} terms from
-    slow sources hitting the slow eigenmode, and mixed responses from
-    the fast sources; the (rho00, rho_plus) block additionally mixes the
-    two decay modes, handled through the combinations
-    y1 + 2 y2 (pure slow) and x-weighted sums (pure fast).  slow and
-    fast are those two decay factors at t.
-    """
-    a, b, c, d = init
-    dgp, dgm = diff.gamma_plus, diff.gamma_minus
-    big_a = 1.0 + x
-    big_b = 1.0 + 2.0 * x
-    p1 = (2.0 * a + b - 1.0) / 2.0
-    c2 = (1.0 + 2.0 * c - big_b * b) / (4.0 * big_a)
-    t_inf = (-1.0 + big_b * (b + 2.0 * c)) / (4.0 * big_a)
-    s_inf = (1.0 + b + 2.0 * c) / (2.0 * big_a)
-
-    # Source amplitudes for the population-transfer sector.  Three are g
-    # times a coefficient per unit base emission rate, left uncancelled
-    # to keep their rounding; the constant source mixes the steady
-    # populations with the Boltzmann-weighted emission derivative.
-    s0_inf = g * (
-        (2.0 * dgm * (1.0 + b + 2.0 * c) - dgp * (1.0 + 2.0 * x - b - 2.0 * c))
-        / (4.0 * g * big_a)
-    )
-    s0_2 = g * ((2.0 * dgm + dgp) * (big_b * b - 1.0 - 2.0 * c) / (4.0 * g * big_a))
-    s1_inf = (x * dgp - dgm) * s_inf
-    s1_2 = g * ((dgp + dgm) * (1.0 + 2.0 * c - big_b * b) / (2.0 * g * big_a))
-
-    s3_inf = -t_inf
-    s3_1 = -(dgp / 2.0) * d
-    s3_2 = -c2
-
-    alpha = (d / (2.0 * big_a * g)) * (1.0 - slow)
-    e_inf = s1_inf / 2.0
-    e_1 = dgp * p1 / 2.0 - d / (2.0 * big_a)
-    e_2 = s1_2 / 2.0
-    beta_inf = e_inf / (2.0 * big_a * g)
-    beta_1 = e_1 / (big_b * g)
-    beta_2 = -beta_inf - beta_1
-    beta = beta_inf + beta_1 * slow + (beta_2 + e_2 * t) * fast
-
-    y1 = 2.0 * alpha + 2.0 * beta
-    y2 = big_b * alpha - beta
-    y3 = (
-        (s3_inf / g) * (1.0 - slow)
-        + s3_1 * t * slow
-        - (s3_2 / (big_b * g)) * (fast - slow)
-    )
-
-    f_inf = -d / (2.0 * big_a) + big_b * s1_inf / (4.0 * big_a) + s0_inf
-    f_1 = -dgp * p1 / 2.0
-    f_2 = -big_b * s1_inf / (4.0 * big_a) - e_1 + s0_2
-    f_r = big_b * g * e_2
-    denom = big_b * g
-    h = -f_inf / g + f_2 / denom + f_r / denom ** 2
-    y0 = (
-        f_inf / g
-        + h * slow
-        + f_1 * t * slow
-        - (f_2 / denom) * fast
-        - (f_r / denom) * (t + 1.0 / denom) * fast
-    )
-    return np.array([y0, y1, y2, y3])
-
-
 def _perturbative_series(init, system, bath, times) -> np.ndarray:
     """Rows (r22, r00, r+, d) of perturbative_solution at each of times."""
     if not _is_aligned(bath):
@@ -233,19 +156,25 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     a, b, c, d = (float(v) for v in init)
     CoherenceVector(a, b, c, d).to_density().validate()
     times = _checked_times(times, system)
-    g = rates_at(bath, system.omega1).gamma_plus
+    pair = rates_at(bath, system.omega1)
+    g = pair.gamma_plus
     x = math.exp(-bath.beta * system.omega1)
     slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
-    zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast))
+    zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast)).T
     delta = system.delta
     if delta == 0.0:
-        return zeroth.T
-    diff = rate_derivative(bath, system.omega1, delta)
-    # The correction is per unit base emission rate.
+        return zeroth
+    # The derivative needs no emission; this rejection is the command
+    # line's contract (exit 3) for a split system dark at omega1.
     if g == 0.0:
         raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
-    first = _first_order(times, slow, fast, (a, b, c, d), x, g, diff)
-    return (zeroth + delta * first).T
+    # Every entry of _generator is linear in the rates and the splitting.
+    slope = _generator(RatePair(0.0, 0.0), rate_derivative(bath, system.omega1, delta),
+                       1.0, 1.0).matrix
+    fixed = np.array(_aligned_vector((a, b, c, d), x, 0.0, 0.0))
+    first = _affine_derivative(_generator(pair, pair, 1.0, 0.0).matrix, slope, fixed,
+                               np.array([a, b, c, d]), times)
+    return zeroth + delta * first
 
 
 def perturbative_solution(
@@ -257,10 +186,12 @@ def perturbative_solution(
     """Dressed coherence vector to first order in the splitting.
 
     Valid for aligned dipoles.  The zeroth order is the degenerate
-    closed-form solution; the correction integrates the source produced
-    by the generator's splitting derivative, with differential rates
-    taken as difference quotients across the actual splitting.  The
-    correction vanishes identically at t = 0.
+    closed-form solution.  The correction is the Frechet derivative of
+    the delta = 0 propagation along the generator's slope in delta (its
+    rates' derivatives taken as difference quotients across the actual
+    splitting), on the decomposition that propagate_affine caches; it
+    vanishes at t = 0.  A split system with no emission at omega1 is a
+    ValueError, kept as the command line's contract (exit 3).
     """
     return CoherenceVector.from_array(_perturbative_series(init, system, bath, [t])[0])
 
@@ -276,7 +207,8 @@ def thermalize_independent(
     omega1}, 1)/Z regardless of the input state.
     """
     rho.validate()
-    return _independent_gibbs(system.omega1, system.omega2, bath.beta)
+    populations = _gibbs_populations(system.omega1, system.omega2, bath.beta)
+    return DensityMatrix(np.diag(populations))
 
 
 def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
@@ -285,11 +217,6 @@ def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
     w1 = math.exp(-beta * omega1)
     z = 1.0 + w1 + w2
     return w2 / z, w1 / z, 1.0 / z
-
-
-def _independent_gibbs(omega1: float, omega2: float, beta: float) -> DensityMatrix:
-    """Diagonal Gibbs state of levels at omega2, omega1 and 0; no checks."""
-    return DensityMatrix(np.diag(_gibbs_populations(omega1, omega2, beta)))
 
 
 def nonsecular_rhs_matrix(

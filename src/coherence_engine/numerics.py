@@ -2,7 +2,8 @@
 
 Deterministic scalar and ODE routines used across the package: the
 principal branch of the Lambert W function, exact propagation of linear
-time-independent equations, adaptive ODE integration with dense output,
+time-independent equations and its first-order change under a change of
+the generator, adaptive ODE integration with dense output,
 and adaptive Gauss-Kronrod quadrature.  All kernels use fixed iteration
 orders, fixed tolerances and no randomness, so identical inputs give
 bit-identical results.  Propagation decomposes each distinct generator
@@ -138,6 +139,33 @@ def propagate_affine(
     out = out.real if np.isrealobj(matrix) else out
     out[times == 0.0] = y0
     return out
+
+
+def _affine_derivative(matrix, slope, fixed, y0, times) -> np.ndarray:
+    """d/de at e = 0 of the rows of dy/dt = (matrix + e slope) y - matrix . fixed.
+
+    The Frechet derivative of propagate_affine's solution along slope, in
+    Daleckii-Krein form (Higham, Functions of Matrices, SIAM 2008, sec.
+    3.2), on the same cached decomposition matrix = V diag(l) V^{-1}: row t
+    is V z, z_i = phi(l_i, 0) (V^{-1} slope fixed)_i + sum_j (V^{-1} slope
+    V)_ij phi(l_i, l_j) (V^{-1} (y0 - fixed))_j.  phi(a, b) = (e^{at} -
+    e^{bt})/(a - b) is taken as t e^{hi t} expm1(w)/w, w = (lo - hi) t,
+    with hi the one of a, b with the larger real part, so it cannot
+    overflow.  Each row is contracted on its own; rows at t = 0 are 0.
+    """
+    vals, vecs, inverse = _decomposition(matrix.tobytes(), matrix.shape, matrix.dtype)
+
+    def phi(a, b):
+        hi, lo = np.where(a.real >= b.real, a, b), np.where(a.real >= b.real, b, a)
+        w = np.multiply.outer(lo - hi, times)
+        ratio = np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0.0)
+        return times * np.exp(np.multiply.outer(hi, times)) * ratio
+
+    modes = phi(vals, 0.0) * (inverse @ slope @ fixed)[:, None] + np.einsum(
+        "ij,ijk,j->ik", inverse @ slope @ vecs, phi(vals[:, None], vals[None, :]),
+        inverse @ (y0 - fixed))
+    out = np.einsum("ij,jk->ik", vecs, modes).T
+    return out.real if np.isrealobj(matrix) else out
 
 
 @dataclass(frozen=True)

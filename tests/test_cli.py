@@ -296,6 +296,17 @@ def test_neardegen_check_without_emission_exits_3(tmp_path, capsys):
     assert not list(tmp_path.glob("dark*"))
 
 
+@pytest.mark.parametrize("gamma_plus", [1e-300, 1e-160])
+def test_neardegen_check_at_tiny_emission_rates(tmp_path, gamma_plus):
+    """Emission rates near the bottom of the double range still compare exactly."""
+    config = {"system": {"omega1": 1.0, "omega2": 1.005},
+              "bath": {"gamma_plus": gamma_plus},
+              "out": str(tmp_path / "faint")}
+    assert _run(tmp_path, "neardegen-check", config) == 0
+    summary = json.loads((tmp_path / "faint.json").read_text())
+    assert 0.0 <= summary["max_perturbative_deviation"] <= 1e-15
+
+
 def _strict_json(path):
     def reject(constant):
         raise ValueError(f"{path.name}: {constant} is not JSON")

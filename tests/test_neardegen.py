@@ -9,6 +9,7 @@ from coherence_engine.bath import (
     BathSpec,
     flat_rate,
     rate_derivative,
+    rates_at,
     tabulated_rate,
 )
 from coherence_engine.bloch import DensityMatrix
@@ -30,7 +31,8 @@ from coherence_engine.neardegen import (
     perturbative_solution,
     thermalize_independent,
 )
-from coherence_engine.numerics import _decomposition, integrate_ode
+from coherence_engine.numerics import _decomposition, exp_modes, integrate_ode
+from reference import first_order_closed_form
 
 RAMP = tabulated_rate(((0.2, 0.8), (1.5, 1.3), (3.0, 1.1)))
 
@@ -274,8 +276,37 @@ def test_first_order_richardson_slope_matches_numerics(subspace_sampler):
             )
 
 
+def test_first_order_matches_closed_form_reference(subspace_sampler):
+    """The series' first-order term equals the hand-derived closed form.
+
+    (series - zeroth order) / delta against the variation-of-parameters
+    solution over 300 seeded aligned configurations; the bound leaves room
+    for the subtraction's rounding, about eps / delta.
+    """
+    rng = np.random.default_rng(1995)
+    times = np.linspace(0.0, 20.0, 41)
+    worst = 0.0
+    for k in range(300):
+        omega = float(rng.uniform(0.3, 3.0))
+        rate_fn = RAMP if k % 2 else flat_rate(float(rng.uniform(0.1, 3.0)))
+        bath = BathSpec(beta=float(rng.uniform(0.05, 10.0)), rate_fn=rate_fn,
+                        alignment=1.0)
+        system = NearDegenerateSystem(omega, omega + 1e-3)
+        init = subspace_sampler()
+        g = rates_at(bath, omega).gamma_plus
+        x = math.exp(-bath.beta * omega)
+        slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
+        reference = first_order_closed_form(
+            times, slow, fast, init, x, g, rate_derivative(bath, omega, system.delta)
+        ).T
+        zeroth = _perturbative_series(init, NearDegenerateSystem(omega, omega), bath, times)
+        first = (_perturbative_series(init, system, bath, times) - zeroth) / system.delta
+        worst = max(worst, float(np.max(np.abs(first - reference))))
+    assert worst <= 1e-12
+
+
 def test_splitting_correction_needs_emission_at_omega1():
-    """The correction is per unit emission rate: g = 0 is a ValueError."""
+    """A split system that emits nothing at omega1 is a ValueError (exit 3 in the CLI)."""
     init = (0.3, 0.25, 0.1, 0.02)
     dark = BathSpec(beta=1.0, rate_fn=flat_rate(0.0), alignment=1.0)
     with pytest.raises(ValueError, match="emission rate"):
