@@ -120,6 +120,13 @@ class DensityMatrix:
         return True
 
     @classmethod
+    def _view(cls, m: np.ndarray) -> "DensityMatrix":
+        """A state over m, a read-only 3x3 complex array, without the copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        return state
+
+    @classmethod
     def ground(cls) -> "DensityMatrix":
         return cls(np.diag([0.0, 0.0, 1.0]))
 

@@ -103,7 +103,7 @@ class CoherenceVector:
 
     @classmethod
     def from_array(cls, values: Sequence[float]) -> "CoherenceVector":
-        r22, r00, rp, d = (float(v) for v in values)
+        r22, r00, rp, d = np.asarray(values, dtype=float).tolist()
         return cls(r22, r00, rp, d)
 
     @classmethod
@@ -235,6 +235,7 @@ def evolve(
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
     if t == 0.0:
+        _require_hermitian_unit_trace(rho0.matrix)
         return rho0
     rho_t = evolve_trajectory(rho0, system, bath, [t])[0]
     drift = abs(rho_t.trace - 1.0)
@@ -257,24 +258,25 @@ def evolve_trajectory(
     The ground-excited coherences obey d/dt (rho20, rho10) =
     [[a, b], [b, a]] (rho20, rho10) with a = -i omega - gamma_plus/2 -
     gamma_minus and b = -p gamma_plus/2, so rho20 +- rho10 decay as
-    e^{(a +- b) t}.  Rows at t = 0 are rho0 itself.
+    e^{(a +- b) t}.  States at t = 0 are rho0 itself; every other state
+    is a read-only view of its own row of one (n, 3, 3) stack.
     """
-    times = [float(t) for t in times]
-    if not all(0.0 <= t < math.inf for t in times) or any(
-        t2 < t1 for t1, t2 in zip(times, times[1:])
+    t = np.asarray(times, dtype=float)
+    # Non-decreasing from t[0] >= 0 up to t[-1] < inf; a NaN fails a comparison.
+    if t.ndim != 1 or not (
+        (t[1:] >= t[:-1]).all() and (t.size == 0 or 0.0 <= t[0] and t[-1] < math.inf)
     ):
         raise ValueError("times must be finite, non-negative and non-decreasing")
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
     bath = _model_bath(bath)
     init = CoherenceVector.from_density(rho0).as_array()
-    fixed = CoherenceVector.from_density(steady_state(system, bath, init)).as_array()
-    matrix = coherence_generator(system, bath).matrix
-    r22, r00, rp, d = propagate_affine(matrix, fixed, init, times).T
+    fixed = _steady_vector(system, bath, init)
     pair = rates_at(bath, system.omega)
+    matrix = _generator(pair, pair, bath.alignment, 0.0).matrix
+    r22, r00, rp, d = propagate_affine(matrix, fixed, init, t).T
     a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
     b = -0.5 * bath.alignment * pair.gamma_plus
-    t = np.array(times)
     ms = np.zeros((t.size, 3, 3), dtype=complex)
     ms[:, 0, 0], ms[:, 1, 1], ms[:, 2, 2] = r22, 1.0 - r22 - r00, r00
     ms[:, 0, 1] = rp + 1j * d
@@ -285,7 +287,8 @@ def evolve_trajectory(
     ms[:, 1, 0], ms[:, 2, 0], ms[:, 2, 1] = (
         ms[:, 0, 1].conj(), ms[:, 0, 2].conj(), ms[:, 1, 2].conj()
     )
-    return [rho0 if tk == 0.0 else DensityMatrix(m) for tk, m in zip(times, ms)]
+    ms.setflags(write=False)
+    return [rho0 if tk == 0.0 else DensityMatrix._view(m) for tk, m in zip(t.tolist(), ms)]
 
 
 # The entries in row-major order over the basis (|2>, |1>, |0>), the layout
@@ -368,6 +371,20 @@ def analytic_evolution_aligned(
     return rho22, rho00, rho12
 
 
+def _steady_vector(system: DegenerateSystem, bath: BathSpec, init) -> np.ndarray:
+    """steady_state as the real 4-vector (r22, r00, r+, d)."""
+    a, b, c, d = (float(v) for v in init)
+    if rates_at(bath, system.omega).gamma_plus == 0.0:
+        return np.array([a, b, c, d])
+    x = math.exp(-bath.beta * system.omega)
+    if _thermalizes(bath):
+        z = 1.0 + 2.0 * x
+        return np.array([x / z, 1.0 / z, 0.0, 0.0])
+    sign = 1.0 if bath.alignment >= 0.0 else -1.0
+    r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
+    return np.array([r22, r00, sign * rp, 0.0])
+
+
 def steady_state(
     system: DegenerateSystem,
     bath: BathSpec,
@@ -380,13 +397,4 @@ def steady_state(
     the state keeps a memory of the initial (rho00, rho_plus).  Anti-aligned
     dipoles map onto aligned ones by flipping the sign of rho_plus.
     """
-    a, b, c, d = (float(v) for v in init)
-    if rates_at(bath, system.omega).gamma_plus == 0.0:
-        return CoherenceVector(a, b, c, d).to_density()
-    x = math.exp(-bath.beta * system.omega)
-    if _thermalizes(bath):
-        z = 1.0 + 2.0 * x
-        return CoherenceVector(x / z, 1.0 / z, 0.0).to_density()
-    sign = 1.0 if bath.alignment >= 0.0 else -1.0
-    r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
-    return CoherenceVector(r22, r00, sign * rp, 0.0).to_density()
+    return CoherenceVector.from_array(_steady_vector(system, bath, init)).to_density()

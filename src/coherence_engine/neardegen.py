@@ -44,7 +44,7 @@ from .dynamics import (
     _is_aligned,
     _model_bath,
     _sigma_ops,
-    steady_state,
+    _steady_vector,
 )
 from .numerics import _affine_derivative, exp_modes, propagate_affine
 
@@ -98,9 +98,9 @@ def neardegenerate_generator(
 def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
     """times as an array; warns once if the grid leaves the validity window."""
     times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & (times < np.inf)):
+    t = float(times.max(initial=0.0))
+    if not (times.min(initial=math.inf) >= 0.0 and t < math.inf):  # NaN fails both
         raise ValueError("evolution time must be finite and non-negative")
-    t = float(np.max(times, initial=0.0))
     product = t * system.delta
     if product > VALIDITY_WINDOW_LIMIT:
         logger.warning(
@@ -131,8 +131,7 @@ def _neardegenerate_series(
     matrix = neardegenerate_generator(system, bath).matrix
     init = pi0.as_array()
     if system.delta == 0.0:
-        limit = steady_state(DegenerateSystem(system.omega1), bath, init)
-        fixed = CoherenceVector.from_density(limit).as_array()
+        fixed = _steady_vector(DegenerateSystem(system.omega1), bath, init)
     else:
         r22, _, r00 = _gibbs_populations(system.omega1, system.omega2, bath.beta)
         fixed = np.array([r22, r00, 0.0, 0.0])

@@ -136,8 +136,9 @@ def propagate_affine(
     vals, vecs, inverse = _decomposition(matrix.tobytes(), matrix.shape, matrix.dtype)
     modes = exp_modes(vals, times) * (inverse @ (y0 - fixed))[:, None]
     out = fixed + (vecs @ modes).T
-    out = out.real if np.isrealobj(matrix) else out
-    out[times == 0.0] = y0
+    out = out.real if matrix.dtype.kind != "c" else out
+    if np.count_nonzero(times) < times.size:  # a zero time; cheaper than .any()
+        out[times == 0.0] = y0
     return out
 
 

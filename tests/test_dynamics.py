@@ -12,6 +12,7 @@ from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
     _reference_states,
+    _steady_vector,
     analytic_evolution_aligned,
     coherence_generator,
     evolve,
@@ -173,6 +174,17 @@ def test_evolve_time_edge_cases():
     assert evolve(rho0, system, bath, 0.0) is rho0
     with pytest.raises(ValueError):
         evolve(rho0, system, bath, -0.1)
+
+
+def test_evolve_at_time_zero_checks_the_state_as_later_times_do():
+    system, bath = DegenerateSystem(1.0), BathSpec(beta=1.0)
+    heavy = DensityMatrix(np.diag([0.5, 0.5, 0.5]))
+    for t in (0.0, 1.0):
+        with pytest.raises(PhysicalityError, match="trace"):
+            evolve(heavy, system, bath, t)
+    # Hermitian and unit-trace is enough at t = 0 too
+    unsigned = DensityMatrix(np.diag([1.2, -0.2, 0.0]))
+    assert evolve(unsigned, system, bath, 0.0) is unsigned
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -412,13 +424,11 @@ def test_trajectory_rows_match_per_state_reference(random_density, subspace_samp
 
 
 def test_trajectory_rejects_decreasing_times():
-    with pytest.raises(ValueError):
-        evolve_trajectory(
-            DensityMatrix.ground(),
-            DegenerateSystem(1.0),
-            BathSpec(beta=1.0),
-            [0.0, 2.0, 1.0],
-        )
+    args = DensityMatrix.ground(), DegenerateSystem(1.0), BathSpec(beta=1.0)
+    for grid in ([0.0, 2.0, 1.0], np.array([[0.0, 1.0]]), np.array(1.0)):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            evolve_trajectory(*args, grid)
+    assert evolve_trajectory(*args, []) == []
 
 
 def test_evolve_trajectory_rejects_unphysical_input():
@@ -435,6 +445,37 @@ def test_evolve_trajectory_rejects_unphysical_input():
         DensityMatrix(np.diag([1.2, -0.2, 0.0])), system, bath, [1.0]
     )
     assert states[0].trace == pytest.approx(1.0, abs=1e-15)
+
+
+def test_trajectory_states_are_read_only_rows_of_one_stack():
+    system, bath = DegenerateSystem(1.0), BathSpec(beta=1.0, alignment=0.5)
+    rho0 = CoherenceVector(0.3, 0.2, 0.1, 0.05).to_density()
+    states = evolve_trajectory(rho0, system, bath, [0.0, 0.5, 0.5, 2.0])
+    assert states[0] is rho0
+    for state in states[1:]:
+        assert not np.shares_memory(state.matrix, rho0.matrix)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+    # equal times give equal values in separate rows
+    assert not np.shares_memory(states[1].matrix, states[2].matrix)
+    np.testing.assert_array_equal(states[1].matrix, states[2].matrix)
+
+
+@pytest.mark.parametrize(
+    "profile", [flat_rate(0.7), tabulated_rate(((0.5, 0.3), (2.0, 1.7)))],
+    ids=["flat", "tabulated"],
+)
+def test_steady_vector_is_steady_state_bit_for_bit(profile):
+    inits = [(0.0, 1.0, 0.0, 0.0), (0.3, 0.2, 0.1, 0.05), (0.25, 0.4, -0.2, -0.1)]
+    for alignment in (1.0, -1.0, 1.0 - 1e-13, 0.5):
+        for beta, rates in ((1.3, profile), (0.4, flat_rate(0.0))):
+            bath = BathSpec(beta=beta, rate_fn=rates, alignment=alignment)
+            for init in inits:
+                system = DegenerateSystem(1.1)
+                vector = _steady_vector(system, bath, init)
+                state = steady_state(system, bath, init)
+                expected = CoherenceVector.from_density(state).as_array()
+                assert vector.tobytes() == expected.tobytes()
 
 
 def test_ground_state_keeps_ground_excited_coherences_exactly_zero():
