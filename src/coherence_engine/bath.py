@@ -3,7 +3,10 @@
 A bath is described by its inverse temperature beta, an emission-rate
 profile gamma_plus(omega) over transition frequency, and the dipole
 alignment p = cos(Theta_12) between the two excited-state transition
-dipoles.  Absorption rates are never stored; detailed balance fixes
+dipoles.  Coherence persists only for |p| = 1, so BathSpec stores an
+alignment within ALIGNED_TOL of +-1 as +-1 and every other module reads
+the regime off the alignment itself.  Absorption rates are never
+stored; detailed balance fixes
 gamma_minus(omega) = exp(-beta * omega) * gamma_plus(omega) at every
 frequency, which is the KMS condition in frequency space.
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Tuple
 
@@ -25,6 +29,7 @@ import numpy as np
 RateFunction = Callable[[float], float]
 
 DETAILED_BALANCE_RTOL = 1e-14
+ALIGNED_TOL = 1e-12
 
 
 def flat_rate(gamma: float = 1.0) -> RateFunction:
@@ -60,7 +65,12 @@ def tabulated_rate(points: Tuple[Tuple[float, float], ...]) -> RateFunction:
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Inverse temperature, emission-rate profile, and dipole alignment."""
+    """Inverse temperature, emission-rate profile, and dipole alignment.
+
+    beta must be at least the smallest normal float: below it, terms of
+    order 1/beta (S / beta in a free energy) overflow.  An alignment
+    within ALIGNED_TOL of +-1 is stored as +-1 exactly.
+    """
 
     beta: float
     rate_fn: RateFunction = field(default_factory=flat_rate)
@@ -71,10 +81,12 @@ class BathSpec:
             raise ValueError("beta must be finite")
         if not math.isfinite(self.alignment):
             raise ValueError("alignment must be finite")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not self.beta >= sys.float_info.min:
+            raise ValueError(f"beta must be positive and at least {sys.float_info.min!r}")
         if abs(self.alignment) > 1.0:
             raise ValueError("alignment must lie in [-1, 1]")
+        if abs(abs(self.alignment) - 1.0) <= ALIGNED_TOL:
+            object.__setattr__(self, "alignment", math.copysign(1.0, self.alignment))
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ from .bloch import DensityMatrix
 from .dynamics import (
     CoherenceVector,
     DegenerateSystem,
-    _is_aligned,
-    _thermalizes,
     analytic_evolution_aligned,
     evolve_trajectory,
     steady_state,
@@ -128,14 +126,13 @@ def _number(where: str, value) -> float:
         raise ConfigError(str(exc)) from None
 
 
-def _require_number(where: str, value, low: float = -math.inf,
-                    strict: bool = False) -> float:
-    """A finite number >= low (> low when strict), for values no type checks."""
+def _require_number(where: str, value, low: float = -math.inf) -> float:
+    """A finite number >= low, for values no type checks."""
     v = _number(where, value)
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite")
-    if v < low or (strict and v == low):
-        raise ConfigError(f"{where} must be {'>' if strict else '>='} {low:g}")
+    if v < low:
+        raise ConfigError(f"{where} must be >= {low:g}")
     return v
 
 
@@ -147,10 +144,10 @@ def _require_int(where: str, value, minimum: int) -> int:
     return value
 
 
-def _built(what: str, factory, *args):
-    """factory(*args), with its ValueError reported as a config error."""
+def _built(what: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), with its ValueError reported as a config error."""
     try:
-        return factory(*args)
+        return factory(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -202,8 +199,9 @@ def _check_sections(config: dict) -> None:
     for name in ("evolve", "neardegen"):
         section = config[name]
         _check_keys(name, section, ["t_final", "samples"])
-        _require_number(f"{name}.t_final", section["t_final"], low=0.0)
-        _require_int(f"{name}.samples", section["samples"], 1)
+        t_final = _require_number(f"{name}.t_final", section["t_final"], low=0.0)
+        # A grid from 0 to t_final > 0 needs both of its ends.
+        _require_int(f"{name}.samples", section["samples"], 1 if t_final == 0.0 else 2)
 
     _check_keys("steady", config["steady"], [])
 
@@ -222,8 +220,6 @@ def _check_sections(config: dict) -> None:
     grid = section["beta_grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("figure.beta_grid must be a nonempty list")
-    for i, b in enumerate(grid):
-        _require_number(f"figure.beta_grid.{i}", b, low=0.0, strict=True)
 
     if not isinstance(config["out"], str) or not config["out"]:
         raise ConfigError("out must be a nonempty string")
@@ -303,7 +299,11 @@ def _parse(config: dict, command: str) -> _Run:
         config["initial"] = "coherent-steady" if protocol else "ground"
     _check_sections(config)
     bath = _built("bath is invalid", bath_from_json, config["bath"])
-    if command in _PROTOCOL_COMMANDS and not _is_aligned(bath):
+    # figure-wfed runs a bath at each of these betas.
+    for i, beta in enumerate(config["figure"]["beta_grid"]):
+        _built(f"figure.beta_grid.{i} is invalid", dataclasses.replace, bath,
+               beta=_number(f"figure.beta_grid.{i}", beta))
+    if command in _PROTOCOL_COMMANDS and bath.alignment != 1.0:
         raise ConfigError(f"{command} requires an aligned bath (alignment 1)")
     system = _system(config["system"], command)
     rho0 = _initial_state(config["initial"], system, bath)
@@ -362,7 +362,7 @@ def cmd_evolve(run: _Run) -> int:
         "t_final": t_final,
         "samples": samples,
     }
-    if _is_aligned(bath):
+    if bath.alignment == 1.0:
         init = CoherenceVector.from_density(rho0).as_array()
         r22, r00, r12 = analytic_evolution_aligned(init, system, bath, times)
         ms = np.array([state.matrix for state in states])
@@ -374,7 +374,7 @@ def cmd_evolve(run: _Run) -> int:
             float(np.abs(populations[:, 1] - (1.0 - r22 - r00)).max()),
             float(np.abs(ms[:, 1, 0] - r12).max()),
         )
-    elif _thermalizes(bath):
+    elif abs(bath.alignment) < 1.0:
         ham = HamiltonianSpec.degenerate(system.omega)
         dist = trace_distance(final, gibbs(ham, bath.beta))
         summary["gibbs_trace_distance"] = dist
@@ -505,7 +505,7 @@ def cmd_neardegen_check(run: _Run) -> int:
     bath, system = run.bath, run.system
     init = CoherenceVector.from_density(run.rho0)
     t_final, samples, times = _time_grid(run.config["neardegen"])
-    aligned = _is_aligned(bath)
+    aligned = bath.alignment == 1.0
 
     columns = ["t", "num_rho22", "num_rho00", "num_rho_plus", "num_rho_minus_im"]
     if aligned:

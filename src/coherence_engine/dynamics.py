@@ -27,7 +27,7 @@ and a one-parameter family of coherent steady states appears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -38,24 +38,6 @@ from .numerics import exp_modes, integrate_ode, propagate_affine
 from .thermo import _l1_coherences
 
 TRACE_DRIFT_TOL = 1e-12
-ALIGNED_TOL = 1e-12
-
-
-def _is_aligned(bath: BathSpec) -> bool:
-    """Whether the bath's dipoles are aligned (alignment 1 within ALIGNED_TOL)."""
-    return abs(bath.alignment - 1.0) <= ALIGNED_TOL
-
-
-def _thermalizes(bath: BathSpec) -> bool:
-    """Whether every state relaxes to Gibbs: |alignment| not within ALIGNED_TOL of 1."""
-    return abs(abs(bath.alignment) - 1.0) > ALIGNED_TOL
-
-
-def _model_bath(bath: BathSpec) -> BathSpec:
-    """bath, with an alignment within ALIGNED_TOL of +-1 set to +-1 exactly."""
-    if _thermalizes(bath) or abs(bath.alignment) == 1.0:
-        return bath
-    return replace(bath, alignment=math.copysign(1.0, bath.alignment))
 
 
 @dataclass(frozen=True)
@@ -253,8 +235,7 @@ def evolve_trajectory(
     """States along a time grid, by exact propagation of each sector.
 
     The 4-vector (r22, r00, r+, d) is propagated on coherence_generator
-    about steady_state (alignments within ALIGNED_TOL of +-1 taken as +-1),
-    one decomposition for every time.
+    about steady_state, one decomposition for every time.
     The ground-excited coherences obey d/dt (rho20, rho10) =
     [[a, b], [b, a]] (rho20, rho10) with a = -i omega - gamma_plus/2 -
     gamma_minus and b = -p gamma_plus/2, so rho20 +- rho10 decay as
@@ -269,7 +250,6 @@ def evolve_trajectory(
         raise ValueError("times must be finite, non-negative and non-decreasing")
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
-    bath = _model_bath(bath)
     init = CoherenceVector.from_density(rho0).as_array()
     fixed = _steady_vector(system, bath, init)
     pair = rates_at(bath, system.omega)
@@ -353,7 +333,7 @@ def analytic_evolution_aligned(
     and x = exp(-beta omega).  Accepts a scalar or array of finite,
     non-negative times and returns (rho22, rho00, rho12) with rho12 complex.
     """
-    if not _is_aligned(bath):
+    if bath.alignment != 1.0:
         raise ValueError("closed-form evolution requires alignment = 1")
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < np.inf)):
@@ -377,10 +357,10 @@ def _steady_vector(system: DegenerateSystem, bath: BathSpec, init) -> np.ndarray
     if rates_at(bath, system.omega).gamma_plus == 0.0:
         return np.array([a, b, c, d])
     x = math.exp(-bath.beta * system.omega)
-    if _thermalizes(bath):
+    if abs(bath.alignment) < 1.0:
         z = 1.0 + 2.0 * x
         return np.array([x / z, 1.0 / z, 0.0, 0.0])
-    sign = 1.0 if bath.alignment >= 0.0 else -1.0
+    sign = bath.alignment
     r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
     return np.array([r22, r00, sign * rp, 0.0])
 
@@ -393,8 +373,8 @@ def steady_state(
     """Long-time state of the coherence sector, in closed form.
 
     The initial state when nothing emits (gamma_plus = 0 at omega); else
-    the Gibbs state, unless |alignment| is within ALIGNED_TOL of 1, where
-    the state keeps a memory of the initial (rho00, rho_plus).  Anti-aligned
-    dipoles map onto aligned ones by flipping the sign of rho_plus.
+    the Gibbs state, unless |alignment| = 1, where the state keeps a
+    memory of the initial (rho00, rho_plus).  Anti-aligned dipoles map
+    onto aligned ones by flipping the sign of rho_plus.
     """
     return CoherenceVector.from_array(_steady_vector(system, bath, init)).to_density()

@@ -41,8 +41,6 @@ from .dynamics import (
     GeneratorMatrix,
     _aligned_vector,
     _generator,
-    _is_aligned,
-    _model_bath,
     _sigma_ops,
     _steady_vector,
 )
@@ -124,10 +122,9 @@ def _neardegenerate_series(
     """Rows (r22, r00, r+, d) at each of times, from one decomposition.
 
     Anchored at the two-frequency Gibbs vector, or without a splitting at
-    steady_state (alignments within ALIGNED_TOL of +-1 taken as +-1).
+    steady_state.
     """
     times = _checked_times(times, system)
-    bath = _model_bath(bath)
     matrix = neardegenerate_generator(system, bath).matrix
     init = pi0.as_array()
     if system.delta == 0.0:
@@ -150,7 +147,7 @@ def evolve_neardegenerate(
 
 def _perturbative_series(init, system, bath, times) -> np.ndarray:
     """Rows (r22, r00, r+, d) of perturbative_solution at each of times."""
-    if not _is_aligned(bath):
+    if bath.alignment != 1.0:
         raise ValueError("perturbative solution requires alignment = 1")
     a, b, c, d = (float(v) for v in init)
     CoherenceVector(a, b, c, d).to_density().validate()

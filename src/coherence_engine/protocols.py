@@ -40,9 +40,9 @@ import numpy as np
 
 from .bath import BathSpec, rates_at
 from .bloch import DensityMatrix, _validate_all
-from .dynamics import DegenerateSystem, _is_aligned, steady_state
+from .dynamics import DegenerateSystem, steady_state
 from .numerics import integrate_1d, lambert_w_principal
-from .thermo import SUBSPACE_TOL, _l1_coherences
+from .thermo import SUBSPACE_TOL, HamiltonianSpec, _l1_coherences, gibbs
 
 SHIFT_ROOT_TOL = 1e-13
 
@@ -241,7 +241,7 @@ def _conjugate(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
 
 def _require_bath(bath: BathSpec, beta: float) -> None:
     """A protocol's bath must be aligned and at the protocol's beta."""
-    if not _is_aligned(bath):
+    if bath.alignment != 1.0:
         raise ValueError("protocol requires a fully aligned bath")
     if beta != bath.beta:
         raise ValueError(f"beta {beta!r} differs from the bath's beta {bath.beta!r}")
@@ -645,9 +645,7 @@ def protocol2(
     u1 = math.exp(-beta * omega1)
     z1 = 1.0 + 2.0 * u1
     merged = DensityMatrix(np.diag([u1 / z1, u1 / z1, 1.0 / z1]))
-    x = math.exp(-beta * omega)
-    z = 1.0 + 2.0 * x
-    final = DensityMatrix(np.diag([x / z, x / z, 1.0 / z]))
+    final = gibbs(HamiltonianSpec.degenerate(omega), beta)
     rows = [
         ("rotate", diagonal, 0.0, 0.0),
         ("match-middle-level", diagonal, max(-w_lower, 0.0), max(w_lower, 0.0)),

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from coherence_engine.bath import (
+    ALIGNED_TOL,
     BathSpec,
     bath_from_json,
     cross_rates,
@@ -12,6 +15,8 @@ from coherence_engine.bath import (
     rates_at,
     tabulated_rate,
 )
+from coherence_engine.dynamics import DegenerateSystem, coherence_generator
+from coherence_engine.neardegen import NearDegenerateSystem, neardegenerate_generator
 
 
 def test_detailed_balance_everywhere():
@@ -48,6 +53,43 @@ def test_bath_spec_validation():
     with pytest.raises(ValueError):
         BathSpec(beta=1.0, alignment=1.5)
     BathSpec(beta=1.0, alignment=-1.0)
+
+
+def test_beta_below_the_smallest_normal_float_is_rejected():
+    """Below it, terms of order 1/beta (S / beta in a free energy) overflowed."""
+    for beta in (5e-324, 1e-320, 6e-309, math.nextafter(sys.float_info.min, 0.0)):
+        with pytest.raises(ValueError, match="at least"):
+            BathSpec(beta=beta)
+    assert BathSpec(beta=sys.float_info.min).beta == sys.float_info.min
+
+
+def test_alignment_within_tolerance_of_one_is_stored_as_one():
+    assert ALIGNED_TOL == 1e-12
+    for sign in (1.0, -1.0):
+        for near in (1.0 - 1e-13, 1.0 - ALIGNED_TOL, 1.0):
+            stored = BathSpec(beta=1.0, alignment=sign * near).alignment
+            assert stored == sign and type(stored) is float
+        for far in (1.0 - 2e-12, 0.5, 0.0):
+            assert BathSpec(beta=1.0, alignment=sign * far).alignment == sign * far
+    bath = BathSpec(beta=1.0, alignment=1.0 - 1e-13)
+    assert dataclasses.replace(bath, beta=2.0).alignment == 1.0
+    near = dataclasses.replace(BathSpec(beta=1.0, alignment=0.5), alignment=-1.0 + 1e-13)
+    assert near.alignment == -1.0
+    assert bath_from_json({"beta": 1.0, "alignment": 1.0 - 1e-13}).alignment == 1.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_generators_near_alignment_are_the_aligned_ones(sign):
+    near, exact = (BathSpec(beta=0.7, alignment=sign * p) for p in (1.0 - 1e-13, 1.0))
+    degenerate = DegenerateSystem(1.3)
+    split = NearDegenerateSystem(1.3, 1.31)
+    for build, system in ((coherence_generator, degenerate),
+                          (neardegenerate_generator, split)):
+        a, b = build(system, near), build(system, exact)
+        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.constant, b.constant)
+    for got, want in zip(cross_rates(near, 1.3), cross_rates(exact, 1.3)):
+        assert np.array_equal(got, want)
 
 
 def test_non_finite_parameters_rejected():

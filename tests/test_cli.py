@@ -507,6 +507,64 @@ def test_bad_values_exit_2(tmp_path, capsys):
         assert "finite" in _config_error(capsys)
 
 
+def _one_config_error(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    blob = json.loads(lines[0])
+    assert blob["error"] == "config"
+    return blob["message"]
+
+
+def test_subnormal_beta_exits_2_and_writes_nothing(tmp_path, capsys):
+    """Below the smallest normal float the runs ended in NaN with exit 0."""
+    out = str(tmp_path / "sub")
+    for command in ("protocol1", "protocol2"):
+        assert main([command, "--beta", "1e-320", "--out", out]) == 2
+        assert "beta" in _one_config_error(capsys)
+    config = {"figure": {"beta_grid": [1e-320, 1e-310]}, "out": out}
+    assert _run(tmp_path, "figure-wfed", config) == 2
+    assert "figure.beta_grid.0" in _one_config_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_smallest_normal_beta_gives_finite_strict_json(tmp_path, capsys):
+    """Every subcommand at beta = sys.float_info.min, warnings as errors."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    beta = sys.float_info.min
+    split = {"system": {"omega1": 1.0, "omega2": 1.005}}
+    for command, config in (("evolve", {}), ("steady", {}), ("protocol1", {}),
+                            ("protocol2", {}), ("figure-wfed", {}),
+                            ("neardegen-check", split)):
+        config = {**config, "bath": {"beta": beta}, "figure": {"beta_grid": [beta]},
+                  "out": str(tmp_path / command)}
+        assert _run(tmp_path, command, config) == 0, capsys.readouterr().err
+        for path in tmp_path.glob(f"{command}*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
+        for path in tmp_path.glob(f"{command}*.csv"):
+            values = [float(v) for line in _read_lines(path)[3:] for v in line.split(",")]
+            assert values and all(math.isfinite(v) for v in values), path.name
+    assert capsys.readouterr().err == ""
+
+
+def test_one_sample_is_a_grid_only_at_t_final_zero(tmp_path, capsys):
+    """samples 1 at t_final > 0 reported the initial state as the final one."""
+    split = {"system": {"omega1": 1.0, "omega2": 1.005}}
+    for command, system, section in (("evolve", {}, "evolve"),
+                                      ("neardegen-check", split, "neardegen")):
+        out = tmp_path / command
+        config = {**system, section: {"samples": 1}, "out": str(out)}
+        assert _run(tmp_path, command, config) == 2
+        assert f"{section}.samples" in _one_config_error(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        config[section]["t_final"] = 0.0
+        assert _run(tmp_path, command, config) == 0
+        assert len(_read_lines(tmp_path / f"{command}.csv")) == 3 + 1
+        for path in tmp_path.glob(f"{command}.*"):
+            path.unlink()
+
+
 def test_unphysical_initial_state_exit_2(tmp_path, capsys):
     config = {
         "initial": {"coherence_vector": [0.9, 0.9, 0.0, 0.0]},
