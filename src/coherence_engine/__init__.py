@@ -14,7 +14,6 @@ from .bath import (
     BathSpec,
     RatePair,
     bath_from_json,
-    cross_rates,
     flat_rate,
     rate_derivative,
     rates_at,
@@ -29,7 +28,6 @@ from .dynamics import (
     coherence_generator,
     evolve,
     evolve_trajectory,
-    gksl_rhs_matrix,
     steady_state,
     trajectory_columns,
     trajectory_rows,
@@ -38,7 +36,6 @@ from .neardegen import (
     NearDegenerateSystem,
     evolve_neardegenerate,
     neardegenerate_generator,
-    nonsecular_rhs_matrix,
     perturbative_solution,
     thermalize_independent,
 )
@@ -53,9 +50,7 @@ from .protocols import (
     ProtocolStep,
     RoundResult,
     coherence_unitary,
-    discretized_quasistatic,
     optimal_shift_round1,
-    protocol1_round,
     protocol2,
     protocol_initial_state,
     quasistatic_work,
@@ -95,8 +90,6 @@ __all__ = [
     "bath_from_json",
     "coherence_generator",
     "coherence_unitary",
-    "cross_rates",
-    "discretized_quasistatic",
     "eigen_subspace",
     "evolve",
     "evolve_neardegenerate",
@@ -106,15 +99,12 @@ __all__ = [
     "flat_rate",
     "free_energy",
     "gibbs",
-    "gksl_rhs_matrix",
     "integrate_1d",
     "l1_coherence",
     "lambert_w_principal",
     "neardegenerate_generator",
-    "nonsecular_rhs_matrix",
     "optimal_shift_round1",
     "perturbative_solution",
-    "protocol1_round",
     "protocol2",
     "protocol_initial_state",
     "quasistatic_work",

@@ -115,18 +115,6 @@ def rates_at(bath: BathSpec, omega: float) -> RatePair:
     return RatePair(gamma_plus, math.exp(-bath.beta * omega) * gamma_plus)
 
 
-def cross_rates(bath: BathSpec, omega: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The 2x2 emission and absorption rate matrices over channel pairs.
-
-    Entry (i, j) carries gamma_pm for i = j and alignment * gamma_pm for
-    i != j; both matrices are symmetric.
-    """
-    pair = rates_at(bath, omega)
-    p = bath.alignment
-    pattern = np.array([[1.0, p], [p, 1.0]])
-    return pair.gamma_plus * pattern, pair.gamma_minus * pattern
-
-
 def rate_derivative(bath: BathSpec, omega: float, delta: float) -> RatePair:
     """Difference quotient (rates_at(omega + delta) - rates_at(omega)) / delta.
 

@@ -112,13 +112,6 @@ class DensityMatrix:
             raise PhysicalityError(f"negative eigenvalue {min_eig:.3e}")
         return self
 
-    def is_physical(self) -> bool:
-        try:
-            self.validate()
-        except PhysicalityError:
-            return False
-        return True
-
     @classmethod
     def _view(cls, m: np.ndarray) -> "DensityMatrix":
         """A state over m, a read-only 3x3 complex array, without the copy."""

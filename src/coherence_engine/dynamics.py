@@ -32,9 +32,10 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .bath import BathSpec, RatePair, cross_rates, rates_at
+from .bath import BathSpec, RatePair, rates_at
 from .bloch import DensityMatrix, _hermitian_eigenvalues, _require_hermitian_unit_trace
-from .numerics import exp_modes, integrate_ode, propagate_affine
+# integrate_ode is unused here; perfbench/selftest.py reads this binding.
+from .numerics import exp_modes, integrate_ode, propagate_affine  # noqa: F401
 from .thermo import _l1_coherences
 
 TRACE_DRIFT_TOL = 1e-12
@@ -149,62 +150,6 @@ def coherence_generator(system: DegenerateSystem, bath: BathSpec) -> GeneratorMa
     """The affine generator of the degenerate coherence-vector equation."""
     pair = rates_at(bath, system.omega)
     return _generator(pair, pair, bath.alignment, 0.0)
-
-
-def _sigma_ops() -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Lowering and raising operators for the two decay channels.
-
-    Channel index 0 is the |1> <-> |0> transition and index 1 is
-    |2> <-> |0>, matching the row order of the cross-rate matrices.
-    """
-    ket2 = np.array([1.0, 0.0, 0.0])
-    ket1 = np.array([0.0, 1.0, 0.0])
-    ket0 = np.array([0.0, 0.0, 1.0])
-    lower = [np.outer(ket0, ket1), np.outer(ket0, ket2)]
-    raise_ = [np.outer(ket1, ket0), np.outer(ket2, ket0)]
-    return lower, raise_
-
-
-def gksl_rhs_matrix(
-    rho: np.ndarray, system: DegenerateSystem, bath: BathSpec
-) -> np.ndarray:
-    """Full master-equation right-hand side in operator form.
-
-    Builds -i[H, rho] plus the degenerate dissipator with emission terms
-    sigma_-(i) rho sigma_+(j) and absorption terms
-    sigma_+(i) rho sigma_-(j), weighted by the cross-rate matrices.
-    Serves as an independent route against which the sector equations
-    are checked.
-    """
-    h = np.diag([system.omega, system.omega, 0.0]).astype(complex)
-    gamma_plus, gamma_minus = cross_rates(bath, system.omega)
-    lower, raise_ = _sigma_ops()
-    out = -1j * (h @ rho - rho @ h)
-    for i in range(2):
-        for j in range(2):
-            jump = lower[i] @ rho @ raise_[j]
-            anti = raise_[j] @ lower[i]
-            out += gamma_plus[i, j] * (jump - 0.5 * (anti @ rho + rho @ anti))
-            jump = raise_[i] @ rho @ lower[j]
-            anti = lower[j] @ raise_[i]
-            out += gamma_minus[i, j] * (jump - 0.5 * (anti @ rho + rho @ anti))
-    return out
-
-
-def _reference_states(rho0, system, bath, times):
-    """States at times by direct RK45 integration.
-
-    The independent route that the exact propagation is tested against;
-    evolve does not use it.  The 9x9 superoperator is read off
-    gksl_rhs_matrix once, column by column, and integrated on vec(rho).
-    """
-    superop = np.column_stack(
-        [gksl_rhs_matrix(e.reshape(3, 3), system, bath).ravel() for e in np.eye(9)]
-    )
-    y0 = rho0.matrix.ravel()
-    sol = integrate_ode(lambda _t, y: superop @ y, y0, (0.0, max(times)))
-    return [DensityMatrix((sol.at(t) if t > 0.0 else y0).reshape(3, 3))
-            for t in times]
 
 
 def evolve(

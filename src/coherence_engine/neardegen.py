@@ -41,7 +41,6 @@ from .dynamics import (
     GeneratorMatrix,
     _aligned_vector,
     _generator,
-    _sigma_ops,
     _steady_vector,
 )
 from .numerics import _affine_derivative, exp_modes, propagate_affine
@@ -213,48 +212,3 @@ def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
     w1 = math.exp(-beta * omega1)
     z = 1.0 + w1 + w2
     return w2 / z, w1 / z, 1.0 / z
-
-
-def nonsecular_rhs_matrix(
-    rho: np.ndarray, system: NearDegenerateSystem, bath: BathSpec
-) -> np.ndarray:
-    """Full master-equation right-hand side with non-secular cross terms.
-
-    Operator form of the generator behind neardegenerate_generator,
-    written directly on 3x3 matrices: the free commutator, a standard
-    dissipator per channel at its own frequency, and alignment-weighted
-    cross terms built from the generalized jump structures
-    Q(a, b) = a rho b - b a rho and P(a, b) = a rho b - rho b a.  In the
-    stationary frame the oscillating phases of the cross terms cancel
-    against the splitting commutator, so no explicit time dependence
-    remains.  Used as an independent route to validate the reduced
-    4-vector dynamics.  At alignment 0 the cross terms vanish and this
-    is the late-time right-hand side of two independent decay channels.
-    """
-    h = np.diag([system.omega2, system.omega1, 0.0]).astype(complex)
-    lower, raise_ = _sigma_ops()
-    rates = [rates_at(bath, system.omega1), rates_at(bath, system.omega2)]
-    out = -1j * (h @ rho - rho @ h)
-    for i in range(2):
-        gp, gm = rates[i].gamma_plus, rates[i].gamma_minus
-        a, b = lower[i], raise_[i]
-        anti = b @ a
-        out += gp * (a @ rho @ b - 0.5 * (anti @ rho + rho @ anti))
-        anti = a @ b
-        out += gm * (b @ rho @ a - 0.5 * (anti @ rho + rho @ anti))
-    half_p = 0.5 * bath.alignment
-    for k in range(2):
-        kp = 1 - k
-        gp, gm = rates[k].gamma_plus, rates[k].gamma_minus
-        # Emission: Q(lower_k, raise_kp) and P(lower_kp, raise_k).
-        a, b = lower[k], raise_[kp]
-        out += half_p * gp * (a @ rho @ b - b @ a @ rho)
-        a, b = lower[kp], raise_[k]
-        out += half_p * gp * (a @ rho @ b - rho @ b @ a)
-        # Absorption: Q(raise_k, lower_kp) and P(raise_kp, lower_k).
-        a, b = raise_[k], lower[kp]
-        out += half_p * gm * (a @ rho @ b - b @ a @ rho)
-        a, b = raise_[kp], lower[k]
-        out += half_p * gm * (a @ rho @ b - rho @ b @ a)
-    return out
-

@@ -151,16 +151,18 @@ def _affine_derivative(matrix, slope, fixed, y0, times) -> np.ndarray:
     is V z, z_i = phi(l_i, 0) (V^{-1} slope fixed)_i + sum_j (V^{-1} slope
     V)_ij phi(l_i, l_j) (V^{-1} (y0 - fixed))_j.  phi(a, b) = (e^{at} -
     e^{bt})/(a - b) is taken as t e^{hi t} expm1(w)/w, w = (lo - hi) t,
-    with hi the one of a, b with the larger real part, so it cannot
-    overflow.  Each row is contracted on its own; rows at t = 0 are 0.
+    with hi the one of a, b with the larger real part: nothing overflows
+    to +inf, and w or hi t at -inf give the exact limits, 0.  Each row is
+    contracted on its own; rows at t = 0 are 0.
     """
     vals, vecs, inverse = _decomposition(matrix.tobytes(), matrix.shape, matrix.dtype)
 
     def phi(a, b):
         hi, lo = np.where(a.real >= b.real, a, b), np.where(a.real >= b.real, b, a)
-        w = np.multiply.outer(lo - hi, times)
-        ratio = np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0.0)
-        return times * np.exp(np.multiply.outer(hi, times)) * ratio
+        with np.errstate(over="ignore"):
+            w = np.multiply.outer(lo - hi, times)
+            ratio = np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0.0)
+            return times * np.exp(np.multiply.outer(hi, times)) * ratio
 
     modes = phi(vals, 0.0) * (inverse @ slope @ fixed)[:, None] + np.einsum(
         "ij,ijk,j->ik", inverse @ slope @ vecs, phi(vals[:, None], vals[None, :]),

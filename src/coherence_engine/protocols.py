@@ -313,38 +313,6 @@ def _round_rows(prefix: str, rotated, thermal, final, work_in: float, work_out: 
     ]
 
 
-def protocol1_round(
-    state: DensityMatrix,
-    omega: float,
-    beta: float,
-    shift: float,
-    bath: BathSpec,
-) -> Tuple[ProtocolLedger, DensityMatrix]:
-    """Execute one round of the repeated extraction protocol.
-
-    Steps: rotate the coherence into populations, lift the emptied top
-    level by the shift, thermalize at the split frequencies, lower the
-    level back while extracting, and let the aligned degenerate bath
-    restore a stationary state.  Thermalizations are taken in their
-    long-time limits.
-    """
-    if shift <= 0.0:
-        raise ValueError("level shift must be positive")
-    _require_bath(bath, beta)
-    state.validate()
-    emits = rates_at(bath, omega).gamma_plus > 0.0
-    rotated = _conjugate(ROUND_ROTATION, state)
-    thermal, final = (
-        DensityMatrix(m[0])
-        for m in _round_states(math.exp(-beta * omega), np.array([beta * shift]), emits)
-    )
-    _validate_all([rotated, final])
-    lifted = max(float(rotated.matrix[0, 0].real), 0.0)
-    extracted = float(thermal.matrix[0, 0].real)
-    rows = _round_rows("", rotated, thermal, final, shift * lifted, shift * extracted)
-    return _ledger(rows, _chain(state, rows)), final
-
-
 def optimal_shift_round1(beta: float, omega: float) -> float:
     """Optimal first-round shift, in closed form.
 
@@ -562,32 +530,6 @@ def quasistatic_work_quadrature(
     """
     _, population = _sweep_model(beta, fixed_other_level, mode)
     return integrate_1d(population, omega_to, omega_from)
-
-
-def discretized_quasistatic(
-    beta: float,
-    omega_from: float,
-    omega_to: float,
-    fixed_other_level: float,
-    n_steps: int,
-    mode: str = "single-level-sweep",
-) -> float:
-    """Staircase version of the quasistatic sweep with n_steps stages.
-
-    Each stage thermalizes fully at the current frequency and then
-    shifts the level(s) suddenly by (omega_to - omega_from)/n_steps,
-    booking population times shift.  Converges to the quasistatic value
-    with error O(1/n_steps).
-    """
-    if n_steps < 1:
-        raise ValueError("need at least one staircase step")
-    _, population = _sweep_model(beta, fixed_other_level, mode)
-    h = (omega_to - omega_from) / n_steps
-    total = 0.0
-    for k in range(n_steps):
-        w = omega_from + k * h
-        total -= population(w) * h
-    return total
 
 
 def _matching_frequency(beta: float, population: float, ground: float) -> float:

@@ -6,6 +6,16 @@ their Lambert-W form.  The 50-digit model of the repeated protocol
 checks its shifts, work and round count where doubles lose digits.  The
 closed-form first-order splitting correction checks the perturbative
 series' Frechet derivative.
+
+The master equations in operator form on 3x3 matrices check the
+library's 4x4 sector generators: gksl_rhs_matrix for the degenerate
+system, with its cross_rates matrices and _sigma_ops, and
+nonsecular_rhs_matrix for the split one; the two also check each other.
+reference_states integrates gksl_rhs_matrix by RK45 as the reference of
+the exact propagation.  discretized_quasistatic is the staircase sweep,
+built from the Boltzmann weights, that converges to the quasistatic
+work.  round_by_matrices is one round of the repeated protocol built
+from matrices, the reference of run_protocol1's scalar recurrence.
 """
 
 from __future__ import annotations
@@ -13,11 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from coherence_engine.numerics import NumericsError
+from coherence_engine.bath import BathSpec, rates_at
+from coherence_engine.bloch import DensityMatrix
+from coherence_engine.dynamics import DegenerateSystem, steady_state
+from coherence_engine.neardegen import NearDegenerateSystem
+from coherence_engine.numerics import NumericsError, integrate_ode
+from coherence_engine.protocols import ROUND_ROTATION
 
 _DECIMAL_TOL = Decimal("1e-40")
 
@@ -263,3 +278,157 @@ def first_order_closed_form(
         - (f_r / denom) * (t + 1.0 / denom) * fast
     )
     return np.array([y0, y1, y2, y3])
+
+
+def cross_rates(bath: BathSpec, omega: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The 2x2 emission and absorption rate matrices over channel pairs.
+
+    Entry (i, j) carries gamma_pm for i = j and alignment * gamma_pm for
+    i != j; both matrices are symmetric.
+    """
+    pair = rates_at(bath, omega)
+    p = bath.alignment
+    pattern = np.array([[1.0, p], [p, 1.0]])
+    return pair.gamma_plus * pattern, pair.gamma_minus * pattern
+
+
+def _sigma_ops() -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Lowering and raising operators for the two decay channels.
+
+    Channel index 0 is the |1> <-> |0> transition and index 1 is
+    |2> <-> |0>, matching the row order of the cross-rate matrices.
+    """
+    ket2 = np.array([1.0, 0.0, 0.0])
+    ket1 = np.array([0.0, 1.0, 0.0])
+    ket0 = np.array([0.0, 0.0, 1.0])
+    lower = [np.outer(ket0, ket1), np.outer(ket0, ket2)]
+    raise_ = [np.outer(ket1, ket0), np.outer(ket2, ket0)]
+    return lower, raise_
+
+
+def gksl_rhs_matrix(
+    rho: np.ndarray, system: DegenerateSystem, bath: BathSpec
+) -> np.ndarray:
+    """Full master-equation right-hand side in operator form.
+
+    Builds -i[H, rho] plus the degenerate dissipator with emission terms
+    sigma_-(i) rho sigma_+(j) and absorption terms
+    sigma_+(i) rho sigma_-(j), weighted by the cross-rate matrices.
+    Serves as an independent route against which the sector equations
+    are checked.
+    """
+    h = np.diag([system.omega, system.omega, 0.0]).astype(complex)
+    gamma_plus, gamma_minus = cross_rates(bath, system.omega)
+    lower, raise_ = _sigma_ops()
+    out = -1j * (h @ rho - rho @ h)
+    for i in range(2):
+        for j in range(2):
+            jump = lower[i] @ rho @ raise_[j]
+            anti = raise_[j] @ lower[i]
+            out += gamma_plus[i, j] * (jump - 0.5 * (anti @ rho + rho @ anti))
+            jump = raise_[i] @ rho @ lower[j]
+            anti = lower[j] @ raise_[i]
+            out += gamma_minus[i, j] * (jump - 0.5 * (anti @ rho + rho @ anti))
+    return out
+
+
+def reference_states(rho0, system, bath, times):
+    """States at times by direct RK45 integration.
+
+    The independent route that the exact propagation is tested against;
+    evolve does not use it.  The 9x9 superoperator is read off
+    gksl_rhs_matrix once, column by column, and integrated on vec(rho).
+    """
+    superop = np.column_stack(
+        [gksl_rhs_matrix(e.reshape(3, 3), system, bath).ravel() for e in np.eye(9)]
+    )
+    y0 = rho0.matrix.ravel()
+    sol = integrate_ode(lambda _t, y: superop @ y, y0, (0.0, max(times)))
+    return [DensityMatrix((sol.at(t) if t > 0.0 else y0).reshape(3, 3))
+            for t in times]
+
+
+def nonsecular_rhs_matrix(
+    rho: np.ndarray, system: NearDegenerateSystem, bath: BathSpec
+) -> np.ndarray:
+    """Full master-equation right-hand side with non-secular cross terms.
+
+    Operator form of the generator behind neardegenerate_generator,
+    written directly on 3x3 matrices: the free commutator, a standard
+    dissipator per channel at its own frequency, and alignment-weighted
+    cross terms built from the generalized jump structures
+    Q(a, b) = a rho b - b a rho and P(a, b) = a rho b - rho b a.  In the
+    stationary frame the oscillating phases of the cross terms cancel
+    against the splitting commutator, so no explicit time dependence
+    remains.  Used as an independent route to validate the reduced
+    4-vector dynamics.  At alignment 0 the cross terms vanish and this
+    is the late-time right-hand side of two independent decay channels.
+    """
+    h = np.diag([system.omega2, system.omega1, 0.0]).astype(complex)
+    lower, raise_ = _sigma_ops()
+    rates = [rates_at(bath, system.omega1), rates_at(bath, system.omega2)]
+    out = -1j * (h @ rho - rho @ h)
+    for i in range(2):
+        gp, gm = rates[i].gamma_plus, rates[i].gamma_minus
+        a, b = lower[i], raise_[i]
+        anti = b @ a
+        out += gp * (a @ rho @ b - 0.5 * (anti @ rho + rho @ anti))
+        anti = a @ b
+        out += gm * (b @ rho @ a - 0.5 * (anti @ rho + rho @ anti))
+    half_p = 0.5 * bath.alignment
+    for k in range(2):
+        kp = 1 - k
+        gp, gm = rates[k].gamma_plus, rates[k].gamma_minus
+        # Emission: Q(lower_k, raise_kp) and P(lower_kp, raise_k).
+        a, b = lower[k], raise_[kp]
+        out += half_p * gp * (a @ rho @ b - b @ a @ rho)
+        a, b = lower[kp], raise_[k]
+        out += half_p * gp * (a @ rho @ b - rho @ b @ a)
+        # Absorption: Q(raise_k, lower_kp) and P(raise_kp, lower_k).
+        a, b = raise_[k], lower[kp]
+        out += half_p * gm * (a @ rho @ b - b @ a @ rho)
+        a, b = raise_[kp], lower[k]
+        out += half_p * gm * (a @ rho @ b - rho @ b @ a)
+    return out
+
+
+def discretized_quasistatic(
+    beta: float, omega_from: float, omega_to: float, fixed_other_level: float,
+    n_steps: int,
+) -> float:
+    """Staircase sweep of one level beside a fixed one and the ground state.
+
+    Each of the n_steps stages thermalizes fully at the current level
+    energy w, then moves the level suddenly by h = (omega_to -
+    omega_from)/n_steps, booking its Gibbs population times -h.  Converges
+    to quasistatic_work with error O(1/n_steps).
+    """
+    if n_steps < 1:
+        raise ValueError("need at least one staircase step")
+    h = (omega_to - omega_from) / n_steps
+    total = 0.0
+    for k in range(n_steps):
+        weights = np.exp(-beta * np.array([omega_from + k * h, fixed_other_level, 0.0]))
+        total -= weights[0] / weights.sum() * h
+    return float(total)
+
+
+def round_by_matrices(
+    state: DensityMatrix, omega: float, beta: float, shift: float, bath: BathSpec
+) -> Tuple[float, float, DensityMatrix, DensityMatrix, DensityMatrix]:
+    """One round of the repeated protocol, each state built from matrices.
+
+    The state is rotated by conjugation with ROUND_ROTATION, its top level
+    lifted by the shift (work_in: the shift times the rotated top
+    population), the split system replaced by the Gibbs state of the
+    levels (omega + shift, omega, 0), the lifted level lowered back
+    (work_out: the shift times its thermal population) and the result
+    rebuilt by dynamics.steady_state.  Returns (work_in, work_out,
+    rotated, thermal, final).
+    """
+    rotated = DensityMatrix(ROUND_ROTATION @ state.matrix @ ROUND_ROTATION.conj().T)
+    weights = np.exp(-beta * np.array([omega + shift, omega, 0.0]))
+    thermal = DensityMatrix(np.diag(weights / weights.sum()))
+    top, ground = thermal[0, 0].real, thermal[2, 2].real
+    final = steady_state(DegenerateSystem(omega), bath, (top, ground, 0.0, 0.0))
+    return (shift * rotated[0, 0].real, shift * top, rotated, thermal, final)

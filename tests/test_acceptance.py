@@ -29,7 +29,6 @@ from coherence_engine.neardegen import (
 from coherence_engine.protocols import (
     GeneralInitialState,
     coherence_unitary,
-    discretized_quasistatic,
     optimal_shift_round1,
     protocol2,
     protocol_initial_state,
@@ -43,7 +42,7 @@ from coherence_engine.thermo import (
     l1_coherence,
     trace_distance,
 )
-from reference import maximize_scalar
+from reference import discretized_quasistatic, maximize_scalar
 
 ALIGNED = BathSpec(beta=1.0, alignment=1.0)
 

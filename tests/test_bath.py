@@ -9,7 +9,6 @@ from coherence_engine.bath import (
     ALIGNED_TOL,
     BathSpec,
     bath_from_json,
-    cross_rates,
     flat_rate,
     rate_derivative,
     rates_at,
@@ -17,6 +16,7 @@ from coherence_engine.bath import (
 )
 from coherence_engine.dynamics import DegenerateSystem, coherence_generator
 from coherence_engine.neardegen import NearDegenerateSystem, neardegenerate_generator
+from reference import cross_rates
 
 
 def test_detailed_balance_everywhere():

@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -150,6 +151,17 @@ def test_extreme_horizons_end_in_the_limit_or_in_exit_3(tmp_path, capsys, monkey
         assert min(row[-1] for row in rows) >= -1e-15
         assert summary.get("gibbs_trace_distance", 0.0) <= 1e-15
         assert summary.get("analytic_max_deviation", 0.0) <= 1e-15
+    # Damped and split: the splitting correction's exponents overflow to
+    # -inf, where its kernel takes the exact limits.
+    for k, (omega1, omega2) in enumerate(((1.0, 1.005), (1e-3, 1.005e-3), (50.0, 54.5))):
+        config = {"system": {"omega1": omega1, "omega2": omega2},
+                  "neardegen": {"t_final": 1e308, "samples": 3},
+                  "out": str(tmp_path / f"split{k}")}
+        assert _run(tmp_path, "neardegen-check", config) == 0
+        assert capsys.readouterr().err == ""
+        rows = [[float(v) for v in line.split(",")]
+                for line in _read_lines(tmp_path / f"split{k}.csv")[3:]]
+        assert len(rows) == 3 and all(math.isfinite(v) for row in rows for v in row)
     # No damping and a splitting of 1.9: the phase 1.9 t overflows.
     config = {"system": {"omega1": 20.0, "omega2": 21.9},
               "bath": {"gamma_plus": 0.0, "alignment": 0.5},
@@ -702,3 +714,12 @@ def test_package_all_resolves_unique_and_sorted():
     assert all(hasattr(coherence_engine, name) for name in names)
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+    # The README's Library API list holds exactly these names, by home module.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = [(name, module) for module, text in
+              re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", section, re.M | re.S)
+              for name in re.findall(r"`(\w+)`", text)]
+    assert sorted(name for name, _ in listed) == names
+    for name, module in listed:
+        assert getattr(coherence_engine, name).__module__ == f"coherence_engine.{module}"

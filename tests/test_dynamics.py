@@ -11,13 +11,11 @@ from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
-    _reference_states,
     _steady_vector,
     analytic_evolution_aligned,
     coherence_generator,
     evolve,
     evolve_trajectory,
-    gksl_rhs_matrix,
     steady_state,
     trajectory_columns,
     trajectory_rows,
@@ -28,6 +26,7 @@ from coherence_engine.neardegen import (
     perturbative_solution,
 )
 from coherence_engine.thermo import l1_coherence
+from reference import gksl_rhs_matrix, reference_states
 
 
 def _rhs_from_operator_form(pi, system, bath):
@@ -163,7 +162,7 @@ def test_evolve_preserves_trace_and_positivity():
     rho_t = evolve(rho0, system, bath, 2.0)
     assert rho_t.trace == pytest.approx(1.0, abs=1e-12)
     assert rho_t.min_eigenvalue() >= -1e-9
-    reference = _reference_states(rho0, system, bath, [2.0])[0]
+    reference = reference_states(rho0, system, bath, [2.0])[0]
     np.testing.assert_allclose(reference.matrix, rho_t.matrix, atol=1e-8)
 
 

@@ -19,7 +19,6 @@ from coherence_engine.dynamics import (
     analytic_evolution_aligned,
     coherence_generator,
     evolve_trajectory,
-    gksl_rhs_matrix,
 )
 from coherence_engine.neardegen import (
     NearDegenerateSystem,
@@ -27,12 +26,11 @@ from coherence_engine.neardegen import (
     _perturbative_series,
     evolve_neardegenerate,
     neardegenerate_generator,
-    nonsecular_rhs_matrix,
     perturbative_solution,
     thermalize_independent,
 )
 from coherence_engine.numerics import _decomposition, exp_modes, integrate_ode
-from reference import first_order_closed_form
+from reference import first_order_closed_form, gksl_rhs_matrix, nonsecular_rhs_matrix
 
 RAMP = tabulated_rate(((0.2, 0.8), (1.5, 1.3), (3.0, 1.1)))
 

@@ -21,13 +21,11 @@ from coherence_engine.dynamics import (
     coherence_generator,
     evolve,
     evolve_trajectory,
-    gksl_rhs_matrix,
     steady_state,
 )
 from coherence_engine.neardegen import (
     NearDegenerateSystem,
     neardegenerate_generator,
-    nonsecular_rhs_matrix,
 )
 from coherence_engine.protocols import (
     GeneralInitialState,
@@ -36,6 +34,7 @@ from coherence_engine.protocols import (
     run_protocol1,
 )
 from coherence_engine.thermo import HamiltonianSpec, fed, gibbs, l1_coherence
+from reference import gksl_rhs_matrix, nonsecular_rhs_matrix
 
 PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
 # Work and FED are differences of energies of order omega <= 5, so each

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from coherence_engine import protocols, thermo
 from coherence_engine.bath import BathSpec, flat_rate
 from coherence_engine.bloch import DensityMatrix, PhysicalityError
-from coherence_engine.dynamics import DegenerateSystem, steady_state
 from coherence_engine.protocols import (
     ROUND_ROTATION,
     GeneralInitialState,
@@ -15,9 +13,7 @@ from coherence_engine.protocols import (
     ProtocolStep,
     RoundResult,
     coherence_unitary,
-    discretized_quasistatic,
     optimal_shift_round1,
-    protocol1_round,
     protocol2,
     protocol_initial_state,
     quasistatic_work,
@@ -31,7 +27,12 @@ from coherence_engine.thermo import (
     l1_coherence,
     trace_distance,
 )
-from reference import maximize_scalar, protocol1_decimal
+from reference import (
+    discretized_quasistatic,
+    maximize_scalar,
+    protocol1_decimal,
+    round_by_matrices,
+)
 
 BATH = BathSpec(beta=1.0, alignment=1.0)
 
@@ -164,10 +165,11 @@ def test_protocol1_first_round_ledger():
     x = math.exp(-beta * omega)
     shift = optimal_shift_round1(beta, omega)
     rho0 = protocol_initial_state(beta, omega)
-    ledger, final = protocol1_round(rho0, omega, beta, shift, BATH)
+    ledger, _ = run_protocol1(rho0, omega, beta, BATH, max_rounds=1)
+    final = ledger.final_state
     labels = [s.label for s in ledger.steps]
-    assert labels == ["rotate", "lift", "thermalize-split", "extract",
-                      "rebuild-coherence"]
+    assert labels == ["round 1: " + label for label in (
+        "rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")]
     # rotation moves all coherence into populations
     assert ledger.steps[0].coherence_after == pytest.approx(0.0, abs=1e-15)
     # the lifted level is empty on the first round, so lifting is free
@@ -191,17 +193,13 @@ def test_protocol1_first_round_ledger():
 def test_protocol1_round_rejections():
     rho0 = protocol_initial_state(1.0, 1.0)
     with pytest.raises(ValueError):
-        protocol1_round(rho0, 1.0, 1.0, 0.0, BATH)
-    with pytest.raises(ValueError):
-        protocol1_round(rho0, 1.0, 1.0, 0.5, BathSpec(beta=1.0, alignment=0.5))
+        run_protocol1(rho0, 1.0, 1.0, BathSpec(beta=1.0, alignment=0.5))
 
 
 def test_protocols_reject_a_bath_at_another_beta():
     # The physics runs on the bath, so a beta argument that differs from
     # it would silently give the ledger of the bath's temperature.
     rho0 = protocol_initial_state(1.0, 1.0)
-    with pytest.raises(ValueError, match="beta"):
-        protocol1_round(rho0, 1.0, 5.0, 0.5, BATH)
     with pytest.raises(ValueError, match="beta"):
         run_protocol1(rho0, 1.0, 5.0, BATH)
     init = GeneralInitialState(b=0.4, n_norm=0.5, theta=0.3, phi=0.2)
@@ -229,8 +227,8 @@ def test_optimal_shift_round1_maximizes_executed_round():
     rho0 = protocol_initial_state(1.0, 1.0)
 
     def round_net(shift):
-        ledger, _ = protocol1_round(rho0, 1.0, 1.0, shift, BATH)
-        return ledger.net_work
+        work_in, work_out, *_ = round_by_matrices(rho0, 1.0, 1.0, shift, BATH)
+        return work_out - work_in
 
     found = maximize_scalar(round_net, (0.5, 2.0))
     assert not found.at_boundary
@@ -241,13 +239,13 @@ def test_optimal_shift_next_maximizes_executed_round():
     beta = omega = 1.0
     shift1 = optimal_shift_round1(beta, omega)
     rho0 = protocol_initial_state(beta, omega)
-    _, state1 = protocol1_round(rho0, omega, beta, shift1, BATH)
+    state1 = round_by_matrices(rho0, omega, beta, shift1, BATH)[-1]
     shift2 = run_protocol1(rho0, omega, beta, BATH)[1][1].shift
     assert 0.0 < shift2 < shift1
 
     def round_net(shift):
-        ledger, _ = protocol1_round(state1, omega, beta, shift, BATH)
-        return ledger.net_work
+        work_in, work_out, *_ = round_by_matrices(state1, omega, beta, shift, BATH)
+        return work_out - work_in
 
     found = maximize_scalar(round_net, (0.01, 1.0))
     assert found.argmax == pytest.approx(shift2, abs=1e-7)
@@ -355,26 +353,6 @@ def test_run_protocol1_agrees_with_a_50_digit_model():
             _assert_matches_decimal_model(ledger, rounds, beta, omega)
 
 
-def _per_round_states(rho0, omega, beta, bath, rounds):
-    """Ledger states of the given rounds, each built from its own matrices.
-
-    The rotation is a conjugation, the split thermal state a Gibbs state
-    of the lifted levels and the rebuilt state dynamics.steady_state of
-    it: an independent route to the recurrence's closed forms.
-    """
-    states, state = [], rho0.matrix
-    for r in rounds:
-        rotated = ROUND_ROTATION @ state @ ROUND_ROTATION.conj().T
-        weights = np.exp(-beta * np.array([omega + r.shift, omega, 0.0]))
-        thermal = np.diag(weights / weights.sum()).astype(complex)
-        top, ground = thermal[0, 0].real, thermal[2, 2].real
-        state = steady_state(
-            DegenerateSystem(omega), bath, (top, ground, 0.0, 0.0)
-        ).matrix
-        states += [rotated, rotated, thermal, thermal, state]
-    return states
-
-
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
     # Without emission (gamma_plus = 0) the aligned bath leaves each
@@ -385,11 +363,16 @@ def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
         rho0 = protocol_initial_state(beta, omega)
         ledger, rounds = run_protocol1(rho0, omega, beta, bath)
         assert len(rounds) > 5
-        expected = _per_round_states(rho0, omega, beta, bath, rounds)
+        expected, state = [], rho0
+        for r in rounds:
+            _, _, rotated, thermal, state = round_by_matrices(
+                state, omega, beta, r.shift, bath
+            )
+            expected += [rotated, rotated, thermal, thermal, state]
         assert len(ledger.steps) == len(expected)
-        for step, matrix in zip(ledger.steps, expected):
+        for step, want in zip(ledger.steps, expected):
             np.testing.assert_allclose(
-                step.state_after.matrix, matrix, rtol=0.0, atol=1e-15
+                step.state_after.matrix, want.matrix, rtol=0.0, atol=1e-15
             )
         if gamma == 0.0:
             for thermal, final in zip(ledger.steps[3::5], ledger.steps[4::5]):
@@ -403,13 +386,13 @@ def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
     (1.0, 1.5, 64), (0.2, 1.0, 64), (3.0, 0.7, 64), (40.0, 1.0, 64), (0.5, 2.0, 3),
 ])
 def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
-    # The public single round, given the shifts run_protocol1 chose, gives
-    # run_protocol1's ledger and series to rounding: it rotates the state
-    # it is given by the matrix route and books the lift from it, where
-    # the series takes its populations from the scalar recurrence.  At
-    # beta = 40, x = e^{-beta omega} is below eps and the matrix route has
-    # lost its digits, so there the series is checked against the
-    # 50-digit model instead.
+    # One round at a time by the matrix route, given the shifts run_protocol1
+    # chose, gives run_protocol1's ledger and series to rounding: it rotates
+    # the state it is given and books the lift from it, where the series
+    # takes its populations from the scalar recurrence.  At beta = 40,
+    # x = e^{-beta omega} is below eps and the matrix route has lost its
+    # digits, so there the series is checked against the 50-digit model
+    # instead.
     bath = BathSpec(beta=beta, alignment=1.0)
     rho0 = protocol_initial_state(beta, omega)
     ledger, rounds = run_protocol1(rho0, omega, beta, bath, max_rounds=max_rounds)
@@ -417,32 +400,37 @@ def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
     if beta > 3.0:
         _assert_matches_decimal_model(ledger, rounds, beta, omega, max_rounds)
         return
+    labels = ("rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")
     steps, expected_rounds, state = [], [], rho0
     for r in rounds:
-        round_ledger, state = protocol1_round(state, omega, beta, r.shift, bath)
-        steps += [
-            dataclasses.replace(s, label=f"round {r.index}: {s.label}")
-            for s in round_ledger.steps
-        ]
+        work_in, work_out, rotated, thermal, final = round_by_matrices(
+            state, omega, beta, r.shift, bath
+        )
+        chain = [state, rotated, rotated, thermal, thermal, final]
+        works = [(0.0, 0.0), (work_in, 0.0), (0.0, 0.0), (0.0, work_out), (0.0, 0.0)]
+        for label, (w_in, w_out), before, after in zip(labels, works, chain, chain[1:]):
+            numbers = [w_in, w_out, l1_coherence(before), l1_coherence(after)]
+            steps.append((f"round {r.index}: {label}", numbers, after))
         lifted = omega + r.shift
         expected_rounds.append(RoundResult(
             index=r.index,
             shift=r.shift,
             lifted_level=lifted,
             partition=1.0 + math.exp(-beta * omega) + math.exp(-beta * lifted),
-            work_in=math.fsum(s.work_in for s in round_ledger.steps),
-            work_out=math.fsum(s.work_out for s in round_ledger.steps),
-            coherence_after=round_ledger.steps[-1].coherence_after,
+            work_in=work_in,
+            work_out=work_out,
+            coherence_after=l1_coherence(final),
         ))
+        state = final
 
-    def numbers(s):
-        return [s.work_in, s.work_out, s.coherence_before, s.coherence_after]
-
-    assert [s.label for s in ledger.steps] == [s.label for s in steps]
-    for got, want in zip(ledger.steps, steps):
-        np.testing.assert_allclose(numbers(got), numbers(want), rtol=0.0, atol=1e-15)
+    assert [s.label for s in ledger.steps] == [label for label, _, _ in steps]
+    for got, (_, numbers, after) in zip(ledger.steps, steps):
         np.testing.assert_allclose(
-            got.state_after.matrix, want.state_after.matrix, rtol=0.0, atol=1e-15
+            [got.work_in, got.work_out, got.coherence_before, got.coherence_after],
+            numbers, rtol=0.0, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            got.state_after.matrix, after.matrix, rtol=0.0, atol=1e-15
         )
     assert len(rounds) == len(expected_rounds)
     for got, want in zip(rounds, expected_rounds):

@@ -82,6 +82,13 @@ def test_eigen_subspace_rejects_negative_eigenvalue():
     lam0, lam_plus, lam_minus = eigen_subspace(DensityMatrix(m))
     assert -1e-12 < lam_minus < 0.0
     assert (lam0, lam_plus) == pytest.approx((0.4, 0.6), abs=1e-12)
+    # The floor itself, to 1e-7 either side: lambda_minus = -(rho12 - 1e-6).
+    m = np.diag([1e-6, 1e-6, 1.0 - 2e-6]).astype(complex)
+    m[0, 1] = m[1, 0] = 1e-6 + 1e-12 * (1.0 + 1e-7)
+    with pytest.raises(ValueError, match="below zero"):
+        eigen_subspace(DensityMatrix(m))
+    m[0, 1] = m[1, 0] = 1e-6 + 1e-12 * (1.0 - 1e-7)
+    assert eigen_subspace(DensityMatrix(m))[2] == pytest.approx(-9.999999e-13, rel=1e-9)
 
 
 def test_entropy_limits():
