@@ -322,9 +322,7 @@ def _format_value(value: float) -> str:
     return "%.17g" % value
 
 
-def _write_csv(
-    path: str, columns: Sequence[str], rows: Sequence[Sequence[float]], digest: str
-) -> None:
+def _csv_text(columns: Sequence[str], rows: Sequence[Sequence[float]], digest: str) -> str:
     lines = [
         f"# coherence-engine {__version__}",
         f"# config-sha256: {digest}",
@@ -332,28 +330,51 @@ def _write_csv(
     ]
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, payload: dict, digest: str) -> None:
+def _json_text(payload: dict, digest: str) -> str:
     payload = dict(payload)
     payload["meta"] = {
         "tool": "coherence-engine",
         "version": __version__,
         "config_sha256": digest,
     }
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_evolve(run: _Run) -> int:
+def _write_all(files: Dict[str, str]) -> None:
+    """Write every file or, on an OSError, none.
+
+    Each text goes to a temporary file beside its path; the temporaries
+    replace their paths only once all are written, and a failure removes
+    them.  A path that is a directory fails before any replacement.
+    """
+    staged = []
+    try:
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output path {path!r} is a directory")
+            with open(f"{path}.{os.getpid()}.tmp", "x", newline="\n") as fh:
+                staged.append((fh.name, path))
+                fh.write(text)
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+
+
+# A handler's output: its files' texts by out-prefix suffix, and its message.
+_Output = Tuple[Dict[str, str], str]
+
+
+def cmd_evolve(run: _Run) -> _Output:
     bath, system, rho0 = run.bath, run.system, run.rho0
     t_final, samples, times = _time_grid(run.config["evolve"])
     states = evolve_trajectory(rho0, system, bath, times)
     rows = trajectory_rows(times, states)
-    _write_csv(run.paths[".csv"], trajectory_columns(), rows, run.digest)
 
     final = states[-1]
     summary = {
@@ -379,12 +400,12 @@ def cmd_evolve(run: _Run) -> int:
         dist = trace_distance(final, gibbs(ham, bath.beta))
         summary["gibbs_trace_distance"] = dist
         summary["gibbs_within_tolerance"] = bool(dist < GIBBS_TOL)
-    _write_json(run.paths[".json"], summary, run.digest)
-    print(f"final c_l1 = {_format_value(summary['final_c_l1'])}")
-    return EXIT_OK
+    files = {".csv": _csv_text(trajectory_columns(), rows, run.digest),
+             ".json": _json_text(summary, run.digest)}
+    return files, f"final c_l1 = {_format_value(summary['final_c_l1'])}"
 
 
-def cmd_steady(run: _Run) -> int:
+def cmd_steady(run: _Run) -> _Output:
     bath, system = run.bath, run.system
     init = CoherenceVector.from_density(run.rho0).as_array()
     state = steady_state(system, bath, init)
@@ -394,12 +415,11 @@ def cmd_steady(run: _Run) -> int:
         "c_l1": l1_coherence(state),
         "gibbs_trace_distance": trace_distance(state, gibbs(ham, bath.beta)),
     }
-    _write_json(run.paths[".json"], payload, run.digest)
-    print(f"steady c_l1 = {_format_value(payload['c_l1'])}")
-    return EXIT_OK
+    files = {".json": _json_text(payload, run.digest)}
+    return files, f"steady c_l1 = {_format_value(payload['c_l1'])}"
 
 
-def cmd_protocol1(run: _Run) -> int:
+def cmd_protocol1(run: _Run) -> _Output:
     bath, system, rho0 = run.bath, run.system, run.rho0
     section = run.config["protocol1"]
     ledger, rounds = run_protocol1(
@@ -419,42 +439,19 @@ def cmd_protocol1(run: _Run) -> int:
         "rounds_executed": len(rounds),
         "final_gibbs_trace_distance": trace_distance(final, gibbs(ham, bath.beta)),
     }
-    _write_json(run.paths["_ledger.json"], payload, run.digest)
-
-    columns = [
-        "round",
-        "shift",
-        "lifted_level",
-        "partition",
-        "work_in",
-        "work_out",
-        "net_work",
-        "coherence_after",
-        "cumulative_work",
-    ]
-    rows = []
-    cumulative = 0.0
+    columns = ["round", "shift", "lifted_level", "partition", "work_in", "work_out",
+               "net_work", "coherence_after", "cumulative_work"]
+    rows, cumulative = [], 0.0
     for r in rounds:
         cumulative += r.net_work
-        rows.append(
-            [
-                float(r.index),
-                r.shift,
-                r.lifted_level,
-                r.partition,
-                r.work_in,
-                r.work_out,
-                r.net_work,
-                r.coherence_after,
-                cumulative,
-            ]
-        )
-    _write_csv(run.paths["_rounds.csv"], columns, rows, run.digest)
-    print(f"net work = {_format_value(ledger.net_work)}")
-    return EXIT_OK
+        rows.append([float(r.index), r.shift, r.lifted_level, r.partition, r.work_in,
+                     r.work_out, r.net_work, r.coherence_after, cumulative])
+    files = {"_ledger.json": _json_text(payload, run.digest),
+             "_rounds.csv": _csv_text(columns, rows, run.digest)}
+    return files, f"net work = {_format_value(ledger.net_work)}"
 
 
-def cmd_protocol2(run: _Run) -> int:
+def cmd_protocol2(run: _Run) -> _Output:
     bath, system, rho0 = run.bath, run.system, run.rho0
     work_mode = run.config["protocol2"]["work_mode"]
     init = GeneralInitialState.from_density(rho0)
@@ -471,14 +468,13 @@ def cmd_protocol2(run: _Run) -> int:
         "abs_net_minus_fed": gap,
         "work_mode": work_mode,
     }
-    _write_json(run.paths["_ledger.json"], payload, run.digest)
     columns, rows = ledger.csv_rows()
-    _write_csv(run.paths["_steps.csv"], columns, rows, run.digest)
-    print(f"|net - fed| = {_format_value(gap)}")
-    return EXIT_OK
+    files = {"_ledger.json": _json_text(payload, run.digest),
+             "_steps.csv": _csv_text(columns, rows, run.digest)}
+    return files, f"|net - fed| = {_format_value(gap)}"
 
 
-def cmd_figure_wfed(run: _Run) -> int:
+def cmd_figure_wfed(run: _Run) -> _Output:
     p1 = run.config["protocol1"]
     omega = run.system.omega
     rows = []
@@ -495,37 +491,27 @@ def cmd_figure_wfed(run: _Run) -> int:
         # ln((1 + 2x)/(1 + x)) / beta, in a form that keeps its digits as x -> 0
         fed_value = math.log1p(x / (1.0 + x)) / beta
         rows.append([beta, ledger.net_work, fed_value])
-    csv_path = run.paths[".csv"]
-    _write_csv(csv_path, ["beta", "work_protocol1", "fed"], rows, run.digest)
-    print(f"wrote {csv_path} with {len(rows)} rows")
-    return EXIT_OK
+    files = {".csv": _csv_text(["beta", "work_protocol1", "fed"], rows, run.digest)}
+    return files, f"wrote {run.paths['.csv']} with {len(rows)} rows"
 
 
-def cmd_neardegen_check(run: _Run) -> int:
+def cmd_neardegen_check(run: _Run) -> _Output:
     bath, system = run.bath, run.system
     init = CoherenceVector.from_density(run.rho0)
     t_final, samples, times = _time_grid(run.config["neardegen"])
     aligned = bath.alignment == 1.0
 
     columns = ["t", "num_rho22", "num_rho00", "num_rho_plus", "num_rho_minus_im"]
-    if aligned:
-        columns += [
-            "pert_rho22",
-            "pert_rho00",
-            "pert_rho_plus",
-            "pert_rho_minus_im",
-            "deviation",
-        ]
     series = _neardegenerate_series(init, system, bath, times)
-    rows = [[float(t)] + list(numeric) for t, numeric in zip(times, series)]
+    table = [times[:, None], series]
     max_dev = 0.0
     if aligned:
         perturbative = _perturbative_series(init.as_array(), system, bath, times)
-        for row, numeric, pert in zip(rows, series, perturbative):
-            dev = float(np.max(np.abs(numeric - pert)))
-            max_dev = max(max_dev, dev)
-            row += list(pert) + [dev]
-    _write_csv(run.paths[".csv"], columns, rows, run.digest)
+        deviation = np.abs(series - perturbative).max(axis=1)
+        max_dev = float(deviation.max())
+        table += [perturbative, deviation[:, None]]
+        columns += [name.replace("num", "pert") for name in columns[1:]] + ["deviation"]
+    rows = np.hstack(table).tolist()
 
     thermal = thermalize_independent(run.rho0, system, bath)
     summary = {
@@ -537,17 +523,16 @@ def cmd_neardegen_check(run: _Run) -> int:
                              else VALIDITY_WINDOW_LIMIT / system.delta),
         "independent_fixed_point": thermal.to_json(),
     }
-    _write_json(run.paths[".json"], summary, run.digest)
+    files = {".csv": _csv_text(columns, rows, run.digest),
+             ".json": _json_text(summary, run.digest)}
     if aligned:
-        print(f"max perturbative deviation = {_format_value(max_dev)}")
-    else:
-        print("perturbative comparison skipped (bath not aligned)")
-    return EXIT_OK
+        return files, f"max perturbative deviation = {_format_value(max_dev)}"
+    return files, "perturbative comparison skipped (bath not aligned)"
 
 
 # Each command's handler and the files it writes, as suffixes of the out
-# prefix.  Commands write through _Run.paths, which is built from this
-# table alone.
+# prefix.  main writes a handler's files to _Run.paths, which is built from
+# this table alone.
 _COMMANDS = {
     "evolve": (cmd_evolve, (".csv", ".json")),
     "steady": (cmd_steady, (".json",)),
@@ -619,7 +604,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = _parse(config, args.command)
         if args.config:
             _refuse_overwrite(run.paths.values(), args.config)
-        return _COMMANDS[args.command][0](run)
+        files, message = _COMMANDS[args.command][0](run)
+        _write_all({run.paths[suffix]: text for suffix, text in files.items()})
+        print(message)
+        return EXIT_OK
     except ConfigError as exc:
         _diagnostic("config", str(exc))
         return EXIT_CONFIG

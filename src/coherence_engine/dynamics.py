@@ -152,6 +152,17 @@ def coherence_generator(system: DegenerateSystem, bath: BathSpec) -> GeneratorMa
     return _generator(pair, pair, bath.alignment, 0.0)
 
 
+def _checked_grid(times) -> np.ndarray:
+    """times as a 1-D array; the one time rule of every evolver."""
+    t = np.asarray(times, dtype=float)
+    # Non-decreasing from t[0] >= 0 up to t[-1] < inf; a NaN fails a comparison.
+    if t.ndim != 1 or not (
+        (t[1:] >= t[:-1]).all() and (t.size == 0 or 0.0 <= t[0] and t[-1] < math.inf)
+    ):
+        raise ValueError("times must be finite, non-negative and non-decreasing")
+    return t
+
+
 def evolve(
     rho0: DensityMatrix,
     system: DegenerateSystem,
@@ -159,11 +170,6 @@ def evolve(
     t: float,
 ) -> DensityMatrix:
     """The state at time t, by exact propagation; its unit trace is asserted."""
-    if t < 0.0:
-        raise ValueError("evolution time must be non-negative")
-    if t == 0.0:
-        _require_hermitian_unit_trace(rho0.matrix)
-        return rho0
     rho_t = evolve_trajectory(rho0, system, bath, [t])[0]
     drift = abs(rho_t.trace - 1.0)
     if drift > TRACE_DRIFT_TOL:
@@ -187,12 +193,7 @@ def evolve_trajectory(
     e^{(a +- b) t}.  States at t = 0 are rho0 itself; every other state
     is a read-only view of its own row of one (n, 3, 3) stack.
     """
-    t = np.asarray(times, dtype=float)
-    # Non-decreasing from t[0] >= 0 up to t[-1] < inf; a NaN fails a comparison.
-    if t.ndim != 1 or not (
-        (t[1:] >= t[:-1]).all() and (t.size == 0 or 0.0 <= t[0] and t[-1] < math.inf)
-    ):
-        raise ValueError("times must be finite, non-negative and non-decreasing")
+    t = _checked_grid(times)
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
     init = CoherenceVector.from_density(rho0).as_array()
@@ -264,6 +265,19 @@ def _aligned_vector(init, x: float, slow, fast) -> Tuple:
     return r22, r00, rp, d * slow
 
 
+def _aligned_rows(init, omega: float, bath: BathSpec, times) -> np.ndarray:
+    """Rows (r22, r00, r+, d) of _aligned_vector at omega, after the input checks."""
+    if bath.alignment != 1.0:
+        raise ValueError("closed-form evolution requires alignment = 1")
+    a, b, c, d = (float(v) for v in init)
+    CoherenceVector(a, b, c, d).to_density().validate()
+    times = _checked_grid(times)
+    g = rates_at(bath, omega).gamma_plus
+    x = math.exp(-bath.beta * omega)
+    slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
+    return np.array(_aligned_vector((a, b, c, d), x, slow, fast)).T
+
+
 def analytic_evolution_aligned(
     init: Tuple[float, float, float, float],
     system: DegenerateSystem,
@@ -275,24 +289,14 @@ def analytic_evolution_aligned(
     For perfectly aligned dipoles the coherence-vector equation has the
     explicit solution of _aligned_vector, parameterized by the initial
     data rho22(0) = a, rho00(0) = b, rho_plus(0) = c, rho_minus(0) = i d
-    and x = exp(-beta omega).  Accepts a scalar or array of finite,
-    non-negative times and returns (rho22, rho00, rho12) with rho12 complex.
+    and x = exp(-beta omega).  Accepts a scalar time or a grid under the
+    evolvers' one time rule and returns (rho22, rho00, rho12) with rho12
+    complex.
     """
-    if bath.alignment != 1.0:
-        raise ValueError("closed-form evolution requires alignment = 1")
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < np.inf)):
-        raise ValueError("evolution time must be finite and non-negative")
-    a, b, c, d = (float(v) for v in init)
-    CoherenceVector(a, b, c, d).to_density().validate()
-    pair = rates_at(bath, system.omega)
-    g = pair.gamma_plus
-    x = math.exp(-bath.beta * system.omega)
-    slow, fast = exp_modes(-g, t), exp_modes(-2.0 * (1.0 + x) * g, t)
-    rho22, rho00, rho_plus, d_t = _aligned_vector((a, b, c, d), x, slow, fast)
-    rho12 = rho_plus - 1j * d_t
-    if rho22.ndim == 0:
-        return float(rho22), float(rho00), complex(rho12)
+    rho22, rho00, rp, d = _aligned_rows(init, system.omega, bath, np.atleast_1d(t)).T
+    rho12 = rp - 1j * d
+    if np.ndim(t) == 0:
+        return float(rho22[0]), float(rho00[0]), complex(rho12[0])
     return rho22, rho00, rho12
 
 

@@ -39,11 +39,12 @@ from .dynamics import (
     CoherenceVector,
     DegenerateSystem,
     GeneratorMatrix,
-    _aligned_vector,
+    _aligned_rows,
+    _checked_grid,
     _generator,
     _steady_vector,
 )
-from .numerics import _affine_derivative, exp_modes, propagate_affine
+from .numerics import _affine_derivative, propagate_affine
 
 logger = logging.getLogger(__name__)
 
@@ -93,11 +94,9 @@ def neardegenerate_generator(
 
 
 def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
-    """times as an array; warns once if the grid leaves the validity window."""
-    times = np.asarray(times, dtype=float)
+    """times, checked; warns once if the grid leaves the validity window."""
+    times = _checked_grid(times)
     t = float(times.max(initial=0.0))
-    if not (times.min(initial=math.inf) >= 0.0 and t < math.inf):  # NaN fails both
-        raise ValueError("evolution time must be finite and non-negative")
     product = t * system.delta
     if product > VALIDITY_WINDOW_LIMIT:
         logger.warning(
@@ -146,29 +145,23 @@ def evolve_neardegenerate(
 
 def _perturbative_series(init, system, bath, times) -> np.ndarray:
     """Rows (r22, r00, r+, d) of perturbative_solution at each of times."""
-    if bath.alignment != 1.0:
-        raise ValueError("perturbative solution requires alignment = 1")
-    a, b, c, d = (float(v) for v in init)
-    CoherenceVector(a, b, c, d).to_density().validate()
+    zeroth = _aligned_rows(init, system.omega1, bath, times)
     times = _checked_times(times, system)
-    pair = rates_at(bath, system.omega1)
-    g = pair.gamma_plus
-    x = math.exp(-bath.beta * system.omega1)
-    slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
-    zeroth = np.array(_aligned_vector((a, b, c, d), x, slow, fast)).T
     delta = system.delta
     if delta == 0.0:
         return zeroth
+    pair = rates_at(bath, system.omega1)
     # The derivative needs no emission; this rejection is the command
     # line's contract (exit 3) for a split system dark at omega1.
-    if g == 0.0:
+    if pair.gamma_plus == 0.0:
         raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
     # Every entry of _generator is linear in the rates and the splitting.
     slope = _generator(RatePair(0.0, 0.0), rate_derivative(bath, system.omega1, delta),
                        1.0, 1.0).matrix
-    fixed = np.array(_aligned_vector((a, b, c, d), x, 0.0, 0.0))
+    y0 = np.asarray(init, dtype=float)
+    fixed = _steady_vector(DegenerateSystem(system.omega1), bath, y0)
     first = _affine_derivative(_generator(pair, pair, 1.0, 0.0).matrix, slope, fixed,
-                               np.array([a, b, c, d]), times)
+                               y0, times)
     return zeroth + delta * first
 
 

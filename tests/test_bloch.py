@@ -27,6 +27,21 @@ def test_validate_rejects_negative_eigenvalue():
         DensityMatrix(m).validate()
 
 
+def test_positivity_tolerance_to_1e_7_either_side():
+    """POSITIVITY_TOL = -1e-10 is the boundary, for one state and for a stack."""
+    for scale, physical in ((1.0 + 1e-7, False), (1.0 - 1e-7, True)):
+        eps = 1e-10 * scale
+        rho = DensityMatrix(np.diag([1.0 + eps, -eps, 0.0]))
+        assert rho.min_eigenvalue() == -eps
+        if physical:
+            rho.validate()
+            _validate_all([rho])
+        else:
+            for check in (rho.validate, lambda: _validate_all([rho])):
+                with pytest.raises(PhysicalityError, match="negative eigenvalue"):
+                    check()
+
+
 def test_validate_rejects_non_finite_entries():
     # NaN compares False against every tolerance; it must never reach eigvalsh
     for value in (np.nan, np.inf, -np.inf):

@@ -539,6 +539,31 @@ def test_subnormal_beta_exits_2_and_writes_nothing(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("command, config", [
+    ("evolve", {}),
+    ("protocol1", {"protocol1": {"max_rounds": 2}}),
+    ("protocol2", {}),
+    ("neardegen-check", {"system": {"omega1": 1.0, "omega2": 1.005}}),
+])
+def test_an_output_path_that_is_a_directory_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, config
+):
+    """Each output in turn is a directory; the other one keeps its old bytes."""
+    suffixes = cli._COMMANDS[command][1]
+    for blocked in suffixes:
+        root = tmp_path / blocked.strip("._")
+        root.mkdir()
+        (root / ("run" + blocked)).mkdir()
+        others = [root / ("run" + suffix) for suffix in suffixes if suffix != blocked]
+        for path in others:
+            path.write_text("old\n")
+        assert _run(root, command, config, ["--out", str(root / "run")]) == 2
+        assert "directory" in _one_config_error(capsys)
+        assert [path.read_text() for path in others] == ["old\n"] * len(others)
+        names = sorted(p.name for p in root.iterdir())
+        assert names == sorted(["config.json"] + ["run" + suffix for suffix in suffixes])
+
+
 def test_smallest_normal_beta_gives_finite_strict_json(tmp_path, capsys):
     """Every subcommand at beta = sys.float_info.min, warnings as errors."""
     def reject(constant):

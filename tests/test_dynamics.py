@@ -22,6 +22,8 @@ from coherence_engine.dynamics import (
 )
 from coherence_engine.neardegen import (
     NearDegenerateSystem,
+    _neardegenerate_series,
+    _perturbative_series,
     evolve_neardegenerate,
     perturbative_solution,
 )
@@ -186,22 +188,34 @@ def test_evolve_at_time_zero_checks_the_state_as_later_times_do():
     assert evolve(unsigned, system, bath, 0.0) is unsigned
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("t", [
+    math.nan, math.inf, -1.0,
+    pytest.param([0.0, 2.0, 1.0], id="decreasing"),
+    pytest.param([[0.0, 1.0]], id="2-D"),
+])
 def test_evolvers_reject_non_finite_times(t):
+    """Every evolver applies the one time rule, with its one message."""
+    rule = "times must be finite, non-negative and non-decreasing"
+    grid = [0.0, 1.0, t] if np.ndim(t) == 0 else t
     bath = BathSpec(beta=1.0, alignment=0.5)
     rho0 = DensityMatrix.ground()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         evolve(rho0, DegenerateSystem(1.0), bath, t)
-    with pytest.raises(ValueError):
-        evolve_trajectory(rho0, DegenerateSystem(1.0), bath, [0.0, 1.0, t])
+    with pytest.raises(ValueError, match=rule):
+        evolve_trajectory(rho0, DegenerateSystem(1.0), bath, grid)
     near = NearDegenerateSystem(1.0, 1.001)
     init = (0.2, 0.3, 0.05, 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         evolve_neardegenerate(CoherenceVector(*init), near, bath, t)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         perturbative_solution(init, near, BathSpec(beta=1.0), t)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         analytic_evolution_aligned(init, DegenerateSystem(1.0), BathSpec(beta=1.0), t)
+    # the grids behind neardegen-check
+    with pytest.raises(ValueError, match=rule):
+        _neardegenerate_series(CoherenceVector(*init), near, bath, grid)
+    with pytest.raises(ValueError, match=rule):
+        _perturbative_series(init, near, BathSpec(beta=1.0), grid)
 
 
 def test_analytic_matches_numerical_evolution(subspace_sampler):

@@ -38,6 +38,11 @@ def test_hamiltonian_spec():
     np.testing.assert_allclose(ham.matrix(), np.diag([1.3, 1.3, 0.0]), atol=0.0)
     with pytest.raises(ValueError):
         HamiltonianSpec(e2=-1.0, e1=1.0)
+    with pytest.raises(ValueError):
+        HamiltonianSpec(e2=1.0, e1=-1.0)
+    # zero is an energy, not a rejection: both bounds are inclusive
+    flat = HamiltonianSpec(e2=0.0, e1=0.0)
+    np.testing.assert_array_equal(flat.matrix(), np.zeros((3, 3)))
 
 
 def test_l1_coherence_values():
