@@ -13,7 +13,7 @@ Hermiticity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -54,15 +54,14 @@ def _hermitian_eigenvalues(ms: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (ms + ms.conj().swapaxes(-1, -2)))
 
 
-def _validate_all(states: Sequence["DensityMatrix"]) -> None:
-    """Validate every state with one stacked pass, in order.
+def _validate_all(ms: np.ndarray) -> None:
+    """Validate every matrix of an (n, 3, 3) stack with one pass, in order.
 
     The stacked defects and eigenvalues equal the per-matrix ones bit
     for bit, so the pass succeeds exactly when each validate() would.
-    On any failure the states are validated one by one, which raises
-    the first failing state's own PhysicalityError.
+    On any failure the rows are validated one by one, which raises the
+    first failing row's own PhysicalityError.
     """
-    ms = np.array([s.matrix for s in states])
     if np.isfinite(ms).all():
         herm, trace = _defects(ms)
         if (
@@ -71,8 +70,8 @@ def _validate_all(states: Sequence["DensityMatrix"]) -> None:
             and _hermitian_eigenvalues(ms)[:, 0].min() >= POSITIVITY_TOL
         ):
             return
-    for s in states:
-        s.validate()
+    for m in ms:
+        DensityMatrix(m).validate()
 
 
 @dataclass(frozen=True)

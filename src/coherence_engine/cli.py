@@ -54,8 +54,6 @@ from .protocols import (
 )
 from .thermo import HamiltonianSpec, fed, gibbs, l1_coherence, trace_distance
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3

@@ -26,8 +26,10 @@ and u = e^{-beta shift}: after round 1 the pre-lift population is
 x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
 keeps its digits where x is far below machine epsilon.  Every round's
 states follow from closed forms in one stacked pass and are checked,
-with the input, in another; each ledger takes all of its l1 coherences
-from one stacked pass over its states.
+with the input, in another.  Each ledger holds its states as one
+read-only stack, the first state and then every state_after: each step's
+state_after is a view of its row, and all of the l1 coherences come from
+one pass over the stack.
 """
 
 from __future__ import annotations
@@ -235,10 +237,6 @@ ROUND_ROTATION = np.array(
 )
 
 
-def _conjugate(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
-
-
 def _require_bath(bath: BathSpec, beta: float) -> None:
     """A protocol's bath must be aligned and at the protocol's beta."""
     if bath.alignment != 1.0:
@@ -258,24 +256,22 @@ def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
     return steady_state(system, bath, (0.0, 1.0, 0.0, 0.0))
 
 
-def _ledger(rows, chain: np.ndarray) -> ProtocolLedger:
-    """Ledger of (label, state_after, work_in, work_out) rows.
+def _ledger(steps, chain: np.ndarray) -> ProtocolLedger:
+    """Ledger of (label, work_in, work_out) steps over a complex state chain.
 
-    Each step starts where the step before ended; chain stacks the first
-    state and every state_after, for one l1 pass over all coherences.
+    Each step starts where the step before ended: chain stacks the first
+    state and every state_after.  It is made read-only, each state_after
+    is a view of its row, and one l1 pass gives all coherences.
     """
+    chain.setflags(write=False)
     c = _l1_coherences(chain).tolist()
     return ProtocolLedger(
         [
-            ProtocolStep(label, w_in, w_out, c[k], c[k + 1], after)
-            for k, (label, after, w_in, w_out) in enumerate(rows)
+            ProtocolStep(label, w_in, w_out, c[k], c[k + 1],
+                         DensityMatrix._view(chain[k + 1]))
+            for k, (label, w_in, w_out) in enumerate(steps)
         ]
     )
-
-
-def _chain(first: DensityMatrix, rows) -> np.ndarray:
-    """The chain stack of _ledger: first, then the rows' states_after."""
-    return np.array([first.matrix] + [row[1].matrix for row in rows])
 
 
 def _round_states(x: float, beta_shifts: np.ndarray, emits: bool):
@@ -300,17 +296,6 @@ def _round_states(x: float, beta_shifts: np.ndarray, emits: bool):
     final[:, 2, 2] = (1.0 + 1.0 / z) / (2.0 * big_a)
     final[:, 0, 1] = final[:, 1, 0] = -x * np.expm1(-beta_shifts) / (4.0 * big_a * z)
     return thermal, final
-
-
-def _round_rows(prefix: str, rotated, thermal, final, work_in: float, work_out: float):
-    """Ledger rows of one round: rotate, lift, thermalize, extract, rebuild."""
-    return [
-        (prefix + "rotate", rotated, 0.0, 0.0),
-        (prefix + "lift", rotated, work_in, 0.0),
-        (prefix + "thermalize-split", thermal, 0.0, 0.0),
-        (prefix + "extract", thermal, 0.0, work_out),
-        (prefix + "rebuild-coherence", final, 0.0, 0.0),
-    ]
 
 
 def optimal_shift_round1(beta: float, omega: float) -> float:
@@ -440,13 +425,17 @@ def run_protocol1(
     rotated = ROUND_ROTATION @ inputs @ ROUND_ROTATION.conj().T
     works_in = (np.array(shifts) * lifted).tolist()
     works_out = (np.array(shifts) * thermal[:, 0, 0].real).tolist()
-    rot, th, fin = ([DensityMatrix(a) for a in ms] for ms in (rotated, thermal, final))
-    _validate_all([s for pair in zip([initial, *fin], rot) for s in pair] + fin[-1:])
-    rows = []
-    for k, states in enumerate(zip(rot, th, fin, works_in, works_out), 1):
-        rows += _round_rows(f"round {k}: ", *states)
-    steps = np.stack((rotated, rotated, thermal, thermal, final), axis=1)
-    ledger = _ledger(rows, np.concatenate((m[None], steps.reshape(-1, 3, 3))))
+    states = np.stack((rotated, rotated, thermal, thermal, final), axis=1)
+    # the input, then each round's rotated and final states: round k's input
+    # is round k - 1's final state
+    _validate_all(np.concatenate((m[None], states[:, ::4].reshape(-1, 3, 3))))
+    steps = []
+    for k, (w_in, w_out) in enumerate(zip(works_in, works_out), 1):
+        steps += [(f"round {k}: rotate", 0.0, 0.0), (f"round {k}: lift", w_in, 0.0),
+                  (f"round {k}: thermalize-split", 0.0, 0.0),
+                  (f"round {k}: extract", 0.0, w_out),
+                  (f"round {k}: rebuild-coherence", 0.0, 0.0)]
+    ledger = _ledger(steps, np.concatenate((m[None], states.reshape(-1, 3, 3))))
     return ledger, [
         RoundResult(k + 1, s, omega + s, partitions[k], works_in[k], works_out[k],
                     ledger.steps[5 * k + 4].coherence_after)
@@ -563,9 +552,9 @@ def protocol2(
         raise ValueError("frequency must be positive")
     _require_bath(bath, beta)
 
-    rho = init.to_density()
+    rho = init.to_density().matrix
     rotation = coherence_unitary(init.theta, init.phi)
-    diagonal = _conjugate(rotation, rho)
+    diagonal = rotation @ rho @ rotation.conj().T
 
     p0 = init.b
     p1 = 0.5 * (1.0 - init.b) * (1.0 + init.n_norm)
@@ -586,15 +575,14 @@ def protocol2(
 
     u1 = math.exp(-beta * omega1)
     z1 = 1.0 + 2.0 * u1
-    merged = DensityMatrix(np.diag([u1 / z1, u1 / z1, 1.0 / z1]))
-    final = gibbs(HamiltonianSpec.degenerate(omega), beta)
-    rows = [
-        ("rotate", diagonal, 0.0, 0.0),
-        ("match-middle-level", diagonal, max(-w_lower, 0.0), max(w_lower, 0.0)),
-        ("match-top-level", diagonal, max(w_raise, 0.0), max(-w_raise, 0.0)),
-        ("sweep-to-common-level", merged,
-         max(-w_sweep_down, 0.0), max(w_sweep_down, 0.0)),
-        ("sweep-to-physical-level", final,
-         max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
+    merged = np.diag([u1 / z1, u1 / z1, 1.0 / z1])
+    final = gibbs(HamiltonianSpec.degenerate(omega), beta).matrix
+    steps = [
+        ("rotate", 0.0, 0.0),
+        ("match-middle-level", max(-w_lower, 0.0), max(w_lower, 0.0)),
+        ("match-top-level", max(w_raise, 0.0), max(-w_raise, 0.0)),
+        ("sweep-to-common-level", max(-w_sweep_down, 0.0), max(w_sweep_down, 0.0)),
+        ("sweep-to-physical-level", max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
     ]
-    return _ledger(rows, _chain(rho, rows))
+    chain = np.array([rho, diagonal, diagonal, diagonal, merged, final], dtype=complex)
+    return _ledger(steps, chain)

@@ -35,9 +35,9 @@ def test_positivity_tolerance_to_1e_7_either_side():
         assert rho.min_eigenvalue() == -eps
         if physical:
             rho.validate()
-            _validate_all([rho])
+            _validate_all(rho.matrix[None])
         else:
-            for check in (rho.validate, lambda: _validate_all([rho])):
+            for check in (rho.validate, lambda: _validate_all(rho.matrix[None])):
                 with pytest.raises(PhysicalityError, match="negative eigenvalue"):
                     check()
 
@@ -97,11 +97,11 @@ def test_validate_all_raises_the_first_failure_in_order(random_density, monkeypa
         with pytest.raises(PhysicalityError) as expected:
             first_bad.validate()
         with pytest.raises(PhysicalityError) as raised:
-            _validate_all(states)
+            _validate_all(np.array([s.matrix for s in states]))
         assert str(raised.value) == str(expected.value)
     # a physical stack passes on the stacked path, with no per-state validate
     monkeypatch.setattr(DensityMatrix, "validate", None)
-    _validate_all(good + [DensityMatrix.ground()])
+    _validate_all(np.array([s.matrix for s in good + [DensityMatrix.ground()]]))
 
 
 def test_validate_all_stacked_defects_match_one_at_a_time(random_density):

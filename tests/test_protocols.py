@@ -598,6 +598,63 @@ def test_protocol2_on_charged_stationary_state():
     ]
 
 
+def test_protocol2_ledger_pins_its_intermediate_states():
+    # Rotated and matched: rho11 = p1, rho22 = p2, rho00 = p0, nothing else;
+    # merged at omega1: diag(u1, u1, 1)/z1 with u1 = p1/p0; swept to the
+    # physical level: the Gibbs state itself.  Basis order is (|2>, |1>, |0>).
+    for beta, omega, init in (
+        (1.0, 1.0, GeneralInitialState(b=0.3, n_norm=0.7, theta=1.1, phi=-0.4)),
+        (0.4, 2.0, GeneralInitialState(b=0.6, n_norm=0.2, theta=2.5, phi=1.0)),
+        (3.0, 0.5, GeneralInitialState(b=0.5, n_norm=1.0, theta=0.2, phi=3.0)),
+    ):
+        ledger = protocol2(init, omega, beta, BathSpec(beta=beta, alignment=1.0))
+        p0 = init.b
+        p1 = 0.5 * (1.0 - init.b) * (1.0 + init.n_norm)
+        p2 = 0.5 * (1.0 - init.b) * (1.0 - init.n_norm)
+        for step in ledger.steps[:3]:
+            np.testing.assert_allclose(
+                step.state_after.matrix, np.diag([p2, p1, p0]), rtol=0.0, atol=1e-15
+            )
+        u1 = p1 / p0
+        np.testing.assert_allclose(
+            ledger.steps[3].state_after.matrix,
+            np.diag([u1, u1, 1.0]) / (1.0 + 2.0 * u1),
+            rtol=0.0,
+            atol=1e-15,
+        )
+        target = gibbs(HamiltonianSpec.degenerate(omega), beta).matrix
+        assert ledger.steps[4].state_after.matrix.tobytes() == target.tobytes()
+
+
+def _charged_protocol1(beta, omega):
+    bath = BathSpec(beta=beta, alignment=1.0)
+    rho0 = protocol_initial_state(beta, omega)
+    return run_protocol1(rho0, omega, beta, bath)[0], rho0
+
+
+def _general_protocol2(beta, omega):
+    init = GeneralInitialState(b=0.3, n_norm=0.7, theta=1.1, phi=-0.4)
+    bath = BathSpec(beta=beta, alignment=1.0)
+    return protocol2(init, omega, beta, bath), init.to_density()
+
+
+@pytest.mark.parametrize("run", [_charged_protocol1, _general_protocol2])
+@pytest.mark.parametrize("beta, omega", [(1.0, 1.0), (0.2, 3.0), (40.0, 1.0)])
+def test_ledger_steps_chain_over_read_only_views_of_one_stack(run, beta, omega):
+    ledger, first = run(beta, omega)
+    steps = ledger.steps
+    assert len(steps) >= 5
+    assert steps[0].coherence_before == l1_coherence(first)
+    for before, after in zip(steps, steps[1:]):
+        assert after.coherence_before == before.coherence_after
+    stack = steps[0].state_after.matrix.base
+    assert stack.shape == (len(steps) + 1, 3, 3) and not stack.flags.writeable
+    for step in steps:
+        assert step.state_after.matrix.base is stack
+        with pytest.raises(ValueError):
+            step.state_after.matrix[0, 0] = 0.5
+
+
 def test_protocol2_quadrature_mode_agrees(rng):
     beta = omega = 1.0
     for _ in range(5):
