@@ -13,7 +13,6 @@ work against a single bath.
 from .bath import (
     BathSpec,
     RatePair,
-    bath_from_json,
     flat_rate,
     rate_derivative,
     rates_at,
@@ -87,7 +86,6 @@ __all__ = [
     "RatePair",
     "RoundResult",
     "analytic_evolution_aligned",
-    "bath_from_json",
     "coherence_generator",
     "coherence_unitary",
     "eigen_subspace",

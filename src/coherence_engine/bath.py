@@ -19,10 +19,9 @@ gamma_plus = 1, which sets the unit of time.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -130,46 +129,4 @@ def rate_derivative(bath: BathSpec, omega: float, delta: float) -> RatePair:
     return RatePair(
         (hi.gamma_plus - lo.gamma_plus) / delta,
         (hi.gamma_minus - lo.gamma_minus) / delta,
-    )
-
-
-def _json_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} must be finite") from None
-
-
-def bath_from_json(data: Mapping) -> BathSpec:
-    """Build a BathSpec from {"beta", "gamma_plus", "alignment"}.
-
-    gamma_plus is either a number (flat profile) or
-    {"kind": "tabulated", "points": [[omega, gamma], ...]} with linear
-    interpolation between the given points.  Unknown keys, and bools or
-    strings where numbers belong, are rejected.
-    """
-    unknown = set(data) - {"beta", "gamma_plus", "alignment"}
-    if unknown:
-        raise ValueError(f"unknown keys in bath: {sorted(unknown)}")
-    raw = data.get("gamma_plus", 1.0)
-    if isinstance(raw, Mapping):
-        if raw.get("kind") != "tabulated":
-            raise ValueError(f"unsupported rate profile kind: {raw.get('kind')!r}")
-        points = raw.get("points")
-        if not isinstance(points, (list, tuple)) or not all(
-            isinstance(pt, (list, tuple)) and len(pt) == 2 for pt in points
-        ):
-            raise ValueError("tabulated profile points must be [omega, gamma] pairs")
-        rate_fn = tabulated_rate(tuple(
-            (_json_number(w, "rate table entry"), _json_number(g, "rate table entry"))
-            for w, g in points
-        ))
-    else:
-        rate_fn = flat_rate(_json_number(raw, "gamma_plus"))
-    return BathSpec(
-        beta=_json_number(data.get("beta"), "beta"),
-        rate_fn=rate_fn,
-        alignment=_json_number(data.get("alignment", 1.0), "alignment"),
     )

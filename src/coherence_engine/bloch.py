@@ -13,7 +13,7 @@ Hermiticity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -121,9 +121,3 @@ class DensityMatrix:
     @classmethod
     def ground(cls) -> "DensityMatrix":
         return cls(np.diag([0.0, 0.0, 1.0]))
-
-    def to_json(self) -> List[List[List[float]]]:
-        """Nested arrays of [re, im] pairs in basis order (|2>, |1>, |0>)."""
-        return [
-            [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-        ]

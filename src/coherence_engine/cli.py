@@ -22,12 +22,12 @@ import logging
 import math
 import os
 import sys
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import __version__
-from .bath import BathSpec, _json_number, bath_from_json
+from .bath import BathSpec, flat_rate, tabulated_rate
 from .bloch import DensityMatrix
 from .dynamics import (
     CoherenceVector,
@@ -48,6 +48,7 @@ from .neardegen import (
 from .numerics import NumericsError
 from .protocols import (
     GeneralInitialState,
+    ProtocolLedger,
     protocol2,
     protocol_initial_state,
     run_protocol1,
@@ -110,7 +111,7 @@ def _default_config() -> dict:
     }
 
 
-def _check_keys(section: str, data: dict, allowed: Sequence[str]) -> None:
+def _check_keys(section: str, data: dict, allowed: Iterable[str]) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}")
@@ -118,10 +119,12 @@ def _check_keys(section: str, data: dict, allowed: Sequence[str]) -> None:
 
 def _number(where: str, value) -> float:
     """A JSON number as a float; the type that takes it checks its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
     try:
-        return _json_number(value, where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} must be finite") from None
 
 
 def _require_number(where: str, value, low: float = -math.inf) -> float:
@@ -154,7 +157,7 @@ def _merge_config(user: dict) -> dict:
     config = _default_config()
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys("config", user, list(config.keys()))
+    _check_keys("config", user, config)
     for key, value in user.items():
         if key in ("initial", "out"):
             config[key] = value
@@ -164,6 +167,7 @@ def _merge_config(user: dict) -> dict:
             if key == "system":
                 config["system"] = dict(value)
             else:
+                _check_keys(key, value, config[key])
                 config[key] = {**config[key], **value}
     return config
 
@@ -193,34 +197,48 @@ def _config_hash(config: dict) -> str:
 
 
 def _check_sections(config: dict) -> None:
-    """Rules of the sections that only the command line reads."""
+    """Value rules of the sections that only the command line reads."""
     for name in ("evolve", "neardegen"):
         section = config[name]
-        _check_keys(name, section, ["t_final", "samples"])
         t_final = _require_number(f"{name}.t_final", section["t_final"], low=0.0)
         # A grid from 0 to t_final > 0 needs both of its ends.
         _require_int(f"{name}.samples", section["samples"], 1 if t_final == 0.0 else 2)
 
-    _check_keys("steady", config["steady"], [])
-
     section = config["protocol1"]
-    _check_keys("protocol1", section, ["max_rounds", "shift_floor"])
     _require_int("protocol1.max_rounds", section["max_rounds"], 1)
     _require_number("protocol1.shift_floor", section["shift_floor"], low=0.0)
 
-    section = config["protocol2"]
-    _check_keys("protocol2", section, ["work_mode"])
-    if section["work_mode"] not in ("closed", "quadrature"):
+    if config["protocol2"]["work_mode"] not in ("closed", "quadrature"):
         raise ConfigError("protocol2.work_mode must be 'closed' or 'quadrature'")
 
-    section = config["figure"]
-    _check_keys("figure", section, ["beta_grid"])
-    grid = section["beta_grid"]
+    grid = config["figure"]["beta_grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("figure.beta_grid must be a nonempty list")
 
     if not isinstance(config["out"], str) or not config["out"]:
         raise ConfigError("out must be a nonempty string")
+
+
+def _bath(section: dict) -> BathSpec:
+    """The bath section's BathSpec; gamma_plus is a number or a rate table."""
+    table = section["gamma_plus"]
+    if isinstance(table, dict):
+        _check_keys("bath.gamma_plus", table, ["kind", "points"])
+        if table.get("kind") != "tabulated":
+            raise ConfigError("bath is invalid: unsupported rate profile kind: "
+                              f"{table.get('kind')!r}")
+        points = table.get("points")
+        if not isinstance(points, list) or not all(
+                isinstance(pt, list) and len(pt) == 2 for pt in points):
+            raise ConfigError("bath is invalid: tabulated profile points must be "
+                              "[omega, gamma] pairs")
+        rate_fn = _built("bath is invalid", tabulated_rate, [
+            [_number(f"bath.gamma_plus.points.{i}", v) for v in pt]
+            for i, pt in enumerate(points)])
+    else:
+        rate_fn = _built("bath is invalid", flat_rate, _number("bath.gamma_plus", table))
+    return _built("bath is invalid", BathSpec, _number("bath.beta", section["beta"]),
+                  rate_fn, _number("bath.alignment", section["alignment"]))
 
 
 def _system(
@@ -296,7 +314,7 @@ def _parse(config: dict, command: str) -> _Run:
         protocol = command in _PROTOCOL_COMMANDS
         config["initial"] = "coherent-steady" if protocol else "ground"
     _check_sections(config)
-    bath = _built("bath is invalid", bath_from_json, config["bath"])
+    bath = _bath(config["bath"])
     # figure-wfed runs a bath at each of these betas.
     for i, beta in enumerate(config["figure"]["beta_grid"]):
         _built(f"figure.beta_grid.{i} is invalid", dataclasses.replace, bath,
@@ -341,6 +359,20 @@ def _json_text(payload: dict, digest: str) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _state_json(state: DensityMatrix) -> list:
+    """Rows of [re, im] pairs in basis order (|2>, |1>, |0>)."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
+
+
+def _ledger_json(ledger: ProtocolLedger) -> dict:
+    """A ledger's steps, each with its state, and its net work."""
+    steps = [{"label": s.label, "work_in": s.work_in, "work_out": s.work_out,
+              "coherence_before": s.coherence_before,
+              "coherence_after": s.coherence_after,
+              "state": _state_json(s.state_after)} for s in ledger.steps]
+    return {"steps": steps, "net_work": ledger.net_work}
+
+
 def _write_all(files: Dict[str, str]) -> None:
     """Write every file or, on an OSError, none.
 
@@ -376,7 +408,7 @@ def cmd_evolve(run: _Run) -> _Output:
 
     final = states[-1]
     summary = {
-        "final_state": final.to_json(),
+        "final_state": _state_json(final),
         "final_c_l1": l1_coherence(final),
         "t_final": t_final,
         "samples": samples,
@@ -409,7 +441,7 @@ def cmd_steady(run: _Run) -> _Output:
     state = steady_state(system, bath, init)
     ham = HamiltonianSpec.degenerate(system.omega)
     payload = {
-        "state": state.to_json(),
+        "state": _state_json(state),
         "c_l1": l1_coherence(state),
         "gibbs_trace_distance": trace_distance(state, gibbs(ham, bath.beta)),
     }
@@ -431,7 +463,7 @@ def cmd_protocol1(run: _Run) -> _Output:
     ham = HamiltonianSpec.degenerate(system.omega)
     final = ledger.final_state if ledger.steps else rho0
     payload = {
-        "ledger": ledger.to_json_dict(),
+        "ledger": _ledger_json(ledger),
         "net_work": ledger.net_work,
         "fed_initial": fed(rho0, ham, bath.beta),
         "rounds_executed": len(rounds),
@@ -460,13 +492,15 @@ def cmd_protocol2(run: _Run) -> _Output:
     fed_value = fed(rho0, ham, bath.beta)
     gap = abs(ledger.net_work - fed_value)
     payload = {
-        "ledger": ledger.to_json_dict(),
+        "ledger": _ledger_json(ledger),
         "net_work": ledger.net_work,
         "fed": fed_value,
         "abs_net_minus_fed": gap,
         "work_mode": work_mode,
     }
-    columns, rows = ledger.csv_rows()
+    columns = ["step", "work_in", "work_out", "coherence_before", "coherence_after"]
+    rows = [[float(k), s.work_in, s.work_out, s.coherence_before, s.coherence_after]
+            for k, s in enumerate(ledger.steps)]
     files = {"_ledger.json": _json_text(payload, run.digest),
              "_steps.csv": _csv_text(columns, rows, run.digest)}
     return files, f"|net - fed| = {_format_value(gap)}"
@@ -519,7 +553,7 @@ def cmd_neardegen_check(run: _Run) -> _Output:
         "max_perturbative_deviation": max_dev if aligned else None,
         "validity_limit_t": (None if system.delta == 0.0
                              else VALIDITY_WINDOW_LIMIT / system.delta),
-        "independent_fixed_point": thermal.to_json(),
+        "independent_fixed_point": _state_json(thermal),
     }
     files = {".csv": _csv_text(columns, rows, run.digest),
              ".json": _json_text(summary, run.digest)}

@@ -25,11 +25,10 @@ The repeated protocol runs as a scalar recurrence in x = e^{-beta omega}
 and u = e^{-beta shift}: after round 1 the pre-lift population is
 x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
 keeps its digits where x is far below machine epsilon.  Every round's
-states follow from closed forms in one stacked pass and are checked,
-with the input, in another.  Each ledger holds its states as one
-read-only stack, the first state and then every state_after: each step's
-state_after is a view of its row, and all of the l1 coherences come from
-one pass over the stack.
+states follow from closed forms in one stacked pass and are checked in
+another.  Each ledger holds its states as one read-only stack, the first
+state and then every state_after: each step's state_after is a view of
+its row, and all of the l1 coherences come from one pass over the stack.
 """
 
 from __future__ import annotations
@@ -84,43 +83,6 @@ class ProtocolLedger:
         if not self.steps:
             raise ValueError("empty ledger has no final state")
         return self.steps[-1].state_after
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "label": s.label,
-                    "work_in": s.work_in,
-                    "work_out": s.work_out,
-                    "coherence_before": s.coherence_before,
-                    "coherence_after": s.coherence_after,
-                    "state": s.state_after.to_json(),
-                }
-                for s in self.steps
-            ],
-            "net_work": self.net_work,
-        }
-
-    def csv_rows(self) -> Tuple[List[str], List[List[float]]]:
-        header = [
-            "step",
-            "work_in",
-            "work_out",
-            "coherence_before",
-            "coherence_after",
-        ]
-        rows = []
-        for idx, s in enumerate(self.steps):
-            rows.append(
-                [
-                    float(idx),
-                    s.work_in,
-                    s.work_out,
-                    s.coherence_before,
-                    s.coherence_after,
-                ]
-            )
-        return header, rows
 
 
 @dataclass(frozen=True)
@@ -426,9 +388,8 @@ def run_protocol1(
     works_in = (np.array(shifts) * lifted).tolist()
     works_out = (np.array(shifts) * thermal[:, 0, 0].real).tolist()
     states = np.stack((rotated, rotated, thermal, thermal, final), axis=1)
-    # the input, then each round's rotated and final states: round k's input
-    # is round k - 1's final state
-    _validate_all(np.concatenate((m[None], states[:, ::4].reshape(-1, 3, 3))))
+    # each round's rotated and final states; initial.validate() checked the input
+    _validate_all(states[:, ::4].reshape(-1, 3, 3))
     steps = []
     for k, (w_in, w_out) in enumerate(zip(works_in, works_out), 1):
         steps += [(f"round {k}: rotate", 0.0, 0.0), (f"round {k}: lift", w_in, 0.0),

@@ -8,12 +8,12 @@ import pytest
 from coherence_engine.bath import (
     ALIGNED_TOL,
     BathSpec,
-    bath_from_json,
     flat_rate,
     rate_derivative,
     rates_at,
     tabulated_rate,
 )
+from coherence_engine.cli import main
 from coherence_engine.dynamics import DegenerateSystem, coherence_generator
 from coherence_engine.neardegen import NearDegenerateSystem, neardegenerate_generator
 from reference import cross_rates
@@ -63,7 +63,7 @@ def test_beta_below_the_smallest_normal_float_is_rejected():
     assert BathSpec(beta=sys.float_info.min).beta == sys.float_info.min
 
 
-def test_alignment_within_tolerance_of_one_is_stored_as_one():
+def test_alignment_within_tolerance_of_one_is_stored_as_one(tmp_path):
     assert ALIGNED_TOL == 1e-12
     for sign in (1.0, -1.0):
         for near in (1.0 - 1e-13, 1.0 - ALIGNED_TOL, 1.0):
@@ -75,7 +75,9 @@ def test_alignment_within_tolerance_of_one_is_stored_as_one():
     assert dataclasses.replace(bath, beta=2.0).alignment == 1.0
     near = dataclasses.replace(BathSpec(beta=1.0, alignment=0.5), alignment=-1.0 + 1e-13)
     assert near.alignment == -1.0
-    assert bath_from_json({"beta": 1.0, "alignment": 1.0 - 1e-13}).alignment == 1.0
+    # the command line's bath is stored aligned too: protocol 1 needs alignment 1
+    argv = ["protocol1", "--alignment", repr(1.0 - 1e-13), "--out", str(tmp_path / "p")]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -114,6 +116,9 @@ def test_rates_at_rejects_non_finite_rates():
         bath = BathSpec(beta=1.0, rate_fn=lambda omega, bad=bad: bad)
         with pytest.raises(ValueError, match="non-finite"):
             rates_at(bath, 1.0)
+    negative = BathSpec(beta=1.0, rate_fn=lambda omega: -1.0)
+    with pytest.raises(ValueError, match="negative rate"):
+        rates_at(negative, 1.0)
 
 
 def test_cross_rates_pattern():
@@ -146,38 +151,3 @@ def test_rate_derivative_tabulated_profile():
     assert diff.gamma_minus == pytest.approx(
         (pair_hi.gamma_minus - pair_lo.gamma_minus) / delta, rel=1e-12
     )
-
-
-def test_bath_from_json():
-    bath = bath_from_json({"beta": 2.0, "gamma_plus": 0.5, "alignment": 0.3})
-    assert bath.beta == 2.0 and bath.alignment == 0.3
-    assert rates_at(bath, 1.0).gamma_plus == 0.5
-
-    tab = bath_from_json(
-        {
-            "beta": 1.0,
-            "gamma_plus": {"kind": "tabulated", "points": [[1.0, 1.0], [2.0, 2.0]]},
-        }
-    )
-    assert rates_at(tab, 1.5).gamma_plus == pytest.approx(1.5, abs=1e-15)
-
-    with pytest.raises(ValueError):
-        bath_from_json({"beta": 1.0, "temperature": 300.0})
-
-
-def test_bath_from_json_rejects_non_numbers():
-    table = {"kind": "tabulated", "points": [[1.0, 1.0], [2.0, 2.0]]}
-    for data in (
-        {"beta": True},
-        {"beta": "1.0"},
-        {"beta": 1.0, "alignment": False},
-        {"beta": 1.0, "gamma_plus": "1.0"},
-        {"beta": 1.0, "gamma_plus": {**table, "points": [[1.0, "1.0"], [2.0, 2.0]]}},
-        {"beta": 1.0, "gamma_plus": {**table, "points": [[1.0, True], [2.0, 2.0]]}},
-        {"beta": 1.0, "gamma_plus": {"kind": "tabulated"}},
-        {"beta": 1.0, "gamma_plus": {**table, "points": [[1.0, 1.0, 1.0], [2.0, 2.0]]}},
-        {"beta": 10 ** 400},
-        {"alignment": 1.0},
-    ):
-        with pytest.raises(ValueError):
-            bath_from_json(data)

@@ -122,19 +122,10 @@ def test_validate_all_stacked_defects_match_one_at_a_time(random_density):
     for m, spectrum in zip(stack, spectra):
         assert repr(_hermitian_eigenvalues(m).tolist()) == repr(spectrum.tolist())
 
-def test_density_to_json_layout(random_density):
-    """Rows in basis order (|2>, |1>, |0>), each entry a [re, im] pair of floats."""
-    rho = DensityMatrix(random_density())
-    data = rho.to_json()
-    assert len(data) == 3 and all(len(row) == 3 for row in data)
-    for i, row in enumerate(data):
-        for j, pair in enumerate(row):
-            assert all(type(v) is float for v in pair)
-            assert pair == [rho.matrix[i, j].real, rho.matrix[i, j].imag]
-    assert DensityMatrix.ground().to_json()[2][2] == [1.0, 0.0]
-
 
 def test_matrix_is_readonly():
     rho = DensityMatrix.ground()
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="3x3"):
+        DensityMatrix(np.eye(2) / 2.0)

@@ -14,15 +14,19 @@ import coherence_engine
 import coherence_engine.cli as cli
 import coherence_engine.neardegen as neardegen
 from coherence_engine import __version__
-from coherence_engine.bath import BathSpec
+from coherence_engine.bath import BathSpec, flat_rate
+from coherence_engine.bloch import DensityMatrix
 from coherence_engine.cli import main
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
+    evolve_trajectory,
     steady_state,
     trajectory_columns,
+    trajectory_rows,
 )
 from coherence_engine.numerics import NumericsError
+from coherence_engine.protocols import GeneralInitialState
 from coherence_engine.thermo import l1_coherence
 
 
@@ -230,6 +234,16 @@ def test_protocol2_outputs(tmp_path, capsys):
     assert payload["work_mode"] == "closed"
     lines = _read_lines(tmp_path / "p2_steps.csv")
     assert len(lines) == 3 + 5
+    assert lines[2] == "step,work_in,work_out,coherence_before,coherence_after"
+    steps = payload["ledger"]["steps"]
+    assert payload["ledger"]["net_work"] == payload["net_work"]
+    assert payload["net_work"] == math.fsum(s["work_out"] - s["work_in"] for s in steps)
+    for k, (line, step) in enumerate(zip(lines[3:], steps)):
+        assert sorted(step) == ["coherence_after", "coherence_before", "label",
+                                "state", "work_in", "work_out"]
+        assert [float(v) for v in line.split(",")] == [
+            k, step["work_in"], step["work_out"],
+            step["coherence_before"], step["coherence_after"]]
 
 
 def test_protocol2_quadrature_mode(tmp_path):
@@ -277,6 +291,67 @@ def test_figure_wfed_serial_and_parallel(tmp_path):
     assert _run(tmp_path, "figure-wfed", {**parallel, "out": serial["out"]},
                 ("--jobs", "2")) == 0
     assert _read_lines(tmp_path / "serial.csv") == serial_lines
+
+
+def test_state_json_layout(tmp_path):
+    """Rows in basis order (|2>, |1>, |0>), each entry a [re, im] pair of floats."""
+    general = {"b": 0.3, "n_norm": 0.7, "theta": 1.1, "phi": -0.4}
+    rho_general = GeneralInitialState(**general).to_density()
+    for initial, rho in (({"general": general}, rho_general),
+                         ("ground", DensityMatrix.ground())):
+        config = {"initial": initial, "evolve": {"t_final": 0.0, "samples": 1},
+                  "out": str(tmp_path / "s")}
+        assert _run(tmp_path, "evolve", config) == 0
+        data = json.loads((tmp_path / "s.json").read_text())["final_state"]
+        assert len(data) == 3 and all(len(row) == 3 for row in data)
+        for i, row in enumerate(data):
+            for j, pair in enumerate(row):
+                assert all(type(v) is float for v in pair)
+                assert pair == [rho.matrix[i, j].real, rho.matrix[i, j].imag]
+    assert data[2][2] == [1.0, 0.0]
+
+
+def test_bath_section_builds_the_bath(tmp_path, capsys):
+    """beta, a flat or tabulated gamma_plus and the alignment reach the runs."""
+    times = np.linspace(0.0, 1.0, 3)
+    ground = DensityMatrix.ground()
+    table = {"kind": "tabulated", "points": [[1.0, 1.0], [2.0, 2.0]]}
+    for system, section, bath in (
+        (1.0, {"beta": 2.0, "gamma_plus": 0.5, "alignment": 0.3},
+         BathSpec(2.0, flat_rate(0.5), 0.3)),
+        # the table's rate at omega = 1.5 is 1.5
+        (1.5, {"beta": 1.0, "gamma_plus": table}, BathSpec(1.0, flat_rate(1.5))),
+    ):
+        config = {"system": {"omega": system}, "bath": section,
+                  "evolve": {"t_final": 1.0, "samples": 3}, "out": str(tmp_path / "b")}
+        assert _run(tmp_path, "evolve", config) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in _read_lines(tmp_path / "b.csv")[3:]]
+        states = evolve_trajectory(ground, DegenerateSystem(system), bath, times)
+        assert rows == trajectory_rows(times, states)
+    config = {"bath": {"beta": 1.0, "temperature": 300.0}, "out": str(tmp_path / "t")}
+    assert _run(tmp_path, "evolve", config) == 2
+    assert "unknown keys" in _config_error(capsys)
+
+
+def test_bath_section_rejects_non_numbers(tmp_path, capsys):
+    table = {"kind": "tabulated", "points": [[1.0, 1.0], [2.0, 2.0]]}
+    for section, word in (
+        ({"beta": True}, "number"),
+        ({"beta": "1.0"}, "number"),
+        ({"beta": None}, "number"),
+        ({"beta": 1.0, "alignment": False}, "number"),
+        ({"beta": 1.0, "gamma_plus": "1.0"}, "number"),
+        ({"gamma_plus": {**table, "points": [[1.0, "1.0"], [2.0, 2.0]]}}, "number"),
+        ({"gamma_plus": {**table, "points": [[1.0, True], [2.0, 2.0]]}}, "number"),
+        ({"gamma_plus": {"kind": "tabulated"}}, "pairs"),
+        ({"gamma_plus": {**table, "points": [[1.0, 1.0, 1.0], [2.0, 2.0]]}}, "pairs"),
+        ({"beta": 10 ** 400}, "finite"),
+    ):
+        config = {"bath": section, "out": str(tmp_path / "x")}
+        assert _run(tmp_path, "steady", config) == 2
+        assert word in _one_config_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_neardegen_check_outputs(tmp_path, capsys):
@@ -416,16 +491,34 @@ def test_output_onto_config_exits_2_and_writes_nothing(
     assert path.read_bytes() == before
 
 
-def test_flag_overrides_change_hash_and_values(tmp_path):
+def test_flag_overrides_change_hash_and_values(tmp_path, capsys):
     config = {"out": str(tmp_path / "a")}
     assert _run(tmp_path, "steady", config) == 0
     base = json.loads((tmp_path / "a.json").read_text())
-    assert _run(tmp_path, "steady", config,
-                extra=["--beta", "2.0", "--out", str(tmp_path / "b")]) == 0
-    colder = json.loads((tmp_path / "b.json").read_text())
-    assert colder["meta"]["config_sha256"] != base["meta"]["config_sha256"]
     x = math.exp(-2.0)
-    assert colder["c_l1"] == pytest.approx(x / (1.0 + x), abs=1e-15)
+    for flag, out in (("--beta", "b"), ("--omega", "c")):
+        assert _run(tmp_path, "steady", config,
+                    extra=[flag, "2.0", "--out", str(tmp_path / out)]) == 0
+        assert "steady c_l1" in capsys.readouterr().out
+        changed = json.loads((tmp_path / f"{out}.json").read_text())
+        assert changed["meta"]["config_sha256"] != base["meta"]["config_sha256"]
+        # beta omega = 2 either way
+        assert changed["c_l1"] == pytest.approx(x / (1.0 + x), abs=1e-15)
+    # a Gibbs start, on the degenerate and on the split system
+    split = {"system": {"omega1": 1.0, "omega2": 1.005}, "initial": "gibbs",
+             "out": str(tmp_path / "d")}
+    assert _run(tmp_path, "steady", {**config, "initial": "gibbs"}) == 0
+    assert "steady c_l1" in capsys.readouterr().out
+    assert _run(tmp_path, "neardegen-check", split) == 0
+    assert "max perturbative deviation" in capsys.readouterr().out
+    # an unaligned bath skips the perturbative comparison
+    assert _run(tmp_path, "neardegen-check", {**split, "initial": "ground"},
+                extra=["--alignment", "0.5"]) == 0
+    assert "comparison skipped" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "d.json").read_text())
+    assert summary["max_perturbative_deviation"] is None
+    header = _read_lines(tmp_path / "d.csv")[2].split(",")
+    assert header[0] == "t" and all(name.startswith("num_") for name in header[1:])
 
 
 def _config_error(capsys):
@@ -517,6 +610,22 @@ def test_bad_values_exit_2(tmp_path, capsys):
         assert _run(tmp_path, command, {"bath": {"gamma_plus": nan_table,
                                                  "alignment": 0.5}, "out": out}) == 2
         assert "finite" in _config_error(capsys)
+    table = {"kind": "tabulated", "points": [[0.5, 1], [2, 1]]}
+    for config, word in (
+        ({"bath": {"gamma_plus": {**table, "foo": 3}}}, "foo"),
+        ({"bath": {"gamma_plus": {**table, "kind": "lorentzian"}}}, "kind"),
+        ({"system": {"omega": "1"}}, "number"),
+        ({"evolve": {"t_final": -1}}, ">= 0"),
+        ({"evolve": {"t_final": math.inf}}, "finite"),
+        ({"evolve": 3}, "object"),
+        ({"protocol2": {"work_mode": "open"}}, "work_mode"),
+        ({"out": ""}, "out"),
+    ):
+        assert _run(tmp_path, "evolve", {"out": out, **config}) == 2
+        assert word in _config_error(capsys)
+    assert main(["evolve", "--config", _write_config(tmp_path, [1]), "--out", out]) == 2
+    assert "root" in _config_error(capsys)
+    assert not list(tmp_path.glob("x*"))
 
 
 def _one_config_error(capsys):
@@ -612,6 +721,20 @@ def test_unphysical_initial_state_exit_2(tmp_path, capsys):
     config["initial"] = {"general": {"b": 0.5, "n_norm": 1.5, "theta": 0, "phi": 0}}
     assert _run(tmp_path, "evolve", config) == 2
     assert "not physical" in _config_error(capsys)
+    general = {"b": 0.5, "n_norm": 0.5, "theta": 0, "phi": 0}
+    for initial, word in (
+        (3, "name or an object"),
+        ({"coherence_vector": [0.3, 0.2, 0.2, 0.1], "general": general}, "exactly one"),
+        ({"coherence_vector": [0.3, 0.2, 0.2]}, "4 numbers"),
+        ({"general": 3}, "object"),
+        ({"general": {k: general[k] for k in ("b", "n_norm", "theta")}}, "phi"),
+    ):
+        config["initial"] = initial
+        assert _run(tmp_path, "evolve", config) == 2
+        assert word in _config_error(capsys)
+    config["initial"] = {"general": {**general, "b": 0.0}}
+    assert _run(tmp_path, "protocol2", config) == 2
+    assert "ground population" in _config_error(capsys)
 
 
 def test_system_shape_mismatches_exit_2(tmp_path, capsys):
@@ -625,6 +748,8 @@ def test_system_shape_mismatches_exit_2(tmp_path, capsys):
     assert "--omega" in _config_error(capsys)
     assert _run(tmp_path, "evolve", {"system": {"omega": 1.0, "omega2": 2.0}}) == 2
     _config_error(capsys)
+    assert _run(tmp_path, "neardegen-check", {**two, "initial": "coherent-steady"}) == 2
+    assert "degenerate system" in _config_error(capsys)
 
 
 def test_rule_breaking_configs_exit_2(tmp_path, capsys):

@@ -27,6 +27,9 @@ def test_lambert_branch_point():
     assert lambert_w_principal(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
     with pytest.raises(ValueError):
         lambert_w_principal(-1.0 / math.e - 1e-9)
+    for z in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite z"):
+            lambert_w_principal(z)
 
 
 def test_lambert_residual_grid():
@@ -212,6 +215,9 @@ def test_integrate_1d_improper():
     assert integrate_1d(lambda x: math.exp(-x), math.inf, 0.0) == pytest.approx(
         -1.0, abs=1e-10
     )
+    for limits in ((-math.inf, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite lower limit"):
+            integrate_1d(math.exp, *limits)
     # the protocol-2 population sweep from omega1 to infinity:
     # int e^{-bw} / (c + e^{-bw}) dw = ln(1 + e^{-b omega1} / c) / b
     beta, omega1 = 1.3, 0.8

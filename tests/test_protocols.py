@@ -58,24 +58,12 @@ def test_protocol_step_work_sign_convention():
         _dummy_step(work_out=-0.1)
 
 
-def test_ledger_accumulation_and_export():
+def test_ledger_accumulation():
     with pytest.raises(ValueError):
         ProtocolLedger().final_state
     ledger = ProtocolLedger([_dummy_step(work_in=0.2), _dummy_step(work_out=0.7)])
     assert ledger.net_work == pytest.approx(0.5)
     assert ledger.final_state is ledger.steps[-1].state_after
-    header, rows = ledger.csv_rows()
-    assert header == [
-        "step",
-        "work_in",
-        "work_out",
-        "coherence_before",
-        "coherence_after",
-    ]
-    assert len(rows) == 2 and rows[1][2] == pytest.approx(0.7)
-    blob = ledger.to_json_dict()
-    assert blob["net_work"] == pytest.approx(0.5)
-    assert len(blob["steps"]) == 2
 
 
 def test_general_initial_state_roundtrip(rng):
@@ -319,6 +307,8 @@ def test_run_protocol1_shift_floor_cuts_series():
     assert len(capped) == 3
     with pytest.raises(ValueError):
         run_protocol1(rho0, 1.0, 1.0, BATH, max_rounds=0)
+    with pytest.raises(ValueError, match="shift floor"):
+        run_protocol1(rho0, 1.0, 1.0, BATH, shift_floor=-1.0)
 
 
 def test_run_protocol1_first_shift_of_the_charged_state_is_the_closed_form():
@@ -706,5 +696,7 @@ def test_protocol2_rejections():
         protocol2(init, 1.0, 1.0, BATH, work_mode="open")
     with pytest.raises(ValueError):
         protocol2(init, 1.0, -1.0, BATH)
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        protocol2(init, 0.0, 1.0, BATH)
     with pytest.raises(ValueError):
         protocol2(init, 1.0, 1.0, BathSpec(beta=1.0, alignment=0.0))
