@@ -32,7 +32,8 @@ from .bloch import DensityMatrix
 from .dynamics import (
     CoherenceVector,
     DegenerateSystem,
-    analytic_evolution_aligned,
+    _aligned_rows,
+    _sector_states,
     evolve_trajectory,
     steady_state,
     trajectory_columns,
@@ -415,16 +416,9 @@ def cmd_evolve(run: _Run) -> _Output:
     }
     if bath.alignment == 1.0:
         init = CoherenceVector.from_density(rho0).as_array()
-        r22, r00, r12 = analytic_evolution_aligned(init, system, bath, times)
+        closed = _sector_states(*_aligned_rows(init, system.omega, bath, times).T)
         ms = np.array([state.matrix for state in states])
-        populations = ms.diagonal(axis1=1, axis2=2).real
-        summary["analytic_max_deviation"] = max(
-            0.0,
-            float(np.abs(populations[:, 0] - r22).max()),
-            float(np.abs(populations[:, 2] - r00).max()),
-            float(np.abs(populations[:, 1] - (1.0 - r22 - r00)).max()),
-            float(np.abs(ms[:, 1, 0] - r12).max()),
-        )
+        summary["analytic_max_deviation"] = max(0.0, float(np.abs(ms - closed).max()))
     elif abs(bath.alignment) < 1.0:
         ham = HamiltonianSpec.degenerate(system.omega)
         dist = trace_distance(final, gibbs(ham, bath.beta))
@@ -485,8 +479,8 @@ def cmd_protocol2(run: _Run) -> _Output:
     bath, system, rho0 = run.bath, run.system, run.rho0
     work_mode = run.config["protocol2"]["work_mode"]
     init = GeneralInitialState.from_density(rho0)
-    if init.b == 0.0:
-        raise ConfigError("protocol2 requires a nonzero ground population")
+    if not init.b >= sys.float_info.min:
+        raise ConfigError(f"protocol2 needs a ground population >= {sys.float_info.min!r}")
     ledger = protocol2(init, system.omega, bath.beta, bath, work_mode=work_mode)
     ham = HamiltonianSpec.degenerate(system.omega)
     fed_value = fed(rho0, ham, bath.beta)

@@ -4,12 +4,12 @@ The excited states |2> and |1> share the energy omega and both decay to
 the ground state |0> through dipole transitions whose cross-coupling is
 set by the bath alignment p.  The master equation splits into two
 decoupled sectors.  The real 4-vector Pi = (r22, r00, r+ = Re rho21,
-d = Im rho21) obeys the affine equation dPi/dt = M Pi - b, with M built
-by the same function as neardegen's, whose splitting delta couples r+
-and d through the pair (+delta, -delta); here delta = 0.  The block
-(rho20, rho10) of ground-excited coherences obeys a homogeneous 2x2
-equation and only decays; its conjugate (rho02, rho01) follows by
-Hermiticity.
+d = Im rho21) obeys the affine equation dPi/dt = M Pi - b; this module
+owns it for neardegen too, writing its states in _sector_states and
+building (M, fixed point) in _sector, where a splitting delta couples r+
+and d through the pair (+delta, -delta).  The block (rho20, rho10) of
+ground-excited coherences obeys a homogeneous 2x2 equation and only
+decays; its conjugate (rho02, rho01) follows by Hermiticity.
 
 Sign convention: with the generator written as dPi/dt = M Pi - b, every
 eigenvalue of M has a non-positive real part; for |p| < 1 all real
@@ -17,10 +17,7 @@ parts are strictly negative and the state relaxes to the Gibbs fixed
 point M^{-1} b.  The rate of approach is set by the slowest eigenvalue
 of M (largest real part), which closes linearly as |p| -> 1: at
 beta = omega = 1 it is -0.1264, -0.012685 and -0.0012689 for
-p = 0.9, 0.99 and 0.999.  (Descriptions of this system sometimes quote the
-eigenvalues of -M instead, which flips the sign of the statement; the
-convention here is fixed by checking the analytic aligned solution
-against direct integration.)  At |p| = 1 the generator becomes singular
+p = 0.9, 0.99 and 0.999.  At |p| = 1 the generator becomes singular
 and a one-parameter family of coherent steady states appears.
 """
 
@@ -33,7 +30,8 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, RatePair, rates_at
-from .bloch import DensityMatrix, _hermitian_eigenvalues, _require_hermitian_unit_trace
+from .bloch import (DensityMatrix, PhysicalityError, _hermitian_eigenvalues,
+                    _require_hermitian_unit_trace)
 # integrate_ode is unused here; perfbench/selftest.py reads this binding.
 from .numerics import exp_modes, integrate_ode, propagate_affine  # noqa: F401
 from .thermo import _l1_coherences
@@ -92,21 +90,25 @@ class CoherenceVector:
     @classmethod
     def from_density(cls, rho: DensityMatrix) -> "CoherenceVector":
         m = rho.matrix
-        return cls(
-            rho22=float(m[0, 0].real),
-            rho00=float(m[2, 2].real),
-            rho_plus=float(m[0, 1].real),
-            rho_minus_im=float(m[0, 1].imag),
-        )
+        r22, r00, r21 = float(m[0, 0].real), float(m[2, 2].real), m[0, 1]
+        return cls(r22, r00, float(r21.real), float(r21.imag))
 
     def to_density(self) -> DensityMatrix:
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 0] = self.rho22
-        m[1, 1] = self.rho11
-        m[2, 2] = self.rho00
-        m[0, 1] = self.rho21
-        m[1, 0] = self.rho12
-        return DensityMatrix(m)
+        return DensityMatrix(
+            _sector_states(self.rho22, self.rho00, self.rho_plus, self.rho_minus_im)
+        )
+
+
+def _sector_states(r22, r00, rp, d) -> np.ndarray:
+    """The (..., 3, 3) states of sector vectors (r22, r00, r+, d), scalars or arrays.
+
+    The one writer of the sector's layout: rho11 = 1 - r22 - r00,
+    rho21 = r+ + i d and rho12 = r+ - i d; every other entry is +0.
+    """
+    m = np.zeros(getattr(r22, "shape", ()) + (3, 3), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1], m[..., 2, 2] = r22, 1.0 - r22 - r00, r00
+    m[..., 0, 1], m[..., 1, 0] = rp + 1j * d, rp - 1j * d
+    return m
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,34 @@ def coherence_generator(system: DegenerateSystem, bath: BathSpec) -> GeneratorMa
     return _generator(pair, pair, bath.alignment, 0.0)
 
 
+def _require_finite(init) -> None:
+    """The sector's one rule on an initial vector: every entry is finite."""
+    if not all(map(math.isfinite, init)):
+        raise PhysicalityError("entries are not all finite")
+
+
+def _sector(omega1: float, omega2: float, bath: BathSpec, init) -> Tuple:
+    """(generator matrix, fixed point) for excited levels at omega1 <= omega2.
+
+    At omega1 = omega2 the fixed point is steady_state's, else the Gibbs vector.
+    """
+    _require_finite(init)
+    r1 = rates_at(bath, omega1)
+    r2 = r1 if omega2 == omega1 else rates_at(bath, omega2)
+    matrix = _generator(r1, r2, bath.alignment, omega2 - omega1).matrix
+    if omega1 == omega2:
+        return matrix, _steady_vector(DegenerateSystem(omega1), bath, init)
+    r22, _, r00 = _gibbs_populations(omega1, omega2, bath.beta)
+    return matrix, np.array([r22, r00, 0.0, 0.0])
+
+
+def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
+    """(rho22, rho11, rho00) of the Gibbs state of levels at omega2, omega1 and 0."""
+    w2, w1 = math.exp(-beta * omega2), math.exp(-beta * omega1)
+    z = 1.0 + w1 + w2
+    return w2 / z, w1 / z, 1.0 / z
+
+
 def _checked_grid(times) -> np.ndarray:
     """times as a 1-D array; the one time rule of every evolver."""
     t = np.asarray(times, dtype=float)
@@ -185,8 +215,7 @@ def evolve_trajectory(
 ) -> List[DensityMatrix]:
     """States along a time grid, by exact propagation of each sector.
 
-    The 4-vector (r22, r00, r+, d) is propagated on coherence_generator
-    about steady_state, one decomposition for every time.
+    The 4-vector (r22, r00, r+, d) is propagated about _sector's fixed point.
     The ground-excited coherences obey d/dt (rho20, rho10) =
     [[a, b], [b, a]] (rho20, rho10) with a = -i omega - gamma_plus/2 -
     gamma_minus and b = -p gamma_plus/2, so rho20 +- rho10 decay as
@@ -197,22 +226,16 @@ def evolve_trajectory(
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
     init = CoherenceVector.from_density(rho0).as_array()
-    fixed = _steady_vector(system, bath, init)
-    pair = rates_at(bath, system.omega)
-    matrix = _generator(pair, pair, bath.alignment, 0.0).matrix
-    r22, r00, rp, d = propagate_affine(matrix, fixed, init, t).T
-    a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
-    b = -0.5 * bath.alignment * pair.gamma_plus
-    ms = np.zeros((t.size, 3, 3), dtype=complex)
-    ms[:, 0, 0], ms[:, 1, 1], ms[:, 2, 2] = r22, 1.0 - r22 - r00, r00
-    ms[:, 0, 1] = rp + 1j * d
-    if m0[0, 2] or m0[1, 2]:  # without them these columns stay exact zeros
+    matrix, fixed = _sector(system.omega, system.omega, bath, init)
+    ms = _sector_states(*propagate_affine(matrix, fixed, init, t).T)
+    if m0[0, 2] or m0[1, 2]:  # without them these entries stay +0
+        pair = rates_at(bath, system.omega)
+        a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
+        b = -0.5 * bath.alignment * pair.gamma_plus
         even = 0.5 * (m0[0, 2] + m0[1, 2]) * exp_modes(a + b, t)
         odd = 0.5 * (m0[0, 2] - m0[1, 2]) * exp_modes(a - b, t)
         ms[:, 0, 2], ms[:, 1, 2] = even + odd, even - odd
-    ms[:, 1, 0], ms[:, 2, 0], ms[:, 2, 1] = (
-        ms[:, 0, 1].conj(), ms[:, 0, 2].conj(), ms[:, 1, 2].conj()
-    )
+        ms[:, 2, 0], ms[:, 2, 1] = ms[:, 0, 2].conj(), ms[:, 1, 2].conj()
     ms.setflags(write=False)
     return [rho0 if tk == 0.0 else DensityMatrix._view(m) for tk, m in zip(t.tolist(), ms)]
 
@@ -321,9 +344,10 @@ def steady_state(
 ) -> DensityMatrix:
     """Long-time state of the coherence sector, in closed form.
 
-    The initial state when nothing emits (gamma_plus = 0 at omega); else
-    the Gibbs state, unless |alignment| = 1, where the state keeps a
-    memory of the initial (rho00, rho_plus).  Anti-aligned dipoles map
-    onto aligned ones by flipping the sign of rho_plus.
+    The initial state when nothing emits (gamma_plus = 0 at omega); else the
+    Gibbs state, unless |alignment| = 1, where the state keeps a memory of
+    the initial (rho00, rho_plus).  Anti-aligned dipoles map onto aligned
+    ones by flipping the sign of rho_plus.  A non-finite init is a PhysicalityError.
     """
+    _require_finite(init)
     return CoherenceVector.from_array(_steady_vector(system, bath, init)).to_density()

@@ -37,12 +37,12 @@ from .bath import BathSpec, RatePair, rate_derivative, rates_at
 from .bloch import DensityMatrix
 from .dynamics import (
     CoherenceVector,
-    DegenerateSystem,
     GeneratorMatrix,
     _aligned_rows,
     _checked_grid,
     _generator,
-    _steady_vector,
+    _gibbs_populations,
+    _sector,
 )
 from .numerics import _affine_derivative, propagate_affine
 
@@ -102,11 +102,7 @@ def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.n
         logger.warning(
             "reduced dynamics used outside its validity window: "
             "t * delta = %.3g exceeds %.3g (t=%.6g, delta=%.6g, tau_S=%.6g)",
-            product,
-            VALIDITY_WINDOW_LIMIT,
-            t,
-            system.delta,
-            1.0 / system.omega1,
+            product, VALIDITY_WINDOW_LIMIT, t, system.delta, 1.0 / system.omega1,
         )
     return times
 
@@ -117,19 +113,10 @@ def _neardegenerate_series(
     bath: BathSpec,
     times: Sequence[float],
 ) -> np.ndarray:
-    """Rows (r22, r00, r+, d) at each of times, from one decomposition.
-
-    Anchored at the two-frequency Gibbs vector, or without a splitting at
-    steady_state.
-    """
+    """Rows (r22, r00, r+, d) at each of times, about _sector's fixed point."""
     times = _checked_times(times, system)
-    matrix = neardegenerate_generator(system, bath).matrix
     init = pi0.as_array()
-    if system.delta == 0.0:
-        fixed = _steady_vector(DegenerateSystem(system.omega1), bath, init)
-    else:
-        r22, _, r00 = _gibbs_populations(system.omega1, system.omega2, bath.beta)
-        fixed = np.array([r22, r00, 0.0, 0.0])
+    matrix, fixed = _sector(system.omega1, system.omega2, bath, init)
     return propagate_affine(matrix, fixed, init, times)
 
 
@@ -150,19 +137,16 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     delta = system.delta
     if delta == 0.0:
         return zeroth
-    pair = rates_at(bath, system.omega1)
     # The derivative needs no emission; this rejection is the command
     # line's contract (exit 3) for a split system dark at omega1.
-    if pair.gamma_plus == 0.0:
+    if rates_at(bath, system.omega1).gamma_plus == 0.0:
         raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
     # Every entry of _generator is linear in the rates and the splitting.
     slope = _generator(RatePair(0.0, 0.0), rate_derivative(bath, system.omega1, delta),
                        1.0, 1.0).matrix
     y0 = np.asarray(init, dtype=float)
-    fixed = _steady_vector(DegenerateSystem(system.omega1), bath, y0)
-    first = _affine_derivative(_generator(pair, pair, 1.0, 0.0).matrix, slope, fixed,
-                               y0, times)
-    return zeroth + delta * first
+    matrix, fixed = _sector(system.omega1, system.omega1, bath, y0)
+    return zeroth + delta * _affine_derivative(matrix, slope, fixed, y0, times)
 
 
 def perturbative_solution(
@@ -197,11 +181,3 @@ def thermalize_independent(
     rho.validate()
     populations = _gibbs_populations(system.omega1, system.omega2, bath.beta)
     return DensityMatrix(np.diag(populations))
-
-
-def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
-    """(rho22, rho11, rho00) of the Gibbs state of levels at omega2, omega1 and 0."""
-    w2 = math.exp(-beta * omega2)
-    w1 = math.exp(-beta * omega1)
-    z = 1.0 + w1 + w2
-    return w2 / z, w1 / z, 1.0 / z

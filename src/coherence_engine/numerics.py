@@ -217,7 +217,7 @@ def integrate_ode(
         dense_output=True,
     )
     if not sol.success:
-        reached = sol.t[-1] if sol.t.size else t0
+        reached = float(sol.t[-1]) if sol.t.size else t0
         raise NumericsError(
             f"ODE integration failed at t={reached!r}: {sol.message}"
         )
@@ -258,7 +258,7 @@ def integrate_1d(
     a > b gives the negative of the integral over [b, a].  numpy only:
     it replaces scipy's quad so that importing the package loads no scipy.
     Raises NumericsError after 200 bisections without convergence, or on
-    a non-finite value.
+    a non-finite integrand or value.
     """
     if a == b:
         return 0.0
@@ -279,6 +279,8 @@ def integrate_1d(
     def panel(lo: float, hi: float) -> Tuple[float, float, float, float]:
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         fx = np.array([g(x) for x in (mid + half * _GK_NODES).tolist()])
+        if not np.isfinite(fx).all():  # before inf * 0 in the sums warns
+            raise NumericsError(f"integrand is not finite on [{lo!r}, {hi!r}]")
         return -half * abs(fx @ _GK_DIFF), half * (fx @ _GK_WEIGHTS), lo, hi
 
     panels = [panel(start, stop)]

@@ -34,6 +34,7 @@ its row, and all of the l1 coherences come from one pass over the stack.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -505,8 +506,9 @@ def protocol2(
     the initial state.  work_mode selects closed-form sweep works or an
     independent quadrature route.
     """
-    if init.b == 0.0:
-        raise ValueError("matching requires a nonzero ground population")
+    # 1/b must stay far from overflow: the rule BathSpec applies to beta.
+    if not init.b >= sys.float_info.min:
+        raise ValueError(f"matching needs a ground population >= {sys.float_info.min!r}")
     if work_mode not in ("closed", "quadrature"):
         raise ValueError(f"unknown work mode: {work_mode!r}")
     if omega <= 0.0:

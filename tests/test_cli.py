@@ -735,6 +735,13 @@ def test_unphysical_initial_state_exit_2(tmp_path, capsys):
     config["initial"] = {"general": {**general, "b": 0.0}}
     assert _run(tmp_path, "protocol2", config) == 2
     assert "ground population" in _config_error(capsys)
+    # a subnormal ground population: 1/b overflows in the matching
+    config["initial"] = {"general": {"b": 5.563e-309, "n_norm": 1, "theta": 0, "phi": 0}}
+    for mode in ("closed", "quadrature"):
+        config["protocol2"] = {"work_mode": mode}
+        assert _run(tmp_path, "protocol2", config) == 2
+        assert "ground population" in _config_error(capsys)
+        assert not list(tmp_path.glob("x_*"))
 
 
 def test_system_shape_mismatches_exit_2(tmp_path, capsys):

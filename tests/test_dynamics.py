@@ -453,6 +453,12 @@ def test_evolve_trajectory_rejects_unphysical_input():
     for m in (nan, skew, np.diag([1.0, 0.5, 0.0])):
         with pytest.raises(PhysicalityError):
             evolve_trajectory(DensityMatrix(m), system, bath, [0.0, 1.0])
+    # the sector evolvers apply the same finiteness rule to a bare 4-vector
+    with pytest.raises(PhysicalityError, match="not all finite"):
+        evolve_neardegenerate(CoherenceVector(math.nan, 0.5, 0.0, 0.0),
+                              NearDegenerateSystem(1.0, 1.005), BathSpec(beta=1.0), 1.0)
+    with pytest.raises(PhysicalityError, match="not all finite"):
+        steady_state(DegenerateSystem(1.0), BathSpec(beta=1.0), (math.nan, 0.5, 0.0, 0.0))
     # Hermitian and unit-trace is enough: positivity is not required
     states = evolve_trajectory(
         DensityMatrix(np.diag([1.2, -0.2, 0.0])), system, bath, [1.0]
@@ -489,6 +495,24 @@ def test_steady_vector_is_steady_state_bit_for_bit(profile):
                 state = steady_state(system, bath, init)
                 expected = CoherenceVector.from_density(state).as_array()
                 assert vector.tobytes() == expected.tobytes()
+
+
+def test_trajectory_states_have_the_bytes_of_the_one_sector_writer():
+    """Each state at t > 0 is the state CoherenceVector writes for its own vector.
+
+    In particular the entries the sector leaves empty are +0, as they are in
+    the t = 0 state, so every row of a trajectory writes the same zeros.
+    """
+    system = DegenerateSystem(1.0)
+    starts = [DensityMatrix.ground(), CoherenceVector(0.3, 0.2, 0.2, 0.1).to_density(),
+              CoherenceVector(0.25, 0.4, -0.2, -0.1).to_density()]
+    for alignment in (1.0, -1.0, 0.5, 0.0, 0.99):
+        bath = BathSpec(beta=1.0, alignment=alignment)
+        for rho0 in starts:
+            states = evolve_trajectory(rho0, system, bath, np.linspace(0.0, 20.0, 6))
+            for state in states[1:]:
+                rebuilt = CoherenceVector.from_density(state).to_density()
+                assert state.matrix.tobytes() == rebuilt.matrix.tobytes()
 
 
 def test_ground_state_keeps_ground_excited_coherences_exactly_zero():

@@ -90,6 +90,14 @@ def test_integrate_ode_zero_rhs():
     np.testing.assert_allclose(sol.at(2.5), y0, atol=1e-14)
 
 
+def test_integrate_ode_reports_where_it_failed():
+    """dy/dt = y^2 from y(0) = 1 blows up at t = 1; the error names that time."""
+    with pytest.raises(NumericsError, match=r"failed at t=0\.99999") as info:
+        integrate_ode(lambda t, y: y * y, np.array([1.0]), (0.0, 2.0))
+    reached = float(str(info.value).split("t=")[1].split(":")[0])
+    assert reached == pytest.approx(1.0, abs=1e-9)
+
+
 def test_integrate_ode_degenerate_span():
     y0 = np.array([1.0, 2.0])
     sol = integrate_ode(lambda t, y: -y, y0, (0.0, 0.0))
@@ -243,3 +251,11 @@ def test_integrate_1d_matches_scipy_quad_on_sweep_integrands():
 def test_integrate_1d_divergent_reported():
     with pytest.raises(NumericsError):
         integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_1d_rejects_a_non_finite_integrand(bad):
+    """A NaN or infinite node value is a NumericsError before any panel sum warns."""
+    for b in (1.0, math.inf):
+        with pytest.raises(NumericsError, match="integrand is not finite"):
+            integrate_1d(lambda x: bad if x > 0.5 else 1.0, 0.0, b)

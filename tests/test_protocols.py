@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -692,6 +693,12 @@ def test_protocol2_rejections():
     with pytest.raises(ValueError):
         protocol2(GeneralInitialState(b=0.0, n_norm=1.0, theta=1.0, phi=0.0),
                   1.0, 1.0, BATH)
+    # below the smallest normal float the matched partition function overflows
+    for b in (5.563e-309, 1e-308, math.nextafter(sys.float_info.min, 0.0)):
+        for mode in ("closed", "quadrature"):
+            with pytest.raises(ValueError, match="ground population"):
+                protocol2(GeneralInitialState(b=b, n_norm=1.0, theta=0.0, phi=0.0),
+                          1.0, 1.0, BATH, work_mode=mode)
     with pytest.raises(ValueError):
         protocol2(init, 1.0, 1.0, BATH, work_mode="open")
     with pytest.raises(ValueError):
