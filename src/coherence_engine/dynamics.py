@@ -34,7 +34,7 @@ from .bloch import (DensityMatrix, PhysicalityError, _hermitian_eigenvalues,
                     _require_hermitian_unit_trace)
 # integrate_ode is unused here; perfbench/selftest.py reads this binding.
 from .numerics import exp_modes, integrate_ode, propagate_affine  # noqa: F401
-from .thermo import _l1_coherences
+from .thermo import _gibbs_weights, _l1_coherences
 
 TRACE_DRIFT_TOL = 1e-12
 
@@ -66,18 +66,6 @@ class CoherenceVector:
     rho00: float
     rho_plus: float
     rho_minus_im: float = 0.0
-
-    @property
-    def rho11(self) -> float:
-        return 1.0 - self.rho22 - self.rho00
-
-    @property
-    def rho21(self) -> complex:
-        return self.rho_plus + 1j * self.rho_minus_im
-
-    @property
-    def rho12(self) -> complex:
-        return self.rho_plus - 1j * self.rho_minus_im
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho22, self.rho00, self.rho_plus, self.rho_minus_im])
@@ -171,15 +159,9 @@ def _sector(omega1: float, omega2: float, bath: BathSpec, init) -> Tuple:
     matrix = _generator(r1, r2, bath.alignment, omega2 - omega1).matrix
     if omega1 == omega2:
         return matrix, _steady_vector(DegenerateSystem(omega1), bath, init)
-    r22, _, r00 = _gibbs_populations(omega1, omega2, bath.beta)
+    w2, w1 = math.exp(-bath.beta * omega2), math.exp(-bath.beta * omega1)
+    r22, _, r00 = _gibbs_weights(w2, w1)
     return matrix, np.array([r22, r00, 0.0, 0.0])
-
-
-def _gibbs_populations(omega1: float, omega2: float, beta: float) -> Tuple:
-    """(rho22, rho11, rho00) of the Gibbs state of levels at omega2, omega1 and 0."""
-    w2, w1 = math.exp(-beta * omega2), math.exp(-beta * omega1)
-    z = 1.0 + w1 + w2
-    return w2 / z, w1 / z, 1.0 / z
 
 
 def _checked_grid(times) -> np.ndarray:
@@ -316,8 +298,8 @@ def analytic_evolution_aligned(
     evolvers' one time rule and returns (rho22, rho00, rho12) with rho12
     complex.
     """
-    rho22, rho00, rp, d = _aligned_rows(init, system.omega, bath, np.atleast_1d(t)).T
-    rho12 = rp - 1j * d
+    ms = _sector_states(*_aligned_rows(init, system.omega, bath, np.atleast_1d(t)).T)
+    rho22, rho00, rho12 = ms[:, 0, 0].real, ms[:, 2, 2].real, ms[:, 1, 0]
     if np.ndim(t) == 0:
         return float(rho22[0]), float(rho00[0]), complex(rho12[0])
     return rho22, rho00, rho12
@@ -330,8 +312,8 @@ def _steady_vector(system: DegenerateSystem, bath: BathSpec, init) -> np.ndarray
         return np.array([a, b, c, d])
     x = math.exp(-bath.beta * system.omega)
     if abs(bath.alignment) < 1.0:
-        z = 1.0 + 2.0 * x
-        return np.array([x / z, 1.0 / z, 0.0, 0.0])
+        r22, _, r00 = _gibbs_weights(x, x)
+        return np.array([r22, r00, 0.0, 0.0])
     sign = bath.alignment
     r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
     return np.array([r22, r00, sign * rp, 0.0])

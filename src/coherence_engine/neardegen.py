@@ -41,10 +41,10 @@ from .dynamics import (
     _aligned_rows,
     _checked_grid,
     _generator,
-    _gibbs_populations,
     _sector,
 )
 from .numerics import _affine_derivative, propagate_affine
+from .thermo import HamiltonianSpec, gibbs
 
 logger = logging.getLogger(__name__)
 
@@ -179,5 +179,4 @@ def thermalize_independent(
     omega1}, 1)/Z regardless of the input state.
     """
     rho.validate()
-    populations = _gibbs_populations(system.omega1, system.omega2, bath.beta)
-    return DensityMatrix(np.diag(populations))
+    return gibbs(HamiltonianSpec(e2=system.omega2, e1=system.omega1), bath.beta)

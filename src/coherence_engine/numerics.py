@@ -281,7 +281,8 @@ def integrate_1d(
         fx = np.array([g(x) for x in (mid + half * _GK_NODES).tolist()])
         if not np.isfinite(fx).all():  # before inf * 0 in the sums warns
             raise NumericsError(f"integrand is not finite on [{lo!r}, {hi!r}]")
-        return -half * abs(fx @ _GK_DIFF), half * (fx @ _GK_WEIGHTS), lo, hi
+        with np.errstate(over="ignore", invalid="ignore"):  # the value check raises
+            return -half * abs(fx @ _GK_DIFF), half * (fx @ _GK_WEIGHTS), lo, hi
 
     panels = [panel(start, stop)]
     bisections = 0

@@ -44,7 +44,7 @@ from .bath import BathSpec, rates_at
 from .bloch import DensityMatrix, _validate_all
 from .dynamics import DegenerateSystem, steady_state
 from .numerics import integrate_1d, lambert_w_principal
-from .thermo import SUBSPACE_TOL, HamiltonianSpec, _l1_coherences, gibbs
+from .thermo import SUBSPACE_TOL, _gibbs_weights, _l1_coherences
 
 SHIFT_ROOT_TOL = 1e-13
 
@@ -240,7 +240,9 @@ def _ledger(steps, chain: np.ndarray) -> ProtocolLedger:
 def _round_states(x: float, beta_shifts: np.ndarray, emits: bool):
     """(rounds, 3, 3) stacks of the thermal and final states, u = e^{-beta_shifts}.
 
-    The thermal state is diag(xu, x, 1)/Z, Z = 1 + x + xu.  The final state
+    The thermal state is diag(xu, x, 1)/Z with the recurrence's Z = 1 + x + xu,
+    not thermo._gibbs_weights' 1 + (x + xu): the partition column and the
+    next (q, r) read this Z.  The final state
     is dynamics._aligned_vector's fixed point from ground population 1/Z,
     written in x and u so that nothing cancels at low temperature; without
     emission the bath leaves the thermal state as it is.
@@ -373,7 +375,7 @@ def run_protocol1(
         if shift is None or shift < shift_floor:
             break
         u = math.exp(-beta * shift)
-        z = 1.0 + x + x * u
+        z = 1.0 + x + x * u  # the same Z as _round_states', not _gibbs_weights'
         rounds.append((shift, population, z))
         q, r = (1.0 + u) / (2.0 * z), -math.expm1(-beta * shift) / (2.0 * z)
         population = x * q
@@ -536,10 +538,8 @@ def protocol2(
             beta, omega1, omega, 0.0, "both-levels-sweep"
         )
 
-    u1 = math.exp(-beta * omega1)
-    z1 = 1.0 + 2.0 * u1
-    merged = np.diag([u1 / z1, u1 / z1, 1.0 / z1])
-    final = gibbs(HamiltonianSpec.degenerate(omega), beta).matrix
+    u1, x = math.exp(-beta * omega1), math.exp(-beta * omega)
+    merged, final = np.diag(_gibbs_weights(u1, u1)), np.diag(_gibbs_weights(x, x))
     steps = [
         ("rotate", 0.0, 0.0),
         ("match-middle-level", max(-w_lower, 0.0), max(w_lower, 0.0)),

@@ -33,7 +33,7 @@ class HamiltonianSpec:
     e1: float
 
     def __post_init__(self) -> None:
-        if self.e2 < 0.0 or self.e1 < 0.0:
+        if not (self.e2 >= 0.0 and self.e1 >= 0.0):  # NaN fails too
             raise ValueError("excited energies must be non-negative")
 
     @classmethod
@@ -98,14 +98,17 @@ def free_energy(rho: DensityMatrix, hamiltonian: HamiltonianSpec, beta: float) -
 
 def gibbs(hamiltonian: HamiltonianSpec, beta: float) -> DensityMatrix:
     """Thermal state exp(-beta H) / Z for the diagonal Hamiltonian."""
-    weights = np.array(
-        [
-            math.exp(-beta * hamiltonian.e2),
-            math.exp(-beta * hamiltonian.e1),
-            1.0,
-        ]
-    )
-    return DensityMatrix(np.diag(weights / weights.sum()))
+    w2, w1 = math.exp(-beta * hamiltonian.e2), math.exp(-beta * hamiltonian.e1)
+    return DensityMatrix(np.diag(_gibbs_weights(w2, w1)))
+
+
+def _gibbs_weights(w2, w1) -> Tuple:
+    """(rho22, rho11, rho00) = (w2, w1, 1)/Z of Boltzmann factors, scalars or arrays.
+
+    The one writer of thermal populations: Z = 1 + (w1 + w2) adds the small terms first.
+    """
+    z = 1.0 + (w1 + w2)
+    return w2 / z, w1 / z, 1.0 / z
 
 
 def fed(rho: DensityMatrix, hamiltonian: HamiltonianSpec, beta: float) -> float:

@@ -65,9 +65,9 @@ def test_coherence_vector_roundtrip(subspace_sampler):
         pi.to_density().validate()
         back = CoherenceVector.from_density(pi.to_density())
         np.testing.assert_allclose(back.as_array(), pi.as_array(), atol=1e-15)
-        assert pi.rho21 == pytest.approx(complex(c, d))
-        assert pi.rho12 == pytest.approx(complex(c, -d))
-        assert pi.rho11 == pytest.approx(1.0 - a - b)
+        assert pi.to_density().matrix[0, 1] == pytest.approx(complex(c, d))
+        assert pi.to_density().matrix[1, 0] == pytest.approx(complex(c, -d))
+        assert pi.to_density().matrix[1, 1] == pytest.approx(1.0 - a - b)
 
 
 def test_coherence_vector_validate_rejects_bad_populations():

@@ -30,6 +30,7 @@ from coherence_engine.neardegen import (
     thermalize_independent,
 )
 from coherence_engine.numerics import _decomposition, exp_modes, integrate_ode
+from coherence_engine.thermo import HamiltonianSpec, gibbs
 from reference import first_order_closed_form, gksl_rhs_matrix, nonsecular_rhs_matrix
 
 RAMP = tabulated_rate(((0.2, 0.8), (1.5, 1.3), (3.0, 1.1)))
@@ -182,6 +183,33 @@ def test_thermalize_independent_fixed_point():
     np.testing.assert_allclose(residual, np.zeros((3, 3)), atol=1e-16)
 
 
+@pytest.mark.parametrize("alignment", [1.0, 0.5])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 5.0])
+def test_gibbs_start_stays_put(beta, alignment):
+    """From the split Gibbs state every row is the first, bit for bit.
+
+    thermalize_independent returns that same state byte for byte.  At
+    delta = 0 the fixed point is steady_state's: off alignment it is the
+    same Gibbs state, but at alignment 1 it comes from the aligned closed
+    form, whose populations round through 1 + 2x - b - 2c and move by up
+    to an ulp, so that case is bounded here rather than exact.
+    """
+    bath = BathSpec(beta=beta, alignment=alignment)
+    times = np.linspace(0.0, 5.0, 11)
+    for omega2 in (1.001, 1.005, 1.02, 1.05, 1.0):
+        system = NearDegenerateSystem(1.0, omega2)
+        rho = gibbs(HamiltonianSpec(e2=omega2, e1=1.0), beta)
+        pi0 = CoherenceVector.from_density(rho)
+        rows = _neardegenerate_series(pi0, system, bath, times)
+        assert rows[0].tobytes() == pi0.as_array().tobytes()
+        if omega2 == 1.0 and alignment == 1.0:
+            assert np.abs(rows - rows[0]).max() <= 2.3e-16
+        else:
+            assert rows.tobytes() == np.tile(rows[0], (times.size, 1)).tobytes()
+        settled = thermalize_independent(rho, system, bath)
+        assert settled.matrix.tobytes() == rho.matrix.tobytes()
+
+
 def test_evolve_zero_splitting_matches_closed_form(subspace_sampler):
     bath = BathSpec(beta=1.0, alignment=1.0)
     system = NearDegenerateSystem(1.0, 1.0)
@@ -193,7 +221,7 @@ def test_evolve_zero_splitting_matches_closed_form(subspace_sampler):
         r22, r00, r12 = analytic_evolution_aligned(init, flat, bath, t)
         assert out.rho22 == pytest.approx(r22, abs=1e-10)
         assert out.rho00 == pytest.approx(r00, abs=1e-10)
-        assert out.rho12 == pytest.approx(r12, abs=1e-10)
+        assert out.to_density().matrix[1, 0] == pytest.approx(r12, abs=1e-10)
 
 
 def test_evolve_matches_rk45_on_real_form():
@@ -319,7 +347,7 @@ def test_perturbative_zero_splitting_is_closed_form():
     r22, r00, r12 = analytic_evolution_aligned(init, DegenerateSystem(1.0), bath, t)
     assert out.rho22 == pytest.approx(r22, abs=1e-15)
     assert out.rho00 == pytest.approx(r00, abs=1e-15)
-    assert out.rho12 == pytest.approx(r12, abs=1e-15)
+    assert out.to_density().matrix[1, 0] == pytest.approx(r12, abs=1e-15)
 
 
 def test_perturbative_correction_vanishes_at_t_zero():

@@ -259,3 +259,12 @@ def test_integrate_1d_rejects_a_non_finite_integrand(bad):
     for b in (1.0, math.inf):
         with pytest.raises(NumericsError, match="integrand is not finite"):
             integrate_1d(lambda x: bad if x > 0.5 else 1.0, 0.0, b)
+
+
+@pytest.mark.parametrize(
+    "value, b", [(1e308, 1e308), (-1e308, 1e308), (1e300, 1e10)]
+)
+def test_integrate_1d_overflowing_panel_sum_is_a_numerics_error(value, b):
+    """Finite node values whose weighted sum overflows raise no RuntimeWarning."""
+    with pytest.raises(NumericsError, match="quadrature gave a non-finite value"):
+        integrate_1d(lambda x: value, 0.0, b)

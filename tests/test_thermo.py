@@ -36,10 +36,11 @@ def _coherent_stationary_state(beta, omega):
 def test_hamiltonian_spec():
     ham = HamiltonianSpec.degenerate(1.3)
     np.testing.assert_allclose(ham.matrix(), np.diag([1.3, 1.3, 0.0]), atol=0.0)
-    with pytest.raises(ValueError):
-        HamiltonianSpec(e2=-1.0, e1=1.0)
-    with pytest.raises(ValueError):
-        HamiltonianSpec(e2=1.0, e1=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            HamiltonianSpec(e2=bad, e1=1.0)
+        with pytest.raises(ValueError):
+            HamiltonianSpec(e2=1.0, e1=bad)
     # zero is an energy, not a rejection: both bounds are inclusive
     flat = HamiltonianSpec(e2=0.0, e1=0.0)
     np.testing.assert_array_equal(flat.matrix(), np.zeros((3, 3)))
