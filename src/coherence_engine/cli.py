@@ -24,6 +24,14 @@ import os
 import sys
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
+# One BLAS thread unless the caller chose a number.  Every product here is
+# 3x3 to 5x5, below any BLAS threading threshold, so a thread pool would
+# only add to start-up.  numpy reads these when it is first imported, so
+# they are set before the imports below, and in the command line only: the
+# library leaves a user's numpy as it finds it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import __version__

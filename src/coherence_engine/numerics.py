@@ -277,7 +277,8 @@ def integrate_1d(
 
     # (-error, value, lo, hi): heapq pops the panel with the largest error.
     def panel(lo: float, hi: float) -> Tuple[float, float, float, float]:
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        # Halved before the sum, so a width beyond the float range stays finite.
+        half, mid = 0.5 * hi - 0.5 * lo, 0.5 * hi + 0.5 * lo
         fx = np.array([g(x) for x in (mid + half * _GK_NODES).tolist()])
         if not np.isfinite(fx).all():  # before inf * 0 in the sums warns
             raise NumericsError(f"integrand is not finite on [{lo!r}, {hi!r}]")
@@ -299,6 +300,7 @@ def integrate_1d(
                 f"(error estimate {error:.3e})"
             )
         _, _, lo, hi = heapq.heappop(panels)
-        heapq.heappush(panels, panel(lo, 0.5 * (lo + hi)))
-        heapq.heappush(panels, panel(0.5 * (lo + hi), hi))
+        mid = 0.5 * lo + 0.5 * hi
+        heapq.heappush(panels, panel(lo, mid))
+        heapq.heappush(panels, panel(mid, hi))
         bisections += 1

@@ -829,13 +829,67 @@ def test_runtime_value_error_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_package_import_loads_no_scipy():
-    # The tests import scipy themselves, so only a fresh interpreter can tell.
+    """`import coherence_engine` loads no scipy, no numpy and no submodule.
+
+    Each public name is its home module's very object, resolved on first use.
+    """
+    # The tests import these themselves, so only a fresh interpreter can tell.
     code = ("import coherence_engine, sys; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'numpy', 'coherence_engine')])")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]", proc.stdout
+    assert proc.stdout.strip() == "['coherence_engine']", proc.stdout
+    # The test modules have imported every home module, and each such import
+    # binds the module's names here: a tool that patches the names it finds in
+    # vars(coherence_engine) finds them all.
+    for name in coherence_engine.__all__:
+        value = vars(coherence_engine)[name]
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert coherence_engine.dynamics is sys.modules["coherence_engine.dynamics"]
+    assert coherence_engine.numerics is sys.modules["coherence_engine.numerics"]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        coherence_engine.no_such_name
+    names = {}
+    exec("from coherence_engine import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == coherence_engine.__all__
+    assert len(coherence_engine.__all__) == 46
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    return {**env, **extra}
+
+
+def test_cli_pins_blas_to_one_thread_unless_the_caller_chose():
+    code = ("import os, coherence_engine.cli; "
+            f"print([os.environ[v] for v in {_BLAS_THREAD_VARS!r}])")
+    for extra, expected in (({}, ["1", "1", "1"]),
+                            ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_env_without_blas_threads(**extra), timeout=60, check=True)
+        assert proc.stdout.strip() == repr(expected), (extra, proc.stdout)
+
+
+def test_blas_thread_count_changes_no_output(tmp_path):
+    code = ("from coherence_engine.cli import main; "
+            "assert [main([c, '--out', c]) for c in ('steady', 'evolve', 'protocol1')] "
+            "== [0, 0, 0]")
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        subprocess.run([sys.executable, "-c", code], cwd=tmp_path / threads,
+                       env=_env_without_blas_threads(OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, timeout=120, check=True)
+    written = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "2").iterdir())
+    assert len(written) == 5, written
+    for name in written:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):

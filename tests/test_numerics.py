@@ -268,3 +268,14 @@ def test_integrate_1d_overflowing_panel_sum_is_a_numerics_error(value, b):
     """Finite node values whose weighted sum overflows raise no RuntimeWarning."""
     with pytest.raises(NumericsError, match="quadrature gave a non-finite value"):
         integrate_1d(lambda x: value, 0.0, b)
+
+
+def test_integrate_1d_on_an_interval_wider_than_the_float_range():
+    """A width hi - lo beyond the float range places its nodes without overflow."""
+    with pytest.raises(NumericsError, match="quadrature gave a non-finite value inf"):
+        integrate_1d(lambda x: 1e308, -1e308, 1e308)
+    assert integrate_1d(lambda x: 0.0, -1e308, 1e308) == 0.0
+    # lo + hi overflows here too, in the panel's centre and in its split
+    # point; a step at 1.5e308 needs the splits (it used to integrate to 0.0).
+    value = integrate_1d(lambda x: 1.0 if x < 1.5e308 else 0.0, 1e308, 1.7e308)
+    assert value == pytest.approx(5e307, rel=1e-10)

@@ -217,3 +217,29 @@ def test_aligned_evolution_at_1e16_matches_the_closed_form(beta, omega, p, rate_
     expected = np.array([e22, e00, p * e12.real, -e12.imag])
     gap = float(np.max(np.abs(_sector(state) - expected)))
     assert gap <= 1e-14, gap
+
+
+def test_alignment_sign_conjugates_each_trajectory_exactly():
+    """p -> -p maps the run from U rho0 U to U rho_t U, U = diag(1, -1, 1).
+
+    An exact law of the model, held to exact float equality (signed zeros
+    compare equal) over a fixed grid of alignments, temperatures and starts.
+    """
+    g = np.random.default_rng(15).normal(size=(2, 3, 3))
+    full = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    starts = [np.diag([0.0, 0.0, 1.0]).astype(complex),
+              CoherenceVector(0.3, 0.2, 0.2, -0.1).to_density().matrix,
+              full / np.trace(full).real]
+    flip = np.array([1.0, -1.0, 1.0])
+    conjugate = np.outer(flip, flip)
+    times = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 200.0, 1500.0]
+    system = DegenerateSystem(1.0)
+    for p in (1.0, 0.99, 0.5, 0.3):
+        for beta in (0.5, 1.0, 3.0):
+            for m in starts:
+                plus = evolve_trajectory(DensityMatrix(m), system,
+                                         BathSpec(beta=beta, alignment=p), times)
+                minus = evolve_trajectory(DensityMatrix(conjugate * m), system,
+                                          BathSpec(beta=beta, alignment=-p), times)
+                for t, a, b in zip(times, plus, minus):
+                    assert np.array_equal(conjugate * a.matrix, b.matrix), (p, beta, t)
