@@ -26,17 +26,20 @@ and u = e^{-beta shift}: after round 1 the pre-lift population is
 x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
 keeps its digits where x is far below machine epsilon.  Every round's
 states follow from closed forms in one stacked pass and are checked in
-another.  Each ledger holds its states as one read-only stack, the first
-state and then every state_after: each step's state_after is a view of
-its row, and all of the l1 coherences come from one pass over the stack.
+another.  Each ledger holds its steps as columns: the labels, the works,
+one read-only stack of the first state and then every state_after, and
+the stack's l1 coherences from one pass.  The ProtocolStep objects are
+built the first time a caller reads them, each state_after a view of its
+row; the totals and the per-round series never need them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +50,8 @@ from .numerics import integrate_1d, lambert_w_principal
 from .thermo import SUBSPACE_TOL, _gibbs_weights, _l1_coherences
 
 SHIFT_ROOT_TOL = 1e-13
+# The five steps of a protocol-1 round, in ledger order.
+_ROUND_STEPS = ("rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class ProtocolStep:
     state_after: DensityMatrix
 
     def __post_init__(self) -> None:
-        if self.work_in < 0.0 or self.work_out < 0.0:
+        if not (self.work_in >= 0.0 and self.work_out >= 0.0):
             raise ValueError("work entries must be non-negative")
 
     @property
@@ -69,19 +74,69 @@ class ProtocolStep:
         return self.work_out - self.work_in
 
 
-@dataclass
 class ProtocolLedger:
-    """Ordered step record with running work totals."""
+    """Ordered step record, held as columns, with its work total.
 
-    steps: List[ProtocolStep] = field(default_factory=list)
+    labels holds one label per step, and work_in and work_out one work
+    each, as read-only float arrays.  chain stacks the first state and
+    then every step's state_after, (steps + 1, 3, 3).  The constructor
+    checks the works (each >= 0, so NaN fails), marks chain read-only and
+    takes the l1 coherence of every row in one pass: coherences[k] is
+    step k's coherence_before and coherences[k + 1] its coherence_after.
+    ProtocolLedger() is the empty ledger, which needs no chain.  steps
+    builds the ProtocolStep objects on first read and keeps them; each
+    state_after is a view of its chain row.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[str] = (),
+        work_in: Sequence[float] = (),
+        work_out: Sequence[float] = (),
+        chain: Optional[np.ndarray] = None,
+    ) -> None:
+        n = len(labels)
+        if not len(work_in) == len(work_out) == n:
+            raise ValueError("a ledger needs one work_in and one work_out per label")
+        works = np.array((work_in, work_out), dtype=float)
+        if works.shape != (2, n):
+            raise ValueError("work entries must be numbers")
+        if not (works >= 0.0).all():
+            raise ValueError("work entries must be non-negative")
+        if chain is None:
+            if n:
+                raise ValueError("a ledger with steps needs their state chain")
+            coherences = np.zeros(0)
+        else:
+            chain = np.asarray(chain, dtype=complex)
+            if chain.shape != (n + 1, 3, 3):
+                raise ValueError(f"state chain must have shape ({n + 1}, 3, 3)")
+            chain.setflags(write=False)
+            coherences = _l1_coherences(chain)
+        works.setflags(write=False)
+        coherences.setflags(write=False)
+        self.labels = tuple(labels)
+        self.work_in, self.work_out = works
+        self.chain = chain
+        self.coherences = coherences
+
+    @cached_property
+    def steps(self) -> List[ProtocolStep]:
+        c, chain = self.coherences.tolist(), self.chain
+        return [
+            ProtocolStep(label, w_in, w_out, c[k], c[k + 1],
+                         DensityMatrix._view(chain[k + 1]))
+            for k, (label, w_in, w_out) in enumerate(
+                zip(self.labels, self.work_in.tolist(), self.work_out.tolist()))
+        ]
 
     @property
     def net_work(self) -> float:
-        return math.fsum(s.work_out - s.work_in for s in self.steps)
+        return math.fsum((self.work_out - self.work_in).tolist())
 
     @property
     def final_state(self) -> DensityMatrix:
-        if not self.steps:
+        if not self.labels:
             raise ValueError("empty ledger has no final state")
         return self.steps[-1].state_after
 
@@ -219,24 +274,6 @@ def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
     return steady_state(system, bath, (0.0, 1.0, 0.0, 0.0))
 
 
-def _ledger(steps, chain: np.ndarray) -> ProtocolLedger:
-    """Ledger of (label, work_in, work_out) steps over a complex state chain.
-
-    Each step starts where the step before ended: chain stacks the first
-    state and every state_after.  It is made read-only, each state_after
-    is a view of its row, and one l1 pass gives all coherences.
-    """
-    chain.setflags(write=False)
-    c = _l1_coherences(chain).tolist()
-    return ProtocolLedger(
-        [
-            ProtocolStep(label, w_in, w_out, c[k], c[k + 1],
-                         DensityMatrix._view(chain[k + 1]))
-            for k, (label, w_in, w_out) in enumerate(steps)
-        ]
-    )
-
-
 def _round_states(x: float, beta_shifts: np.ndarray, emits: bool):
     """(rounds, 3, 3) stacks of the thermal and final states, u = e^{-beta_shifts}.
 
@@ -350,10 +387,12 @@ def run_protocol1(
     rounds made them, so a failure raises the first unphysical state's
     error.
     """
+    if isinstance(max_rounds, bool) or not isinstance(max_rounds, int):
+        raise ValueError("max_rounds must be an integer")
     if max_rounds < 1:
         raise ValueError("at least one round is required")
-    if shift_floor < 0.0:
-        raise ValueError("shift floor must be non-negative")
+    if not (math.isfinite(shift_floor) and shift_floor >= 0.0):
+        raise ValueError("shift floor must be finite and non-negative")
     _require_bath(bath, beta)
     initial.validate()
     emits = rates_at(bath, omega).gamma_plus > 0.0
@@ -388,22 +427,23 @@ def run_protocol1(
     thermal, final = _round_states(x, beta * np.array(shifts), emits)
     inputs = np.concatenate((m[None], final[:-1]))
     rotated = ROUND_ROTATION @ inputs @ ROUND_ROTATION.conj().T
-    works_in = (np.array(shifts) * lifted).tolist()
-    works_out = (np.array(shifts) * thermal[:, 0, 0].real).tolist()
+    # one row per round, one column per step: the lift pays, the extract earns
+    work_in, work_out = np.zeros((len(shifts), 5)), np.zeros((len(shifts), 5))
+    work_in[:, 1] = np.array(shifts) * lifted
+    work_out[:, 3] = np.array(shifts) * thermal[:, 0, 0].real
     states = np.stack((rotated, rotated, thermal, thermal, final), axis=1)
     # each round's rotated and final states; initial.validate() checked the input
     _validate_all(states[:, ::4].reshape(-1, 3, 3))
-    steps = []
-    for k, (w_in, w_out) in enumerate(zip(works_in, works_out), 1):
-        steps += [(f"round {k}: rotate", 0.0, 0.0), (f"round {k}: lift", w_in, 0.0),
-                  (f"round {k}: thermalize-split", 0.0, 0.0),
-                  (f"round {k}: extract", 0.0, w_out),
-                  (f"round {k}: rebuild-coherence", 0.0, 0.0)]
-    ledger = _ledger(steps, np.concatenate((m[None], states.reshape(-1, 3, 3))))
+    labels = [f"round {k}: {step}" for k in range(1, len(shifts) + 1)
+              for step in _ROUND_STEPS]
+    ledger = ProtocolLedger(labels, work_in.ravel(), work_out.ravel(),
+                            np.concatenate((m[None], states.reshape(-1, 3, 3))))
+    # each round's coherence_after is that of its rebuild-coherence state
+    coherences = ledger.coherences[5::5].tolist()
     return ledger, [
-        RoundResult(k + 1, s, omega + s, partitions[k], works_in[k], works_out[k],
-                    ledger.steps[5 * k + 4].coherence_after)
-        for k, s in enumerate(shifts)
+        RoundResult(k + 1, s, omega + s, partitions[k], w_in, w_out, coherences[k])
+        for k, (s, w_in, w_out) in enumerate(
+            zip(shifts, work_in[:, 1].tolist(), work_out[:, 3].tolist()))
     ]
 
 
@@ -548,4 +588,5 @@ def protocol2(
         ("sweep-to-physical-level", max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
     ]
     chain = np.array([rho, diagonal, diagonal, diagonal, merged, final], dtype=complex)
-    return _ledger(steps, chain)
+    labels, work_in, work_out = zip(*steps)
+    return ProtocolLedger(labels, work_in, work_out, chain)

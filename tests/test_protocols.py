@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -53,16 +54,32 @@ def _dummy_step(work_in=0.0, work_out=0.0):
 def test_protocol_step_work_sign_convention():
     step = _dummy_step(work_in=0.2, work_out=0.5)
     assert step.net_work == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        _dummy_step(work_in=-0.1)
-    with pytest.raises(ValueError):
-        _dummy_step(work_out=-0.1)
+    # NaN >= 0 is False, so a NaN work fails the same check as a negative one
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            _dummy_step(work_in=bad)
+        with pytest.raises(ValueError):
+            _dummy_step(work_out=bad)
+
+
+def test_ledger_checks_its_columns_when_it_is_built():
+    ground = DensityMatrix.ground().matrix
+    for w_in, w_out in ((math.nan, 0.0), (0.0, math.nan), (-0.1, 0.0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            ProtocolLedger(["x"], [w_in], [w_out], np.stack([ground] * 2))
+    with pytest.raises(ValueError, match="one work_in and one work_out per label"):
+        ProtocolLedger(["a", "b"], [0.0], [0.0, 0.0], np.stack([ground] * 3))
+    with pytest.raises(ValueError, match="shape"):
+        ProtocolLedger(["a"], [0.0], [0.0], np.stack([ground] * 3))
+    with pytest.raises(ValueError, match="state chain"):
+        ProtocolLedger(["a"], [0.0], [0.0])
 
 
 def test_ledger_accumulation():
     with pytest.raises(ValueError):
         ProtocolLedger().final_state
-    ledger = ProtocolLedger([_dummy_step(work_in=0.2), _dummy_step(work_out=0.7)])
+    chain = np.stack([DensityMatrix.ground().matrix] * 3)
+    ledger = ProtocolLedger(["noop", "noop"], [0.2, 0.0], [0.0, 0.7], chain)
     assert ledger.net_work == pytest.approx(0.5)
     assert ledger.final_state is ledger.steps[-1].state_after
 
@@ -308,8 +325,14 @@ def test_run_protocol1_shift_floor_cuts_series():
     assert len(capped) == 3
     with pytest.raises(ValueError):
         run_protocol1(rho0, 1.0, 1.0, BATH, max_rounds=0)
-    with pytest.raises(ValueError, match="shift floor"):
-        run_protocol1(rho0, 1.0, 1.0, BATH, shift_floor=-1.0)
+    # NaN compares False with everything: as a floor it would cut no round
+    # (64 rounds, the last shift 2.5e-47), as a round cap it would run none.
+    for floor in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift floor must be finite and non-neg"):
+            run_protocol1(rho0, 1.0, 1.0, BATH, shift_floor=floor)
+    for rounds in (math.nan, 3.0, True):
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            run_protocol1(rho0, 1.0, 1.0, BATH, max_rounds=rounds)
 
 
 def test_run_protocol1_first_shift_of_the_charged_state_is_the_closed_form():
@@ -644,6 +667,59 @@ def test_ledger_steps_chain_over_read_only_views_of_one_stack(run, beta, omega):
         assert step.state_after.matrix.base is stack
         with pytest.raises(ValueError):
             step.state_after.matrix[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("beta, omega", [(1.3, 1.7), (0.2, 3.0), (40.0, 1.0)])
+def test_ledger_steps_are_built_only_when_read(monkeypatch, beta, omega):
+    built, check = [], ProtocolStep.__post_init__
+
+    def counted(step):
+        built.append(step.label)
+        check(step)
+
+    monkeypatch.setattr(ProtocolStep, "__post_init__", counted)
+    bath = BathSpec(beta=beta, alignment=1.0)
+    rho0 = protocol_initial_state(beta, omega)
+    ledger, rounds = run_protocol1(rho0, omega, beta, bath)
+    init = GeneralInitialState(b=0.3, n_norm=0.7, theta=1.1, phi=-0.4)
+    single = protocol2(init, omega, beta, bath)
+    # the totals and the per-round series are read without a step object
+    assert ledger.net_work >= 0.0 and single.net_work >= 0.0
+    for r in rounds:
+        fields = [getattr(r, f.name) for f in dataclasses.fields(r)] + [r.net_work]
+        assert all(math.isfinite(v) for v in fields)
+    assert built == []
+
+    for run in (ledger, single):
+        del built[:]
+        steps = run.steps
+        assert built == [s.label for s in steps]
+        # an eager rebuild, state by state, from copies of the chain's rows
+        states = [DensityMatrix(row) for row in run.chain]
+        assert len(steps) == len(run.labels) == len(states) - 1
+        for k, step in enumerate(steps):
+            assert (step.label, step.work_in, step.work_out) == (
+                run.labels[k], run.work_in[k], run.work_out[k])
+            assert type(step.work_in) is type(step.coherence_after) is float
+            assert step.coherence_before == l1_coherence(states[k])
+            assert step.coherence_after == l1_coherence(states[k + 1])
+            assert step.state_after.matrix.tobytes() == states[k + 1].matrix.tobytes()
+            assert step.state_after.matrix.base is run.chain
+            assert not step.state_after.matrix.flags.writeable
+        assert run.steps is steps and run.final_state is steps[-1].state_after
+        assert len(built) == len(steps)
+
+    # protocol 1's labels and works follow from its round series alone
+    names = ("rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")
+    expected = [
+        (f"round {r.index}: {name}", w_in, w_out)
+        for r in rounds
+        for name, w_in, w_out in zip(
+            names, (0.0, r.work_in, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, r.work_out, 0.0))
+    ]
+    assert [(s.label, s.work_in, s.work_out) for s in ledger.steps] == expected
+    assert [r.coherence_after for r in rounds] == [
+        s.coherence_after for s in ledger.steps[4::5]]
 
 
 def test_protocol2_quadrature_mode_agrees(rng):
