@@ -34,7 +34,7 @@ _EXPORTS = {
                   "neardegenerate_generator", "perturbative_solution",
                   "thermalize_independent"),
     "numerics": ("NumericsError", "integrate_1d", "lambert_w_principal"),
-    "protocols": ("GeneralInitialState", "ProtocolLedger", "ProtocolStep", "RoundResult",
+    "protocols": ("GeneralInitialState", "ProtocolLedger", "RoundResult",
                   "coherence_unitary", "optimal_shift_round1", "protocol2",
                   "protocol_initial_state", "quasistatic_work",
                   "quasistatic_work_quadrature", "run_protocol1"),

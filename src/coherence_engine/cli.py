@@ -368,17 +368,19 @@ def _json_text(payload: dict, digest: str) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _state_json(state: DensityMatrix) -> list:
+def _state_json(matrix: np.ndarray) -> list:
     """Rows of [re, im] pairs in basis order (|2>, |1>, |0>)."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
 def _ledger_json(ledger: ProtocolLedger) -> dict:
-    """A ledger's steps, each with its state, and its net work."""
-    steps = [{"label": s.label, "work_in": s.work_in, "work_out": s.work_out,
-              "coherence_before": s.coherence_before,
-              "coherence_after": s.coherence_after,
-              "state": _state_json(s.state_after)} for s in ledger.steps]
+    """A ledger's steps, each with its state after it, and its net work."""
+    c = ledger.coherences.tolist()
+    steps = [{"label": label, "work_in": w_in, "work_out": w_out,
+              "coherence_before": c[k], "coherence_after": c[k + 1],
+              "state": _state_json(ledger.chain[k + 1])}
+             for k, (label, w_in, w_out) in enumerate(zip(
+                 ledger.labels, ledger.work_in.tolist(), ledger.work_out.tolist()))]
     return {"steps": steps, "net_work": ledger.net_work}
 
 
@@ -417,7 +419,7 @@ def cmd_evolve(run: _Run) -> _Output:
 
     final = states[-1]
     summary = {
-        "final_state": _state_json(final),
+        "final_state": _state_json(final.matrix),
         "final_c_l1": l1_coherence(final),
         "t_final": t_final,
         "samples": samples,
@@ -443,7 +445,7 @@ def cmd_steady(run: _Run) -> _Output:
     state = steady_state(system, bath, init)
     ham = HamiltonianSpec.degenerate(system.omega)
     payload = {
-        "state": _state_json(state),
+        "state": _state_json(state.matrix),
         "c_l1": l1_coherence(state),
         "gibbs_trace_distance": trace_distance(state, gibbs(ham, bath.beta)),
     }
@@ -463,7 +465,7 @@ def cmd_protocol1(run: _Run) -> _Output:
         shift_floor=float(section["shift_floor"]),
     )
     ham = HamiltonianSpec.degenerate(system.omega)
-    final = ledger.final_state if ledger.steps else rho0
+    final = ledger.final_state
     payload = {
         "ledger": _ledger_json(ledger),
         "net_work": ledger.net_work,
@@ -501,8 +503,8 @@ def cmd_protocol2(run: _Run) -> _Output:
         "work_mode": work_mode,
     }
     columns = ["step", "work_in", "work_out", "coherence_before", "coherence_after"]
-    rows = [[float(k), s.work_in, s.work_out, s.coherence_before, s.coherence_after]
-            for k, s in enumerate(ledger.steps)]
+    rows = [[float(k), s["work_in"], s["work_out"], s["coherence_before"],
+             s["coherence_after"]] for k, s in enumerate(payload["ledger"]["steps"])]
     files = {"_ledger.json": _json_text(payload, run.digest),
              "_steps.csv": _csv_text(columns, rows, run.digest)}
     return files, f"|net - fed| = {_format_value(gap)}"
@@ -555,7 +557,7 @@ def cmd_neardegen_check(run: _Run) -> _Output:
         "max_perturbative_deviation": max_dev if aligned else None,
         "validity_limit_t": (None if system.delta == 0.0
                              else VALIDITY_WINDOW_LIMIT / system.delta),
-        "independent_fixed_point": _state_json(thermal),
+        "independent_fixed_point": _state_json(thermal.matrix),
     }
     files = {".csv": _csv_text(columns, rows, run.digest),
              ".json": _json_text(summary, run.digest)}

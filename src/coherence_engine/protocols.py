@@ -26,11 +26,9 @@ and u = e^{-beta shift}: after round 1 the pre-lift population is
 x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
 keeps its digits where x is far below machine epsilon.  Every round's
 states follow from closed forms in one stacked pass and are checked in
-another.  Each ledger holds its steps as columns: the labels, the works,
-one read-only stack of the first state and then every state_after, and
-the stack's l1 coherences from one pass.  The ProtocolStep objects are
-built the first time a caller reads them, each state_after a view of its
-row; the totals and the per-round series never need them.
+another.  A ledger is its columns: the labels, the works, one read-only
+stack of the first state and then every step's state, and the stack's
+l1 coherences from one pass.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,46 +51,24 @@ SHIFT_ROOT_TOL = 1e-13
 _ROUND_STEPS = ("rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")
 
 
-@dataclass(frozen=True)
-class ProtocolStep:
-    """One ledger entry: what happened, what it cost, what it paid."""
-
-    label: str
-    work_in: float
-    work_out: float
-    coherence_before: float
-    coherence_after: float
-    state_after: DensityMatrix
-
-    def __post_init__(self) -> None:
-        if not (self.work_in >= 0.0 and self.work_out >= 0.0):
-            raise ValueError("work entries must be non-negative")
-
-    @property
-    def net_work(self) -> float:
-        return self.work_out - self.work_in
-
-
 class ProtocolLedger:
     """Ordered step record, held as columns, with its work total.
 
     labels holds one label per step, and work_in and work_out one work
     each, as read-only float arrays.  chain stacks the first state and
-    then every step's state_after, (steps + 1, 3, 3).  The constructor
-    checks the works (each >= 0, so NaN fails), marks chain read-only and
-    takes the l1 coherence of every row in one pass: coherences[k] is
-    step k's coherence_before and coherences[k + 1] its coherence_after.
-    ProtocolLedger() is the empty ledger, which needs no chain.  steps
-    builds the ProtocolStep objects on first read and keeps them; each
-    state_after is a view of its chain row.
+    then the state after every step, (steps + 1, 3, 3), so a ledger
+    without steps holds its first state alone.  The constructor checks
+    the works (each >= 0, so NaN fails), marks chain read-only and takes
+    the l1 coherence of every row in one pass: step k's coherence is
+    coherences[k] before it and coherences[k + 1] after it.
     """
 
     def __init__(
         self,
-        labels: Sequence[str] = (),
-        work_in: Sequence[float] = (),
-        work_out: Sequence[float] = (),
-        chain: Optional[np.ndarray] = None,
+        labels: Sequence[str],
+        work_in: Sequence[float],
+        work_out: Sequence[float],
+        chain: np.ndarray,
     ) -> None:
         n = len(labels)
         if not len(work_in) == len(work_out) == n:
@@ -103,16 +78,11 @@ class ProtocolLedger:
             raise ValueError("work entries must be numbers")
         if not (works >= 0.0).all():
             raise ValueError("work entries must be non-negative")
-        if chain is None:
-            if n:
-                raise ValueError("a ledger with steps needs their state chain")
-            coherences = np.zeros(0)
-        else:
-            chain = np.asarray(chain, dtype=complex)
-            if chain.shape != (n + 1, 3, 3):
-                raise ValueError(f"state chain must have shape ({n + 1}, 3, 3)")
-            chain.setflags(write=False)
-            coherences = _l1_coherences(chain)
+        chain = np.asarray(chain, dtype=complex)
+        if chain.shape != (n + 1, 3, 3):
+            raise ValueError(f"state chain must have shape ({n + 1}, 3, 3)")
+        chain.setflags(write=False)
+        coherences = _l1_coherences(chain)
         works.setflags(write=False)
         coherences.setflags(write=False)
         self.labels = tuple(labels)
@@ -120,25 +90,13 @@ class ProtocolLedger:
         self.chain = chain
         self.coherences = coherences
 
-    @cached_property
-    def steps(self) -> List[ProtocolStep]:
-        c, chain = self.coherences.tolist(), self.chain
-        return [
-            ProtocolStep(label, w_in, w_out, c[k], c[k + 1],
-                         DensityMatrix._view(chain[k + 1]))
-            for k, (label, w_in, w_out) in enumerate(
-                zip(self.labels, self.work_in.tolist(), self.work_out.tolist()))
-        ]
-
     @property
     def net_work(self) -> float:
         return math.fsum((self.work_out - self.work_in).tolist())
 
     @property
     def final_state(self) -> DensityMatrix:
-        if not self.labels:
-            raise ValueError("empty ledger has no final state")
-        return self.steps[-1].state_after
+        return DensityMatrix._view(self.chain[-1])
 
 
 @dataclass(frozen=True)
@@ -421,7 +379,7 @@ def run_protocol1(
         if population <= 0.0:
             break
     if not rounds:
-        return ProtocolLedger(), []
+        return ProtocolLedger((), (), (), m[None]), []
     shifts, lifted, partitions = zip(*rounds)
 
     thermal, final = _round_states(x, beta * np.array(shifts), emits)

@@ -470,6 +470,44 @@ def test_neardegen_check_warns_once_per_route(tmp_path, caplog):
         assert single.as_array().tolist() == [p22, p00, pp, pd]
 
 
+def test_neardegen_check_reports_its_largest_deviation(tmp_path):
+    """The summary's deviation is the largest one in the CSV, and it is not 0."""
+    config = {"system": {"omega1": 1.0, "omega2": 1.05}, "out": str(tmp_path / "nd")}
+    assert _run(tmp_path, "neardegen-check", config) == 0
+    lines = _read_lines(tmp_path / "nd.csv")[2:]
+    column = lines[0].split(",").index("deviation")
+    largest = max(float(line.split(",")[column]) for line in lines[1:])
+    summary = json.loads((tmp_path / "nd.json").read_text())
+    assert summary["max_perturbative_deviation"] == largest > 0.0
+    assert largest == pytest.approx(0.001965032039448311, rel=1e-12)
+
+
+def test_log_level_env_sets_what_reaches_stderr(tmp_path):
+    """error silences the window warnings; warn writes one formatted line per route.
+
+    A subprocess, because in-process logging.basicConfig does nothing once a
+    handler is installed, as pytest's log capture does.  The last case
+    configures logging before main runs, as a host program would: the level
+    still holds there.
+    """
+    config = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.05}})
+    argv = ["neardegen-check", "--config", config, "--out", str(tmp_path / "nd")]
+    run_main = ("import sys; from coherence_engine.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+    host = "import logging, sys; logging.basicConfig(stream=sys.stderr); " + run_main
+    prefix = "WARNING coherence_engine.neardegen: reduced dynamics used outside"
+    for code, level, count in ((run_main, "error", 0), (run_main, "warn", 2),
+                               (host, "error", 0)):
+        env = dict(os.environ, COHERENCE_ENGINE_LOG=level,
+                   PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == count, (level, proc.stderr)
+        assert all(line.startswith(prefix) for line in lines), proc.stderr
+
+
 @pytest.mark.parametrize("command, config, suffix", [
     ("neardegen-check", {"system": {"omega1": 1.0, "omega2": 1.005}}, ".json"),
     ("steady", {}, ".json"),
@@ -634,6 +672,29 @@ def _one_config_error(capsys):
     blob = json.loads(lines[0])
     assert blob["error"] == "config"
     return blob["message"]
+
+
+_SPLIT = {"system": {"omega1": 1.0, "omega2": 1.005}}
+
+
+@pytest.mark.parametrize("command, config, word", [
+    *[(command, {"protocol1": rule}, name)
+      for command in ("evolve", "protocol1", "figure-wfed")
+      for rule, name in (({"max_rounds": 0}, "protocol1.max_rounds"),
+                         ({"shift_floor": -1}, "protocol1.shift_floor"))],
+    ("evolve", {"initial": {"vector": [0.3, 0.2, 0.2, 0.1]}}, "vector"),
+    ("evolve", {"initial": {"general": {"b": 0.5, "n_norm": 0.5, "theta": 0.0,
+                                        "phi": 0.0, "psi": 0.0}}}, "psi"),
+    *[(command, _SPLIT, "needs a degenerate system")
+      for command in ("evolve", "steady", "protocol1", "protocol2", "figure-wfed")],
+    ("evolve", {"initial": "excited"}, "'excited'"),
+])
+def test_config_contracts_exit_2_and_write_nothing(tmp_path, capsys, command, config,
+                                                   word):
+    """Each rule holds for every command that reads the config, not only its owner."""
+    assert _run(tmp_path, command, {**config, "out": str(tmp_path / "x")}) == 2
+    assert word in _one_config_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_subnormal_beta_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -854,7 +915,7 @@ def test_package_import_loads_no_scipy():
     names = {}
     exec("from coherence_engine import *", names)
     assert sorted(set(names) - {"__builtins__"}) == coherence_engine.__all__
-    assert len(coherence_engine.__all__) == 46
+    assert len(coherence_engine.__all__) == 45
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -155,6 +155,12 @@ def test_real_form_is_identity_for_degenerate_generator():
     m_real, b_real = gen.real_form()
     np.testing.assert_allclose(m_real, gen.matrix.real, atol=0.0)
     np.testing.assert_allclose(b_real, gen.constant.real, atol=0.0)
+    # the generator is read-only; real_form hands out writable copies
+    for array in (gen.matrix, gen.constant):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    m_real[0, 0] = b_real[0] = 0.0
 
 
 def test_evolve_preserves_trace_and_positivity():

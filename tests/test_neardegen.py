@@ -12,7 +12,7 @@ from coherence_engine.bath import (
     rates_at,
     tabulated_rate,
 )
-from coherence_engine.bloch import DensityMatrix
+from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
@@ -181,6 +181,9 @@ def test_thermalize_independent_fixed_point():
         settled.matrix, system, dataclasses.replace(bath, alignment=0.0)
     )
     np.testing.assert_allclose(residual, np.zeros((3, 3)), atol=1e-16)
+    # the limit holds for every state, so the input is checked, not ignored
+    with pytest.raises(PhysicalityError, match="negative eigenvalue"):
+        thermalize_independent(DensityMatrix(np.diag([1.2, -0.2, 0.0])), system, bath)
 
 
 @pytest.mark.parametrize("alignment", [1.0, 0.5])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -12,7 +11,6 @@ from coherence_engine.protocols import (
     ROUND_ROTATION,
     GeneralInitialState,
     ProtocolLedger,
-    ProtocolStep,
     RoundResult,
     coherence_unitary,
     optimal_shift_round1,
@@ -39,49 +37,40 @@ from reference import (
 BATH = BathSpec(beta=1.0, alignment=1.0)
 
 
-def _dummy_step(work_in=0.0, work_out=0.0):
-    state = DensityMatrix.ground()
-    return ProtocolStep(
-        label="noop",
-        work_in=work_in,
-        work_out=work_out,
-        coherence_before=0.0,
-        coherence_after=0.0,
-        state_after=state,
-    )
-
-
 def test_protocol_step_work_sign_convention():
-    step = _dummy_step(work_in=0.2, work_out=0.5)
-    assert step.net_work == pytest.approx(0.3)
-    # NaN >= 0 is False, so a NaN work fails the same check as a negative one
-    for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError):
-            _dummy_step(work_in=bad)
-        with pytest.raises(ValueError):
-            _dummy_step(work_out=bad)
+    # a step's net work is work_out - work_in: positive means extracted
+    chain = np.stack([DensityMatrix.ground().matrix] * 3)
+    ledger = ProtocolLedger(["lift", "extract"], [0.2, 0.0], [0.0, 0.5], chain)
+    assert (ledger.work_out - ledger.work_in).tolist() == [-0.2, 0.5]
+    assert ledger.net_work == pytest.approx(0.3)
 
 
 def test_ledger_checks_its_columns_when_it_is_built():
     ground = DensityMatrix.ground().matrix
+    # NaN >= 0 is False, so a NaN work fails the same check as a negative one
     for w_in, w_out in ((math.nan, 0.0), (0.0, math.nan), (-0.1, 0.0)):
         with pytest.raises(ValueError, match="non-negative"):
             ProtocolLedger(["x"], [w_in], [w_out], np.stack([ground] * 2))
     with pytest.raises(ValueError, match="one work_in and one work_out per label"):
         ProtocolLedger(["a", "b"], [0.0], [0.0, 0.0], np.stack([ground] * 3))
+    with pytest.raises(ValueError, match="work entries must be numbers"):
+        ProtocolLedger(["a"], [[0.0, 0.1]], [[0.0, 0.2]], np.stack([ground] * 2))
     with pytest.raises(ValueError, match="shape"):
         ProtocolLedger(["a"], [0.0], [0.0], np.stack([ground] * 3))
-    with pytest.raises(ValueError, match="state chain"):
+    with pytest.raises(TypeError):
         ProtocolLedger(["a"], [0.0], [0.0])
 
 
 def test_ledger_accumulation():
-    with pytest.raises(ValueError):
-        ProtocolLedger().final_state
-    chain = np.stack([DensityMatrix.ground().matrix] * 3)
+    ground = DensityMatrix.ground().matrix
+    # a ledger without steps holds its first state, which is its final state
+    empty = ProtocolLedger((), (), (), ground[None])
+    assert empty.net_work == 0.0 and empty.coherences.tolist() == [0.0]
+    assert empty.final_state.matrix.tobytes() == ground.tobytes()
+    chain = np.stack([ground] * 3)
     ledger = ProtocolLedger(["noop", "noop"], [0.2, 0.0], [0.0, 0.7], chain)
     assert ledger.net_work == pytest.approx(0.5)
-    assert ledger.final_state is ledger.steps[-1].state_after
+    assert np.shares_memory(ledger.final_state.matrix, ledger.chain[-1])
 
 
 def test_general_initial_state_roundtrip(rng):
@@ -111,6 +100,12 @@ def test_general_initial_state_validation():
         GeneralInitialState.from_density(DensityMatrix(m))
     pure_ground = GeneralInitialState.from_density(DensityMatrix.ground())
     assert pure_ground.b == 1.0 and pure_ground.n_norm == 0.0
+    # an excited block with a negative eigenvalue has a Bloch vector longer
+    # than 1, which the fields would clip to 1: the state is rejected instead
+    m = np.diag([0.5, 0.2, 0.3]).astype(complex)
+    m[0, 1] = m[1, 0] = 0.4
+    with pytest.raises(PhysicalityError, match="negative eigenvalue"):
+        GeneralInitialState.from_density(DensityMatrix(m))
 
 
 def test_general_initial_state_rejects_non_finite_angles():
@@ -173,20 +168,19 @@ def test_protocol1_first_round_ledger():
     rho0 = protocol_initial_state(beta, omega)
     ledger, _ = run_protocol1(rho0, omega, beta, BATH, max_rounds=1)
     final = ledger.final_state
-    labels = [s.label for s in ledger.steps]
-    assert labels == ["round 1: " + label for label in (
+    assert list(ledger.labels) == ["round 1: " + label for label in (
         "rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")]
     # rotation moves all coherence into populations
-    assert ledger.steps[0].coherence_after == pytest.approx(0.0, abs=1e-15)
+    assert ledger.coherences[1] == pytest.approx(0.0, abs=1e-15)
     # the lifted level is empty on the first round, so lifting is free
-    assert ledger.steps[1].work_in == 0.0
+    assert ledger.work_in[1] == 0.0
     u = math.exp(-beta * shift)
     z = 1.0 + x + x * u
-    thermal = ledger.steps[2].state_after
+    thermal = ledger.chain[3]
     np.testing.assert_allclose(
-        thermal.matrix, np.diag([x * u, x, 1.0]).astype(complex) / z, atol=1e-15
+        thermal, np.diag([x * u, x, 1.0]).astype(complex) / z, atol=1e-15
     )
-    assert ledger.steps[3].work_out == pytest.approx(shift * x * u / z, abs=1e-15)
+    assert ledger.work_out[3] == pytest.approx(shift * x * u / z, abs=1e-15)
     assert ledger.net_work == pytest.approx(0.09038750894956336, abs=1e-12)
     # the rebuilt stationary population in closed form
     expected_top = (1.0 + u + 2.0 * z) / (4.0 * (1.0 + math.exp(beta * omega)) * z)
@@ -273,7 +267,7 @@ def test_run_protocol1_full_series():
     assert ledger.net_work == pytest.approx(
         math.fsum(r.net_work for r in rounds), abs=1e-14
     )
-    assert ledger.steps[0].label == "round 1: rotate"
+    assert ledger.labels[0] == "round 1: rotate"
     # extraction cannot beat the free-energy difference of the charged state
     assert ledger.net_work < fed_subspace(rho0, omega, beta)
     # the series drains the state toward the thermal one
@@ -295,7 +289,10 @@ def test_run_protocol1_exhausted_inputs():
     beta = omega = 1.0
     thermal = gibbs(HamiltonianSpec.degenerate(omega), beta)
     ledger, rounds = run_protocol1(thermal, omega, beta, BATH)
-    assert rounds == [] and ledger.steps == []
+    assert rounds == [] and ledger.labels == ()
+    # the ledger holds the input alone, so its final state is the input
+    assert ledger.chain.shape == (1, 3, 3)
+    assert ledger.final_state.matrix.tobytes() == thermal.matrix.tobytes()
     half = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
     ledger, rounds = run_protocol1(half, omega, beta, BATH)
     assert rounds == []
@@ -315,6 +312,11 @@ def test_run_protocol1_runs_the_full_series_at_low_temperature():
     warm = BathSpec(beta=3.0, alignment=1.0)
     _, rounds = run_protocol1(protocol_initial_state(3.0, 1.0), 1.0, 3.0, warm)
     assert len(rounds) == 9
+    # x = e^{-746} rounds to 0, so round 1 leaves no population to lift
+    # and the series stops after it, with no zero-work rounds booked
+    cold = BathSpec(beta=746.0, alignment=1.0)
+    _, rounds = run_protocol1(protocol_initial_state(746.0, 1.0), 1.0, 746.0, cold)
+    assert len(rounds) == 1
 
 
 def test_run_protocol1_shift_floor_cuts_series():
@@ -383,16 +385,12 @@ def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
                 state, omega, beta, r.shift, bath
             )
             expected += [rotated, rotated, thermal, thermal, state]
-        assert len(ledger.steps) == len(expected)
-        for step, want in zip(ledger.steps, expected):
-            np.testing.assert_allclose(
-                step.state_after.matrix, want.matrix, rtol=0.0, atol=1e-15
-            )
+        assert len(ledger.labels) == len(expected)
+        for after, want in zip(ledger.chain[1:], expected):
+            np.testing.assert_allclose(after, want.matrix, rtol=0.0, atol=1e-15)
         if gamma == 0.0:
-            for thermal, final in zip(ledger.steps[3::5], ledger.steps[4::5]):
-                assert np.array_equal(
-                    final.state_after.matrix, thermal.state_after.matrix
-                )
+            for thermal, final in zip(ledger.chain[4::5], ledger.chain[5::5]):
+                assert np.array_equal(final, thermal)
 
 
 
@@ -437,14 +435,15 @@ def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
         ))
         state = final
 
-    assert [s.label for s in ledger.steps] == [label for label, _, _ in steps]
-    for got, (_, numbers, after) in zip(ledger.steps, steps):
+    assert list(ledger.labels) == [label for label, _, _ in steps]
+    c = ledger.coherences
+    for k, (_, numbers, after) in enumerate(steps):
         np.testing.assert_allclose(
-            [got.work_in, got.work_out, got.coherence_before, got.coherence_after],
+            [ledger.work_in[k], ledger.work_out[k], c[k], c[k + 1]],
             numbers, rtol=0.0, atol=1e-15,
         )
         np.testing.assert_allclose(
-            got.state_after.matrix, after.matrix, rtol=0.0, atol=1e-15
+            ledger.chain[k + 1], after.matrix, rtol=0.0, atol=1e-15
         )
     assert len(rounds) == len(expected_rounds)
     for got, want in zip(rounds, expected_rounds):
@@ -457,7 +456,7 @@ def test_protocol1_round_series_equals_run_protocol1(beta, omega, max_rounds):
             rtol=0.0,
             atol=1e-15,
         )
-    assert ledger.final_state is ledger.steps[-1].state_after
+    assert np.shares_memory(ledger.final_state.matrix, ledger.chain[-1])
     np.testing.assert_allclose(
         ledger.final_state.matrix, state.matrix, rtol=0.0, atol=1e-15
     )
@@ -589,7 +588,7 @@ def test_protocol2_saturates_free_energy_difference(rng):
         target = fed_subspace(init.to_density(), omega, beta)
         assert ledger.net_work == pytest.approx(target, abs=5e-13)
         # the first step removes all coherence, the rest never recreate it
-        assert ledger.steps[0].coherence_after < 1e-12
+        assert ledger.coherences[1] < 1e-12
         final = ledger.final_state
         assert trace_distance(
             final, gibbs(HamiltonianSpec.degenerate(omega), beta)
@@ -602,8 +601,7 @@ def test_protocol2_on_charged_stationary_state():
     init = GeneralInitialState.from_density(rho0)
     ledger = protocol2(init, omega, beta, BATH)
     assert ledger.net_work == pytest.approx(0.23818302641382832, abs=1e-12)
-    labels = [s.label for s in ledger.steps]
-    assert labels == [
+    assert list(ledger.labels) == [
         "rotate",
         "match-middle-level",
         "match-top-level",
@@ -625,19 +623,19 @@ def test_protocol2_ledger_pins_its_intermediate_states():
         p0 = init.b
         p1 = 0.5 * (1.0 - init.b) * (1.0 + init.n_norm)
         p2 = 0.5 * (1.0 - init.b) * (1.0 - init.n_norm)
-        for step in ledger.steps[:3]:
+        for after in ledger.chain[1:4]:
             np.testing.assert_allclose(
-                step.state_after.matrix, np.diag([p2, p1, p0]), rtol=0.0, atol=1e-15
+                after, np.diag([p2, p1, p0]), rtol=0.0, atol=1e-15
             )
         u1 = p1 / p0
         np.testing.assert_allclose(
-            ledger.steps[3].state_after.matrix,
+            ledger.chain[4],
             np.diag([u1, u1, 1.0]) / (1.0 + 2.0 * u1),
             rtol=0.0,
             atol=1e-15,
         )
         target = gibbs(HamiltonianSpec.degenerate(omega), beta).matrix
-        assert ledger.steps[4].state_after.matrix.tobytes() == target.tobytes()
+        assert ledger.chain[5].tobytes() == target.tobytes()
 
 
 def _charged_protocol1(beta, omega):
@@ -656,58 +654,32 @@ def _general_protocol2(beta, omega):
 @pytest.mark.parametrize("beta, omega", [(1.0, 1.0), (0.2, 3.0), (40.0, 1.0)])
 def test_ledger_steps_chain_over_read_only_views_of_one_stack(run, beta, omega):
     ledger, first = run(beta, omega)
-    steps = ledger.steps
-    assert len(steps) >= 5
-    assert steps[0].coherence_before == l1_coherence(first)
-    for before, after in zip(steps, steps[1:]):
-        assert after.coherence_before == before.coherence_after
-    stack = steps[0].state_after.matrix.base
-    assert stack.shape == (len(steps) + 1, 3, 3) and not stack.flags.writeable
-    for step in steps:
-        assert step.state_after.matrix.base is stack
+    n = len(ledger.labels)
+    assert n >= 5
+    assert ledger.chain.shape == (n + 1, 3, 3) and ledger.coherences.shape == (n + 1,)
+    assert ledger.chain[0].tobytes() == first.matrix.tobytes()
+    assert ledger.coherences[0] == l1_coherence(first)
+    for column in (ledger.chain, ledger.work_in, ledger.work_out, ledger.coherences):
+        assert not column.flags.writeable
         with pytest.raises(ValueError):
-            step.state_after.matrix[0, 0] = 0.5
+            column[0] = 0.5
+    final = ledger.final_state.matrix
+    assert np.shares_memory(final, ledger.chain[-1]) and not final.flags.writeable
 
 
 @pytest.mark.parametrize("beta, omega", [(1.3, 1.7), (0.2, 3.0), (40.0, 1.0)])
-def test_ledger_steps_are_built_only_when_read(monkeypatch, beta, omega):
-    built, check = [], ProtocolStep.__post_init__
-
-    def counted(step):
-        built.append(step.label)
-        check(step)
-
-    monkeypatch.setattr(ProtocolStep, "__post_init__", counted)
+def test_ledger_columns_match_an_eager_rebuild(beta, omega):
     bath = BathSpec(beta=beta, alignment=1.0)
     rho0 = protocol_initial_state(beta, omega)
     ledger, rounds = run_protocol1(rho0, omega, beta, bath)
     init = GeneralInitialState(b=0.3, n_norm=0.7, theta=1.1, phi=-0.4)
     single = protocol2(init, omega, beta, bath)
-    # the totals and the per-round series are read without a step object
-    assert ledger.net_work >= 0.0 and single.net_work >= 0.0
-    for r in rounds:
-        fields = [getattr(r, f.name) for f in dataclasses.fields(r)] + [r.net_work]
-        assert all(math.isfinite(v) for v in fields)
-    assert built == []
-
     for run in (ledger, single):
-        del built[:]
-        steps = run.steps
-        assert built == [s.label for s in steps]
         # an eager rebuild, state by state, from copies of the chain's rows
         states = [DensityMatrix(row) for row in run.chain]
-        assert len(steps) == len(run.labels) == len(states) - 1
-        for k, step in enumerate(steps):
-            assert (step.label, step.work_in, step.work_out) == (
-                run.labels[k], run.work_in[k], run.work_out[k])
-            assert type(step.work_in) is type(step.coherence_after) is float
-            assert step.coherence_before == l1_coherence(states[k])
-            assert step.coherence_after == l1_coherence(states[k + 1])
-            assert step.state_after.matrix.tobytes() == states[k + 1].matrix.tobytes()
-            assert step.state_after.matrix.base is run.chain
-            assert not step.state_after.matrix.flags.writeable
-        assert run.steps is steps and run.final_state is steps[-1].state_after
-        assert len(built) == len(steps)
+        assert len(run.labels) == len(run.work_in) == len(run.work_out) == len(states) - 1
+        assert run.coherences.tolist() == [l1_coherence(s) for s in states]
+        assert run.final_state.matrix.tobytes() == states[-1].matrix.tobytes()
 
     # protocol 1's labels and works follow from its round series alone
     names = ("rotate", "lift", "thermalize-split", "extract", "rebuild-coherence")
@@ -717,9 +689,9 @@ def test_ledger_steps_are_built_only_when_read(monkeypatch, beta, omega):
         for name, w_in, w_out in zip(
             names, (0.0, r.work_in, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, r.work_out, 0.0))
     ]
-    assert [(s.label, s.work_in, s.work_out) for s in ledger.steps] == expected
-    assert [r.coherence_after for r in rounds] == [
-        s.coherence_after for s in ledger.steps[4::5]]
+    assert list(zip(ledger.labels, ledger.work_in.tolist(),
+                    ledger.work_out.tolist())) == expected
+    assert [r.coherence_after for r in rounds] == ledger.coherences[5::5].tolist()
 
 
 def test_protocol2_quadrature_mode_agrees(rng):
