@@ -68,7 +68,8 @@ class BathSpec:
 
     beta must be at least the smallest normal float: below it, terms of
     order 1/beta (S / beta in a free energy) overflow.  An alignment
-    within ALIGNED_TOL of +-1 is stored as +-1 exactly.
+    within ALIGNED_TOL of +-1 is stored as +-1 exactly, and -0 as +0.
+    rate_fn must be a pure function of omega: dynamics caches its rates.
     """
 
     beta: float
@@ -86,6 +87,8 @@ class BathSpec:
             raise ValueError("alignment must lie in [-1, 1]")
         if abs(abs(self.alignment) - 1.0) <= ALIGNED_TOL:
             object.__setattr__(self, "alignment", math.copysign(1.0, self.alignment))
+        elif self.alignment == 0.0:  # -0.0 == 0.0 as a cache key, so store one zero
+            object.__setattr__(self, "alignment", 0.0)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ set by the bath alignment p.  The master equation splits into two
 decoupled sectors.  The real 4-vector Pi = (r22, r00, r+ = Re rho21,
 d = Im rho21) obeys the affine equation dPi/dt = M Pi - b; this module
 owns it for neardegen too, writing its states in _sector_states and
-building (M, fixed point) in _sector, where a splitting delta couples r+
-and d through the pair (+delta, -delta).  The block (rho20, rho10) of
+building (M, fixed point) in _sector, M once per (levels, bath), where a
+splitting delta couples r+ and d through (+delta, -delta).  The block (rho20, rho10) of
 ground-excited coherences obeys a homogeneous 2x2 equation and only
 decays; its conjugate (rho02, rho01) follows by Hermiticity.
 
@@ -23,6 +23,7 @@ and a one-parameter family of coherent steady states appears.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
@@ -148,20 +149,29 @@ def _require_finite(init) -> None:
         raise PhysicalityError("entries are not all finite")
 
 
-def _sector(omega1: float, omega2: float, bath: BathSpec, init) -> Tuple:
-    """(generator matrix, fixed point) for excited levels at omega1 <= omega2.
-
-    At omega1 = omega2 the fixed point is steady_state's, else the Gibbs vector.
-    """
-    _require_finite(init)
+@functools.lru_cache(maxsize=64)
+def _sector_setup(omega1: float, omega2: float, bath: BathSpec) -> Tuple:
+    """_sector's start-free part, cached per (levels, bath); rate_fn must be pure."""
     r1 = rates_at(bath, omega1)
     r2 = r1 if omega2 == omega1 else rates_at(bath, omega2)
     matrix = _generator(r1, r2, bath.alignment, omega2 - omega1).matrix
+    x = math.exp(-bath.beta * omega1)
+    r22, _, r00 = _gibbs_weights(math.exp(-bath.beta * omega2), x)
+    gibbs = np.array([r22, r00, 0.0, 0.0])
+    gibbs.setflags(write=False)
+    return r1, matrix, x, gibbs
+
+
+def _sector(omega1: float, omega2: float, bath: BathSpec, init: np.ndarray) -> Tuple:
+    """(generator matrix, fixed point, rates at omega1) for levels at omega1 <= omega2.
+
+    The fixed point is the Gibbs vector, or at omega1 = omega2 steady_state's for init.
+    """
+    _require_finite(init.tolist())
+    pair, matrix, x, gibbs = _sector_setup(omega1, omega2, bath)
     if omega1 == omega2:
-        return matrix, _steady_vector(DegenerateSystem(omega1), bath, init)
-    w2, w1 = math.exp(-bath.beta * omega2), math.exp(-bath.beta * omega1)
-    r22, _, r00 = _gibbs_weights(w2, w1)
-    return matrix, np.array([r22, r00, 0.0, 0.0])
+        return matrix, _steady_vector(pair.gamma_plus, x, bath.alignment, init), pair
+    return matrix, gibbs, pair
 
 
 def _checked_grid(times) -> np.ndarray:
@@ -207,11 +217,10 @@ def evolve_trajectory(
     t = _checked_grid(times)
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
-    init = CoherenceVector.from_density(rho0).as_array()
-    matrix, fixed = _sector(system.omega, system.omega, bath, init)
+    init = np.array([m0[0, 0].real, m0[2, 2].real, m0[0, 1].real, m0[0, 1].imag])
+    matrix, fixed, pair = _sector(system.omega, system.omega, bath, init)
     ms = _sector_states(*propagate_affine(matrix, fixed, init, t).T)
     if m0[0, 2] or m0[1, 2]:  # without them these entries stay +0
-        pair = rates_at(bath, system.omega)
         a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
         b = -0.5 * bath.alignment * pair.gamma_plus
         even = 0.5 * (m0[0, 2] + m0[1, 2]) * exp_modes(a + b, t)
@@ -305,18 +314,16 @@ def analytic_evolution_aligned(
     return rho22, rho00, rho12
 
 
-def _steady_vector(system: DegenerateSystem, bath: BathSpec, init) -> np.ndarray:
-    """steady_state as the real 4-vector (r22, r00, r+, d)."""
+def _steady_vector(gamma_plus: float, x: float, alignment: float, init) -> np.ndarray:
+    """steady_state as the real 4-vector (r22, r00, r+, d); x = e^{-beta omega}."""
     a, b, c, d = (float(v) for v in init)
-    if rates_at(bath, system.omega).gamma_plus == 0.0:
+    if gamma_plus == 0.0:
         return np.array([a, b, c, d])
-    x = math.exp(-bath.beta * system.omega)
-    if abs(bath.alignment) < 1.0:
+    if abs(alignment) < 1.0:
         r22, _, r00 = _gibbs_weights(x, x)
         return np.array([r22, r00, 0.0, 0.0])
-    sign = bath.alignment
-    r22, r00, rp, _d = _aligned_vector((a, b, sign * c, d), x, 0.0, 0.0)
-    return np.array([r22, r00, sign * rp, 0.0])
+    r22, r00, rp, _d = _aligned_vector((a, b, alignment * c, d), x, 0.0, 0.0)
+    return np.array([r22, r00, alignment * rp, 0.0])
 
 
 def steady_state(
@@ -332,4 +339,6 @@ def steady_state(
     ones by flipping the sign of rho_plus.  A non-finite init is a PhysicalityError.
     """
     _require_finite(init)
-    return CoherenceVector.from_array(_steady_vector(system, bath, init)).to_density()
+    x, pair = math.exp(-bath.beta * system.omega), rates_at(bath, system.omega)
+    vector = _steady_vector(pair.gamma_plus, x, bath.alignment, init)
+    return CoherenceVector.from_array(vector).to_density()

@@ -96,7 +96,7 @@ def neardegenerate_generator(
 def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
     """times, checked; warns once if the grid leaves the validity window."""
     times = _checked_grid(times)
-    t = float(times.max(initial=0.0))
+    t = float(times[-1]) if times.size else 0.0  # a checked grid ends at its maximum
     product = t * system.delta
     if product > VALIDITY_WINDOW_LIMIT:
         logger.warning(
@@ -116,7 +116,7 @@ def _neardegenerate_series(
     """Rows (r22, r00, r+, d) at each of times, about _sector's fixed point."""
     times = _checked_times(times, system)
     init = pi0.as_array()
-    matrix, fixed = _sector(system.omega1, system.omega2, bath, init)
+    matrix, fixed, _ = _sector(system.omega1, system.omega2, bath, init)
     return propagate_affine(matrix, fixed, init, times)
 
 
@@ -127,7 +127,7 @@ def evolve_neardegenerate(
     t: float,
 ) -> CoherenceVector:
     """Propagate the dressed coherence-vector equation exactly for a time t."""
-    return CoherenceVector.from_array(_neardegenerate_series(pi0, system, bath, [t])[0])
+    return CoherenceVector(*_neardegenerate_series(pi0, system, bath, [t])[0].tolist())
 
 
 def _perturbative_series(init, system, bath, times) -> np.ndarray:
@@ -137,15 +137,15 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     delta = system.delta
     if delta == 0.0:
         return zeroth
+    y0 = np.asarray(init, dtype=float)
+    matrix, fixed, pair = _sector(system.omega1, system.omega1, bath, y0)
     # The derivative needs no emission; this rejection is the command
     # line's contract (exit 3) for a split system dark at omega1.
-    if rates_at(bath, system.omega1).gamma_plus == 0.0:
+    if pair.gamma_plus == 0.0:
         raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
     # Every entry of _generator is linear in the rates and the splitting.
     slope = _generator(RatePair(0.0, 0.0), rate_derivative(bath, system.omega1, delta),
                        1.0, 1.0).matrix
-    y0 = np.asarray(init, dtype=float)
-    matrix, fixed = _sector(system.omega1, system.omega1, bath, y0)
     return zeroth + delta * _affine_derivative(matrix, slope, fixed, y0, times)
 
 

@@ -416,6 +416,20 @@ def _shift_work(population: float, w_from: float, w_to: float) -> float:
     return population * (w_from - w_to)
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf where it would overflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_add_exp(a: float, b: float) -> float:
+    """log(e^a + e^b), finite wherever the result is."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if hi == math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
 def _sweep_model(beta: float, fixed_other_level: float, mode: str):
     """Log-partition function and moving population of a level sweep.
 
@@ -423,23 +437,27 @@ def _sweep_model(beta: float, fixed_other_level: float, mode: str):
     (n = 1) beside a fixed one (c = 1 + e^{-beta fixed_other_level}) in
     single-level-sweep mode, two degenerate moving levels (n = 2, c = 1)
     in both-levels-sweep mode.  Returns (log Z, n e^{-beta w} / Z) as
-    functions of w.
+    functions of w, in log-sum-exp form only where the plain sum overflows.
     """
     if beta <= 0.0:
         raise ValueError("inverse temperature must be positive")
     if mode == "single-level-sweep":
-        c, n = 1.0 + math.exp(-beta * fixed_other_level), 1.0
+        c, n = 1.0 + _exp(-beta * fixed_other_level), 1.0
     elif mode == "both-levels-sweep":
         c, n = 1.0, 2.0
     else:
         raise ValueError(f"unknown sweep mode: {mode!r}")
+    log_c = math.log(c) if c < math.inf else _log_add_exp(0.0, -beta * fixed_other_level)
 
     def log_partition(w: float) -> float:
-        return math.log(c + n * math.exp(-beta * w))
+        z = c + n * _exp(-beta * w)
+        return math.log(z) if z < math.inf else _log_add_exp(log_c, math.log(n) - beta * w)
 
     def population(w: float) -> float:
-        boltz = n * math.exp(-beta * w)
-        return boltz / (c + boltz)
+        boltz = n * _exp(-beta * w)
+        if c + boltz < math.inf:
+            return boltz / (c + boltz)
+        return math.exp(-_log_add_exp(0.0, log_c - math.log(n) + beta * w))  # 1 / (1 + c / boltz)
 
     return log_partition, population
 

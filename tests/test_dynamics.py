@@ -11,7 +11,7 @@ from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
-    _steady_vector,
+    _sector,
     analytic_evolution_aligned,
     coherence_generator,
     evolve,
@@ -491,13 +491,14 @@ def test_trajectory_states_are_read_only_rows_of_one_stack():
     ids=["flat", "tabulated"],
 )
 def test_steady_vector_is_steady_state_bit_for_bit(profile):
+    """The fixed point the propagation uses is steady_state's, bit for bit."""
     inits = [(0.0, 1.0, 0.0, 0.0), (0.3, 0.2, 0.1, 0.05), (0.25, 0.4, -0.2, -0.1)]
     for alignment in (1.0, -1.0, 1.0 - 1e-13, 0.5):
         for beta, rates in ((1.3, profile), (0.4, flat_rate(0.0))):
             bath = BathSpec(beta=beta, rate_fn=rates, alignment=alignment)
             for init in inits:
                 system = DegenerateSystem(1.1)
-                vector = _steady_vector(system, bath, init)
+                vector = _sector(system.omega, system.omega, bath, np.array(init))[1]
                 state = steady_state(system, bath, init)
                 expected = CoherenceVector.from_density(state).as_array()
                 assert vector.tobytes() == expected.tobytes()

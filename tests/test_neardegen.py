@@ -16,6 +16,7 @@ from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
+    _sector_setup,
     analytic_evolution_aligned,
     coherence_generator,
     evolve_trajectory,
@@ -434,7 +435,7 @@ def test_perturbative_rejections():
 
 
 def test_evolvers_give_the_same_bits_on_a_warm_cache(subspace_sampler):
-    """Outputs from a cleared decomposition cache equal those from a warm one."""
+    """Outputs from cleared decomposition and sector caches equal those from warm ones."""
     times = [0.0, 0.5, 3.0, 10.0]
     configs = [
         (rate_fn, p, omega2)
@@ -454,9 +455,88 @@ def test_evolvers_give_the_same_bits_on_a_warm_cache(subspace_sampler):
     cold = []
     for config, pi0 in zip(configs, starts):
         _decomposition.cache_clear()
+        _sector_setup.cache_clear()
         cold.append(run(*config, pi0))
     for config, pi0, (states, series) in zip(configs, starts, cold):
         warm_states, warm_series = run(*config, pi0)
         assert np.array_equal(warm_states, states)
         assert np.array_equal(warm_series, series)
     assert _decomposition.cache_info().hits > 0
+    assert _sector_setup.cache_info().hits > 0
+
+
+def test_signed_zeros_never_share_a_cached_start_or_alignment():
+    """-0.0 == 0.0 as a cache key, so neither a start nor a zero's sign may key one.
+
+    A start with -0.0 entries, run after its +0.0 twin, and a bath at
+    alignment -0.0, run after one at +0.0, give the bytes of a cold call.
+    """
+    times = [0.0, 0.5, 3.0]
+
+    def run(start, bath, omega2):
+        pi0 = CoherenceVector(*start)
+        states = evolve_trajectory(pi0.to_density(), DegenerateSystem(1.0), bath, times)
+        series = [evolve_neardegenerate(pi0, NearDegenerateSystem(1.0, omega2), bath, t)
+                  for t in times]
+        return (b"".join(s.matrix.tobytes() for s in states)
+                + b"".join(v.as_array().tobytes() for v in series))
+
+    def cold(start, bath, omega2):
+        _decomposition.cache_clear()
+        _sector_setup.cache_clear()
+        return run(start, bath, omega2)
+
+    plus, minus = (0.3, 0.2, 0.0, 0.0), (0.3, 0.2, -0.0, -0.0)
+    for rate_fn in (flat_rate(), flat_rate(0.0), RAMP):
+        for p in (1.0, -1.0, 0.5):
+            for omega2 in (1.0, 1.004):
+                bath = BathSpec(beta=0.8, rate_fn=rate_fn, alignment=p)
+                expected = cold(minus, bath, omega2)
+                run(plus, bath, omega2)
+                assert run(minus, bath, omega2) == expected, (p, omega2)
+        zero, negative_zero = (BathSpec(beta=0.8, rate_fn=rate_fn, alignment=a)
+                               for a in (0.0, -0.0))
+        assert math.copysign(1.0, negative_zero.alignment) == 1.0
+        for omega2 in (1.0, 1.004):
+            expected = cold(plus, negative_zero, omega2)
+            run(plus, zero, omega2)
+            assert run(plus, negative_zero, omega2) == expected, omega2
+
+
+def test_warnings_and_errors_repeat_on_a_warm_cache(caplog):
+    """Only the start-free set-up is cached: every call warns and checks again."""
+    pi0 = CoherenceVector(0.3, 0.2, 0.1, 0.05)
+    bath = BathSpec(beta=1.0)
+    system = NearDegenerateSystem(1.0, 1.05)
+    for _ in range(3):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
+            evolve_neardegenerate(pi0, system, bath, 10.0)  # t * delta = 0.5
+        assert ["validity window" in r.message for r in caplog.records] == [True]
+    for omega2 in (1.0, 1.05):
+        split = NearDegenerateSystem(1.0, omega2)
+        for _ in range(3):
+            with pytest.raises(PhysicalityError, match="finite"):
+                evolve_neardegenerate(CoherenceVector(math.nan, 0.2, 0.1, 0.05), split, bath, 1.0)
+    negative = BathSpec(beta=1.0, rate_fn=lambda omega: -1.0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="negative rate"):
+            evolve_neardegenerate(pi0, system, negative, 1.0)
+        with pytest.raises(ValueError, match="negative rate"):
+            evolve_trajectory(pi0.to_density(), DegenerateSystem(1.0), negative, [1.0])
+
+
+def test_sector_cache_holds_read_only_arrays_and_stays_bounded():
+    _sector_setup.cache_clear()
+    bath = BathSpec(beta=1.0)
+    _, matrix, _, gibbs_vector = _sector_setup(1.0, 1.004, bath)
+    for array in (matrix, gibbs_vector):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    maxsize = _sector_setup.cache_info().maxsize
+    assert maxsize == 64
+    pi0 = CoherenceVector(0.3, 0.2, 0.1, 0.05)
+    for k in range(maxsize + 10):
+        evolve_neardegenerate(pi0, NearDegenerateSystem(1.0, 1.0 + 1e-4 * k), bath, 1.0)
+    assert _sector_setup.cache_info().currsize == maxsize

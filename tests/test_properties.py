@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,3 +244,31 @@ def test_alignment_sign_conjugates_each_trajectory_exactly():
                                           BathSpec(beta=beta, alignment=-p), times)
                 for t, a, b in zip(times, plus, minus):
                     assert np.array_equal(conjugate * a.matrix, b.matrix), (p, beta, t)
+
+
+@pytest.mark.parametrize("s", [
+    1e-300, 1e-100, 1e-10, 1e-3, 1e3, 1e10, 1e100, 1e307,
+    pytest.param(1e308, marks=pytest.mark.xfail(
+        raises=np.linalg.LinAlgError, strict=True,
+        reason="ROADMAP item 10: gamma_plus + 2 gamma_minus overflows in the generator")),
+])
+def test_rate_time_scaling_leaves_each_trajectory_unchanged(s):
+    """gamma -> s gamma with t -> t/s gives the same states, within 1e-14.
+
+    An exact law of the model on the closed sector (ground-excited
+    coherences also rotate at omega, which does not scale); the bound is a
+    few n eps cond(V) of the 4x4 generator's eigenvectors.  Each scaled
+    bath differs from its reference only in rate_fn, so the law also fails
+    if the sector cache ignores it.
+    """
+    starts = [CoherenceVector(0.0, 1.0, 0.0).to_density(),
+              CoherenceVector(0.3, 0.2, 0.2, -0.1).to_density()]
+    times = np.array([0.0, 0.1, 1.0, 5.0, 50.0, 1500.0])
+    system = DegenerateSystem(1.0)
+    for p in (1.0, -1.0, 0.99, 0.5):
+        for rho0 in starts:
+            reference = evolve_trajectory(rho0, system, BathSpec(beta=1.0, alignment=p), times)
+            scaled = evolve_trajectory(rho0, system, BathSpec(1.0, flat_rate(s), p), times / s)
+            for t, a, b in zip(times, reference, scaled):
+                gap = float(np.max(np.abs(a.matrix - b.matrix)))
+                assert gap <= 1e-14, (p, t, gap)

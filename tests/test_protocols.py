@@ -560,6 +560,28 @@ def test_quasistatic_quadrature_route_agrees():
         assert quad == pytest.approx(closed, abs=1e-9)
 
 
+
+def test_quasistatic_work_past_the_exponential_overflow():
+    """Levels with beta w below about -709.8 give finite works, not OverflowError.
+
+    Only where the plain partition sum overflows does the log-sum-exp form
+    take over; the quadrature route agrees to its 1e-6.
+    """
+    cases = [
+        (1.0, -800.0, -700.0, 0.0, "single-level-sweep", -100.0),
+        (1.0, -710.0, -709.0, 0.0, "single-level-sweep", -1.0),
+        (2.0, -400.0, -350.0, 0.0, "both-levels-sweep", -50.0),
+        # a fixed level at -800 holds the weight: Z = e^800 (2 or 1 + e^-10)
+        (1.0, -800.0, -790.0, -800.0, "single-level-sweep",
+         math.log1p(math.exp(-10.0)) - math.log(2.0)),
+        (1.0, 2.0, 1.0, -800.0, "single-level-sweep", 0.0),
+    ]
+    for beta, w_from, w_to, fixed, mode, expected in cases:
+        closed = quasistatic_work(beta, w_from, w_to, fixed, mode)
+        assert closed == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        quad = quasistatic_work_quadrature(beta, w_from, w_to, fixed, mode)
+        assert quad == pytest.approx(closed, rel=1e-6, abs=1e-12)
+
 def test_discretized_quasistatic_convergence():
     beta, w_from, w_to, fixed = 1.0, 2.0, 1.0, 1.0
     target = quasistatic_work(beta, w_from, w_to, fixed)
