@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -42,6 +42,9 @@ def flat_rate(gamma: float = 1.0) -> RateFunction:
         return gamma
 
     return profile
+
+
+_UNIT_RATE = flat_rate()  # shared, so equal default baths are equal
 
 
 def tabulated_rate(points: Tuple[Tuple[float, float], ...]) -> RateFunction:
@@ -70,10 +73,13 @@ class BathSpec:
     order 1/beta (S / beta in a free energy) overflow.  An alignment
     within ALIGNED_TOL of +-1 is stored as +-1 exactly, and -0 as +0.
     rate_fn must be a pure function of omega: dynamics caches its rates.
+    Baths compare by rate_fn's identity: every default bath shares one
+    profile, so equal default baths are equal and share that cache, while
+    each flat_rate(g) call is a distinct profile.
     """
 
     beta: float
-    rate_fn: RateFunction = field(default_factory=flat_rate)
+    rate_fn: RateFunction = _UNIT_RATE
     alignment: float = 1.0
 
     def __post_init__(self) -> None:

@@ -177,9 +177,10 @@ def _sector(omega1: float, omega2: float, bath: BathSpec, init: np.ndarray) -> T
 def _checked_grid(times) -> np.ndarray:
     """times as a 1-D array; the one time rule of every evolver."""
     t = np.asarray(times, dtype=float)
-    # Non-decreasing from t[0] >= 0 up to t[-1] < inf; a NaN fails a comparison.
+    # Non-decreasing from v[0] >= 0 up to v[-1] < inf; a NaN fails a comparison.
     if t.ndim != 1 or not (
-        (t[1:] >= t[:-1]).all() and (t.size == 0 or 0.0 <= t[0] and t[-1] < math.inf)
+        (v := t.tolist()) == [] or all(map(float.__le__, v[:-1], v[1:]))
+        and 0.0 <= v[0] and v[-1] < math.inf
     ):
         raise ValueError("times must be finite, non-negative and non-decreasing")
     return t
@@ -246,12 +247,14 @@ def trajectory_rows(
 ) -> List[List[float]]:
     """Rows matching trajectory_columns for CSV emission."""
     pairs = list(zip(times, states))
-    t = np.array([tk for tk, _ in pairs], dtype=float)
-    ms = np.array([state.matrix for _, state in pairs]).reshape(t.size, 3, 3)
-    entries = ms.reshape(t.size, 9).view(float)
-    return np.column_stack(
-        (t, entries, _l1_coherences(ms), _hermitian_eigenvalues(ms)[:, 0])
-    ).tolist()
+    n = len(pairs)
+    ms = np.array([state.matrix for _, state in pairs], dtype=complex).reshape(n, 3, 3)
+    rows = np.empty((n, 21))
+    rows[:, 0] = [tk for tk, _ in pairs]
+    rows[:, 1:19] = ms.reshape(n, 9).view(float)
+    rows[:, 19] = _l1_coherences(ms)
+    rows[:, 20] = _hermitian_eigenvalues(ms)[:, 0]
+    return rows.tolist()
 
 
 def _aligned_vector(init, x: float, slow, fast) -> Tuple:

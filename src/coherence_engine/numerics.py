@@ -85,6 +85,12 @@ def lambert_w_principal(z: float) -> float:
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")  # exp_modes checks what overflowed
+def _exponents_and_exp(rates, times) -> Tuple[np.ndarray, np.ndarray]:
+    exponents = np.multiply.outer(rates, times)
+    return exponents, np.exp(exponents)
+
+
 def exp_modes(rates, times) -> np.ndarray:
     """e^{rate t} per rate (leading axes) and time (trailing axes).
 
@@ -92,9 +98,7 @@ def exp_modes(rates, times) -> np.ndarray:
     where the exponent overflows; any other overflow raises NumericsError
     naming the horizon.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponents = np.multiply.outer(rates, times)
-        out = np.exp(exponents)
+    exponents, out = _exponents_and_exp(rates, times)
     if not np.isfinite(out).all():
         out = np.where(exponents.real < -1000.0, 0.0, out)
         if not np.isfinite(out).all():

@@ -37,6 +37,19 @@ def test_flat_rate_default():
         flat_rate(-1.0)
 
 
+def test_default_baths_are_equal_and_each_flat_rate_call_is_its_own_profile():
+    """Every default bath shares one profile, so equal default baths are equal."""
+    bath = BathSpec(1.0)
+    assert bath == BathSpec(1.0) and hash(bath) == hash(BathSpec(1.0))
+    half, fresh = dataclasses.replace(bath, alignment=0.5), BathSpec(1.0, alignment=0.5)
+    assert half == fresh and hash(half) == hash(fresh)
+    assert dataclasses.replace(half, alignment=1.0) == bath
+    # an explicit profile is a profile of its own, even with the default's rates
+    assert BathSpec(1.0, flat_rate(1.0)) != BathSpec(1.0)
+    assert flat_rate(1.0) is not flat_rate(1.0)
+    assert math.copysign(1.0, flat_rate(-0.0)(1.0)) == -1.0
+
+
 def test_tabulated_rate_interpolates():
     fn = tabulated_rate([(1.0, 1.0), (2.0, 3.0)])
     assert fn(1.5) == pytest.approx(2.0, abs=1e-15)

@@ -11,7 +11,9 @@ from coherence_engine.bloch import DensityMatrix, PhysicalityError
 from coherence_engine.dynamics import (
     CoherenceVector,
     DegenerateSystem,
+    _checked_grid,
     _sector,
+    _sector_setup,
     analytic_evolution_aligned,
     coherence_generator,
     evolve,
@@ -27,6 +29,7 @@ from coherence_engine.neardegen import (
     evolve_neardegenerate,
     perturbative_solution,
 )
+from coherence_engine.numerics import _decomposition
 from coherence_engine.thermo import l1_coherence
 from reference import gksl_rhs_matrix, reference_states
 
@@ -195,14 +198,19 @@ def test_evolve_at_time_zero_checks_the_state_as_later_times_do():
 
 
 @pytest.mark.parametrize("t", [
-    math.nan, math.inf, -1.0,
+    math.nan, math.inf, -1.0, -math.inf,
     pytest.param([0.0, 2.0, 1.0], id="decreasing"),
+    pytest.param([0.0, math.nan, 1.0], id="inner-nan"),
     pytest.param([[0.0, 1.0]], id="2-D"),
+    pytest.param(np.array(-1.0), id="0-d"),
 ])
 def test_evolvers_reject_non_finite_times(t):
-    """Every evolver applies the one time rule, with its one message."""
+    """Every evolver applies the one time rule, with its one message.
+
+    A scalar time ends a grid [0, 1, t]; a list or an array is the grid itself.
+    """
     rule = "times must be finite, non-negative and non-decreasing"
-    grid = [0.0, 1.0, t] if np.ndim(t) == 0 else t
+    grid = t if isinstance(t, (list, np.ndarray)) else [0.0, 1.0, t]
     bath = BathSpec(beta=1.0, alignment=0.5)
     rho0 = DensityMatrix.ground()
     with pytest.raises(ValueError, match=rule):
@@ -222,6 +230,46 @@ def test_evolvers_reject_non_finite_times(t):
         _neardegenerate_series(CoherenceVector(*init), near, bath, grid)
     with pytest.raises(ValueError, match=rule):
         _perturbative_series(init, near, BathSpec(beta=1.0), grid)
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param([], id="empty"),
+    pytest.param([-0.0, 1.0], id="signed-zero"),
+    pytest.param([0.5, 1.0, 1.0, 2.0], id="repeated"),
+    pytest.param([0, 1, 1, 2], id="integers"),
+])
+def test_evolvers_accept_every_grid_the_time_rule_allows(grid):
+    """Empty, signed-zero, repeated and integer grids pass, as float arrays of the input."""
+    assert _checked_grid(grid).tobytes() == np.asarray(grid, dtype=float).tobytes()
+    bath = BathSpec(beta=1.0, alignment=0.5)
+    near = NearDegenerateSystem(1.0, 1.001)
+    init = (0.2, 0.3, 0.05, 0.01)
+    runs = [
+        evolve_trajectory(DensityMatrix.ground(), DegenerateSystem(1.0), bath, grid),
+        _neardegenerate_series(CoherenceVector(*init), near, bath, grid),
+        _perturbative_series(init, near, BathSpec(beta=1.0), grid),
+        analytic_evolution_aligned(init, DegenerateSystem(1.0), BathSpec(beta=1.0), grid)[0],
+    ]
+    assert [len(run) for run in runs] == [len(grid)] * 4
+
+
+def test_fresh_default_baths_share_one_sector_setup(random_density):
+    """Equal default baths hit one cache entry and give a cold call's bytes."""
+    system, times = DegenerateSystem(1.0), np.linspace(0.0, 20.0, 11)
+    starts = [DensityMatrix(random_density()) for _ in range(5)]
+
+    def run(rho0):
+        states = evolve_trajectory(rho0, system, BathSpec(1.0, alignment=0.5), times)
+        return np.array([state.matrix for state in states]).tobytes()
+
+    _sector_setup.cache_clear()
+    warm = [run(rho0) for rho0 in starts]
+    info = _sector_setup.cache_info()
+    assert (info.hits, info.misses) == (4, 1)
+    for rho0, got in zip(starts, warm):
+        _decomposition.cache_clear()
+        _sector_setup.cache_clear()
+        assert got == run(rho0)
 
 
 def test_analytic_matches_numerical_evolution(subspace_sampler):
