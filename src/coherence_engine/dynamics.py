@@ -6,10 +6,11 @@ set by the bath alignment p.  The master equation splits into two
 decoupled sectors.  The real 4-vector Pi = (r22, r00, r+ = Re rho21,
 d = Im rho21) obeys the affine equation dPi/dt = M Pi - b; this module
 owns it for neardegen too, writing its states in _sector_states and
-building (M, fixed point) in _sector, M once per (levels, bath), where a
-splitting delta couples r+ and d through (+delta, -delta).  The block (rho20, rho10) of
-ground-excited coherences obeys a homogeneous 2x2 equation and only
-decays; its conjugate (rho02, rho01) follows by Hermiticity.
+handing out (eigensystem of M, fixed point) from _sector; its one cache,
+_sector_setup, builds and decomposes M once per (levels, bath).  A
+splitting delta couples r+ and d through (+delta, -delta).  The block
+(rho20, rho10) of ground-excited coherences obeys a homogeneous 2x2
+equation and only decays; its conjugate follows by Hermiticity.
 
 Sign convention: with the generator written as dPi/dt = M Pi - b, every
 eigenvalue of M has a non-positive real part; for |p| < 1 all real
@@ -34,10 +35,8 @@ from .bath import BathSpec, RatePair, rates_at
 from .bloch import (DensityMatrix, PhysicalityError, _hermitian_eigenvalues,
                     _require_hermitian_unit_trace)
 # integrate_ode is unused here; perfbench/selftest.py reads this binding.
-from .numerics import exp_modes, integrate_ode, propagate_affine  # noqa: F401
+from .numerics import _decomposition, exp_modes, integrate_ode, propagate_affine  # noqa: F401
 from .thermo import _gibbs_weights, _l1_coherences
-
-TRACE_DRIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,27 +150,32 @@ def _require_finite(init) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _sector_setup(omega1: float, omega2: float, bath: BathSpec) -> Tuple:
-    """_sector's start-free part, cached per (levels, bath); rate_fn must be pure."""
+    """_sector's start-free part, cached per (levels, bath); rate_fn must be pure.
+
+    (rates at omega1, read-only eigensystem of the generator, x = e^{-beta
+    omega1}, read-only Gibbs vector); a failed decomposition is not cached.
+    """
     r1 = rates_at(bath, omega1)
     r2 = r1 if omega2 == omega1 else rates_at(bath, omega2)
-    matrix = _generator(r1, r2, bath.alignment, omega2 - omega1).matrix
+    eig = _decomposition(_generator(r1, r2, bath.alignment, omega2 - omega1).matrix)
     x = math.exp(-bath.beta * omega1)
     r22, _, r00 = _gibbs_weights(math.exp(-bath.beta * omega2), x)
     gibbs = np.array([r22, r00, 0.0, 0.0])
     gibbs.setflags(write=False)
-    return r1, matrix, x, gibbs
+    return r1, eig, x, gibbs
 
 
 def _sector(omega1: float, omega2: float, bath: BathSpec, init: np.ndarray) -> Tuple:
-    """(generator matrix, fixed point, rates at omega1) for levels at omega1 <= omega2.
+    """(eigensystem, fixed point, rates at omega1) for levels at omega1 <= omega2.
 
-    The fixed point is the Gibbs vector, or at omega1 = omega2 steady_state's for init.
+    The generator's (vals, vecs, inverse) is _sector_setup's cached one.  The
+    fixed point is the Gibbs vector, or at omega1 = omega2 steady_state's for init.
     """
     _require_finite(init.tolist())
-    pair, matrix, x, gibbs = _sector_setup(omega1, omega2, bath)
+    pair, eig, x, gibbs = _sector_setup(omega1, omega2, bath)
     if omega1 == omega2:
-        return matrix, _steady_vector(pair.gamma_plus, x, bath.alignment, init), pair
-    return matrix, gibbs, pair
+        return eig, _steady_vector(pair.gamma_plus, x, bath.alignment, init), pair
+    return eig, gibbs, pair
 
 
 def _checked_grid(times) -> np.ndarray:
@@ -192,12 +196,8 @@ def evolve(
     bath: BathSpec,
     t: float,
 ) -> DensityMatrix:
-    """The state at time t, by exact propagation; its unit trace is asserted."""
-    rho_t = evolve_trajectory(rho0, system, bath, [t])[0]
-    drift = abs(rho_t.trace - 1.0)
-    if drift > TRACE_DRIFT_TOL:
-        raise RuntimeError(f"trace drifted by {drift:.3e} during evolution")
-    return rho_t
+    """The state at time t: evolve_trajectory's state on the grid [t]."""
+    return evolve_trajectory(rho0, system, bath, [t])[0]
 
 
 def evolve_trajectory(
@@ -219,8 +219,8 @@ def evolve_trajectory(
     m0 = rho0.matrix
     _require_hermitian_unit_trace(m0)
     init = np.array([m0[0, 0].real, m0[2, 2].real, m0[0, 1].real, m0[0, 1].imag])
-    matrix, fixed, pair = _sector(system.omega, system.omega, bath, init)
-    ms = _sector_states(*propagate_affine(matrix, fixed, init, t).T)
+    eig, fixed, pair = _sector(system.omega, system.omega, bath, init)
+    ms = _sector_states(*propagate_affine(eig, fixed, init, t).T)
     if m0[0, 2] or m0[1, 2]:  # without them these entries stay +0
         a = -1j * system.omega - 0.5 * pair.gamma_plus - pair.gamma_minus
         b = -0.5 * bath.alignment * pair.gamma_plus
@@ -245,8 +245,8 @@ def trajectory_columns() -> List[str]:
 def trajectory_rows(
     times: Sequence[float], states: Iterable[DensityMatrix]
 ) -> List[List[float]]:
-    """Rows matching trajectory_columns for CSV emission."""
-    pairs = list(zip(times, states))
+    """Rows matching trajectory_columns for CSV emission; lengths must match."""
+    pairs = list(zip(times, states, strict=True))
     n = len(pairs)
     ms = np.array([state.matrix for _, state in pairs], dtype=complex).reshape(n, 3, 3)
     rows = np.empty((n, 21))

@@ -116,8 +116,8 @@ def _neardegenerate_series(
     """Rows (r22, r00, r+, d) at each of times, about _sector's fixed point."""
     times = _checked_times(times, system)
     init = pi0.as_array()
-    matrix, fixed, _ = _sector(system.omega1, system.omega2, bath, init)
-    return propagate_affine(matrix, fixed, init, times)
+    eig, fixed, _ = _sector(system.omega1, system.omega2, bath, init)
+    return propagate_affine(eig, fixed, init, times)
 
 
 def evolve_neardegenerate(
@@ -138,7 +138,7 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     if delta == 0.0:
         return zeroth
     y0 = np.asarray(init, dtype=float)
-    matrix, fixed, pair = _sector(system.omega1, system.omega1, bath, y0)
+    eig, fixed, pair = _sector(system.omega1, system.omega1, bath, y0)
     # The derivative needs no emission; this rejection is the command
     # line's contract (exit 3) for a split system dark at omega1.
     if pair.gamma_plus == 0.0:
@@ -146,7 +146,7 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     # Every entry of _generator is linear in the rates and the splitting.
     slope = _generator(RatePair(0.0, 0.0), rate_derivative(bath, system.omega1, delta),
                        1.0, 1.0).matrix
-    return zeroth + delta * _affine_derivative(matrix, slope, fixed, y0, times)
+    return zeroth + delta * _affine_derivative(eig, slope, fixed, y0, times)
 
 
 def perturbative_solution(
@@ -161,7 +161,7 @@ def perturbative_solution(
     closed-form solution.  The correction is the Frechet derivative of
     the delta = 0 propagation along the generator's slope in delta (its
     rates' derivatives taken as difference quotients across the actual
-    splitting), on the decomposition that propagate_affine caches; it
+    splitting), on the eigensystem that _sector_setup caches; it
     vanishes at t = 0.  A split system with no emission at omega1 is a
     ValueError, kept as the command line's contract (exit 3).
     """

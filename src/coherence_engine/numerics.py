@@ -6,8 +6,8 @@ time-independent equations and its first-order change under a change of
 the generator, adaptive ODE integration with dense output,
 and adaptive Gauss-Kronrod quadrature.  All kernels use fixed iteration
 orders, fixed tolerances and no randomness, so identical inputs give
-bit-identical results.  Propagation decomposes each distinct generator
-once, in a bounded cache keyed on the generator's bytes.
+bit-identical results.  The module holds no state: propagation takes
+_decomposition's eigensystem, and the caller keeps it where it likes.
 
 The runtime needs numpy only.  scipy, a test dependency, is imported on
 first use by integrate_ode alone, the adaptive RK45 integrator that the
@@ -16,7 +16,6 @@ tests use as an independent reference.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -106,10 +105,13 @@ def exp_modes(rates, times) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _decomposition(data: bytes, shape: Tuple[int, ...], dtype: np.dtype):
-    """Read-only (vals, vecs, inverse) of the matrix in data; errors are not cached."""
-    matrix = np.frombuffer(data, dtype=dtype).reshape(shape)
+def _decomposition(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (vals, vecs, inverse) of matrix = V diag(vals) V^{-1}.
+
+    The generators are dissipative, so a positive real part within the rounding
+    bound n eps cond(V) |matrix| is clipped to 0.  A 1-norm cond(V) above
+    EIGVEC_COND_LIMIT (a nearly defective matrix) raises NumericsError.
+    """
     vals, vecs = np.linalg.eig(matrix)
     inverse = np.linalg.inv(vecs)
     cond = np.linalg.norm(vecs, 1) * np.linalg.norm(inverse, 1)
@@ -124,42 +126,37 @@ def _decomposition(data: bytes, shape: Tuple[int, ...], dtype: np.dtype):
 
 
 def propagate_affine(
-    matrix: np.ndarray, fixed: np.ndarray, y0: np.ndarray, times: Sequence[float]
+    eig, fixed: np.ndarray, y0: np.ndarray, times: Sequence[float]
 ) -> np.ndarray:
-    """fixed + V e^{Lambda t} V^{-1} (y0 - fixed), for matrix = V Lambda V^{-1}.
+    """fixed + V e^{Lambda t} V^{-1} (y0 - fixed), for eig = (Lambda, V, V^{-1}).
 
-    The exact solution of dy/dt = matrix . (y - fixed), one row per time
-    from one decomposition; rows at t = 0 are y0, and real input gives
-    real output.  The generators are dissipative, so a positive real part
-    within the rounding bound n eps cond(V) |matrix| is clipped to 0.  A
-    1-norm cond(V) above EIGVEC_COND_LIMIT (a nearly defective matrix)
-    raises NumericsError.  Each distinct generator is decomposed once, in
-    a bounded cache keyed on its bytes, shape and dtype.
+    The exact solution of dy/dt = M (y - fixed) for the real matrix M
+    that eig, from _decomposition, decomposes: one real row per time from
+    the one eigensystem; rows at t = 0 are y0.
     """
     times = np.asarray(times, dtype=float)
-    vals, vecs, inverse = _decomposition(matrix.tobytes(), matrix.shape, matrix.dtype)
+    vals, vecs, inverse = eig
     modes = exp_modes(vals, times) * (inverse @ (y0 - fixed))[:, None]
-    out = fixed + (vecs @ modes).T
-    out = out.real if matrix.dtype.kind != "c" else out
+    out = (fixed + (vecs @ modes).T).real
     if np.count_nonzero(times) < times.size:  # a zero time; cheaper than .any()
         out[times == 0.0] = y0
     return out
 
 
-def _affine_derivative(matrix, slope, fixed, y0, times) -> np.ndarray:
-    """d/de at e = 0 of the rows of dy/dt = (matrix + e slope) y - matrix . fixed.
+def _affine_derivative(eig, slope, fixed, y0, times) -> np.ndarray:
+    """d/de at e = 0 of the rows of dy/dt = (M + e slope) y - M fixed.
 
-    The Frechet derivative of propagate_affine's solution along slope, in
-    Daleckii-Krein form (Higham, Functions of Matrices, SIAM 2008, sec.
-    3.2), on the same cached decomposition matrix = V diag(l) V^{-1}: row t
-    is V z, z_i = phi(l_i, 0) (V^{-1} slope fixed)_i + sum_j (V^{-1} slope
-    V)_ij phi(l_i, l_j) (V^{-1} (y0 - fixed))_j.  phi(a, b) = (e^{at} -
-    e^{bt})/(a - b) is taken as t e^{hi t} expm1(w)/w, w = (lo - hi) t,
-    with hi the one of a, b with the larger real part: nothing overflows
-    to +inf, and w or hi t at -inf give the exact limits, 0.  Each row is
-    contracted on its own; rows at t = 0 are 0.
+    The Frechet derivative of propagate_affine's solution along the real
+    slope, in Daleckii-Krein form (Higham, Functions of Matrices, SIAM
+    2008, sec. 3.2), on propagate_affine's eigensystem eig of M = V
+    diag(l) V^{-1}: row t is V z, z_i = phi(l_i, 0) (V^{-1} slope fixed)_i
+    + sum_j (V^{-1} slope V)_ij phi(l_i, l_j) (V^{-1} (y0 - fixed))_j.
+    phi(a, b) = (e^{at} - e^{bt})/(a - b) is taken as t e^{hi t}
+    expm1(w)/w, w = (lo - hi) t, with hi the one of a, b with the larger
+    real part: nothing overflows to +inf, and w or hi t at -inf give the
+    exact limits, 0.  Each row is contracted on its own; rows at t = 0 are 0.
     """
-    vals, vecs, inverse = _decomposition(matrix.tobytes(), matrix.shape, matrix.dtype)
+    vals, vecs, inverse = eig
 
     def phi(a, b):
         hi, lo = np.where(a.real >= b.real, a, b), np.where(a.real >= b.real, b, a)
@@ -171,8 +168,7 @@ def _affine_derivative(matrix, slope, fixed, y0, times) -> np.ndarray:
     modes = phi(vals, 0.0) * (inverse @ slope @ fixed)[:, None] + np.einsum(
         "ij,ijk,j->ik", inverse @ slope @ vecs, phi(vals[:, None], vals[None, :]),
         inverse @ (y0 - fixed))
-    out = np.einsum("ij,jk->ik", vecs, modes).T
-    return out.real if np.isrealobj(matrix) else out
+    return np.einsum("ij,jk->ik", vecs, modes).T.real
 
 
 @dataclass(frozen=True)

@@ -454,14 +454,12 @@ def test_evolvers_give_the_same_bits_on_a_warm_cache(subspace_sampler):
 
     cold = []
     for config, pi0 in zip(configs, starts):
-        _decomposition.cache_clear()
         _sector_setup.cache_clear()
         cold.append(run(*config, pi0))
     for config, pi0, (states, series) in zip(configs, starts, cold):
         warm_states, warm_series = run(*config, pi0)
         assert np.array_equal(warm_states, states)
         assert np.array_equal(warm_series, series)
-    assert _decomposition.cache_info().hits > 0
     assert _sector_setup.cache_info().hits > 0
 
 
@@ -482,7 +480,6 @@ def test_signed_zeros_never_share_a_cached_start_or_alignment():
                 + b"".join(v.as_array().tobytes() for v in series))
 
     def cold(start, bath, omega2):
-        _decomposition.cache_clear()
         _sector_setup.cache_clear()
         return run(start, bath, omega2)
 
@@ -527,16 +524,24 @@ def test_warnings_and_errors_repeat_on_a_warm_cache(caplog):
 
 
 def test_sector_cache_holds_read_only_arrays_and_stays_bounded():
+    """The entry holds the generator's eigensystem, read-only; rows never alias it."""
     _sector_setup.cache_clear()
     bath = BathSpec(beta=1.0)
-    _, matrix, _, gibbs_vector = _sector_setup(1.0, 1.004, bath)
-    for array in (matrix, gibbs_vector):
+    system = NearDegenerateSystem(1.0, 1.004)
+    _, eig, _, gibbs_vector = _sector_setup(1.0, 1.004, bath)
+    for array in (*eig, gibbs_vector):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
+    expected = _decomposition(neardegenerate_generator(system, bath).matrix)
+    assert all(np.array_equal(a, b) for a, b in zip(eig, expected))
+    pi0 = CoherenceVector(0.3, 0.2, 0.1, 0.05)
+    first = _neardegenerate_series(pi0, system, bath, [0.0, 0.5, 3.0])
+    rows = first.copy()
+    first[:] = np.nan
+    assert np.array_equal(_neardegenerate_series(pi0, system, bath, [0.0, 0.5, 3.0]), rows)
     maxsize = _sector_setup.cache_info().maxsize
     assert maxsize == 64
-    pi0 = CoherenceVector(0.3, 0.2, 0.1, 0.05)
     for k in range(maxsize + 10):
         evolve_neardegenerate(pi0, NearDegenerateSystem(1.0, 1.0 + 1e-4 * k), bath, 1.0)
     assert _sector_setup.cache_info().currsize == maxsize
