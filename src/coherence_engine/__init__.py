@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 
 # Each public name, by home module: the one list of the package's API.
 _EXPORTS = {
-    "bath": ("BathSpec", "RatePair", "flat_rate", "rate_derivative", "rates_at",
-             "tabulated_rate"),
+    "bath": ("BathSpec", "RatePair", "flat_rate", "rates_at", "tabulated_rate"),
     "bloch": ("DensityMatrix", "PhysicalityError"),
     "dynamics": ("CoherenceVector", "DegenerateSystem", "GeneratorMatrix",
                  "analytic_evolution_aligned", "coherence_generator", "evolve",

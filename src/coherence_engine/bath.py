@@ -99,12 +99,10 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class RatePair:
-    """Emission/absorption pair (gamma_plus, gamma_minus).
+    """Emission/absorption pair (gamma_plus, gamma_minus) at one frequency.
 
-    For outputs of rates_at the detailed-balance relation
-    gamma_minus = exp(-beta * omega) * gamma_plus holds by construction.
-    rate_derivative reuses this container for difference quotients of
-    the two components, which may be negative.
+    rates_at builds it, so gamma_minus = exp(-beta * omega) * gamma_plus
+    (detailed balance) holds by construction.
     """
 
     gamma_plus: float
@@ -122,20 +120,3 @@ def rates_at(bath: BathSpec, omega: float) -> RatePair:
         raise ValueError(f"rate profile returned negative rate at omega={omega}")
     return RatePair(gamma_plus, math.exp(-bath.beta * omega) * gamma_plus)
 
-
-def rate_derivative(bath: BathSpec, omega: float, delta: float) -> RatePair:
-    """Difference quotient (rates_at(omega + delta) - rates_at(omega)) / delta.
-
-    The splitting delta must be strictly positive; the derivative is
-    defined as a finite difference at the actual splitting rather than
-    an analytic limit.  Components may be negative (the absorption rate
-    always falls with frequency for a flat emission profile).
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be strictly positive")
-    lo = rates_at(bath, omega)
-    hi = rates_at(bath, omega + delta)
-    return RatePair(
-        (hi.gamma_plus - lo.gamma_plus) / delta,
-        (hi.gamma_minus - lo.gamma_minus) / delta,
-    )

@@ -16,10 +16,11 @@ time-independent and acts on the real vector (r22, r00, r+, d = Im rho21);
 its pair (+delta, -delta) is exactly the excited splitting's commutator.
 
 The reduced description is trusted only inside the window
-tau_S << t << 1/delta (tau_S = 1/omega1); evolutions beyond
-t * delta = 0.3 emit a warning on the module logger.  The generator is
-linear in delta, so its first order in the splitting is the Frechet
-derivative of the delta = 0 propagation along that slope.  At very late
+tau_S << t << 1/delta (tau_S = 1/omega1); evolutions past
+t = 0.3 / delta emit a warning on the module logger.  The generator is
+linear in the rates and in delta, so its first order in the splitting is
+the Frechet derivative of the delta = 0 propagation along the
+generator's change to the actual splitting.  At very late
 times the cross terms average out and the system thermalizes as two
 independent two-level systems.
 """
@@ -29,11 +30,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bath import BathSpec, RatePair, rate_derivative, rates_at
+from .bath import BathSpec, rates_at
 from .bloch import DensityMatrix
 from .dynamics import (
     CoherenceVector,
@@ -93,16 +94,22 @@ def neardegenerate_generator(
     return _generator(r1, r2, bath.alignment, system.delta)
 
 
+def _validity_limit(system: NearDegenerateSystem) -> Optional[float]:
+    """The window's last time, VALIDITY_WINDOW_LIMIT / delta; None if not finite."""
+    limit = VALIDITY_WINDOW_LIMIT / system.delta if system.delta else math.inf
+    return limit if limit < math.inf else None
+
+
 def _checked_times(times: Sequence[float], system: NearDegenerateSystem) -> np.ndarray:
-    """times, checked; warns once if the grid leaves the validity window."""
+    """times, checked; warns once if the grid ends past _validity_limit."""
     times = _checked_grid(times)
     t = float(times[-1]) if times.size else 0.0  # a checked grid ends at its maximum
-    product = t * system.delta
-    if product > VALIDITY_WINDOW_LIMIT:
+    limit = _validity_limit(system)
+    if limit is not None and t > limit:
         logger.warning(
             "reduced dynamics used outside its validity window: "
-            "t * delta = %.3g exceeds %.3g (t=%.6g, delta=%.6g, tau_S=%.6g)",
-            product, VALIDITY_WINDOW_LIMIT, t, system.delta, 1.0 / system.omega1,
+            "t = %r exceeds %.3g / delta = %r (delta=%.6g, tau_S=%.6g)",
+            t, VALIDITY_WINDOW_LIMIT, limit, system.delta, 1.0 / system.omega1,
         )
     return times
 
@@ -130,10 +137,13 @@ def evolve_neardegenerate(
     return CoherenceVector(*_neardegenerate_series(pi0, system, bath, [t])[0].tolist())
 
 
-def _perturbative_series(init, system, bath, times) -> np.ndarray:
-    """Rows (r22, r00, r+, d) of perturbative_solution at each of times."""
+def _perturbative_series(init, system, bath, times, warn=True) -> np.ndarray:
+    """Rows (r22, r00, r+, d) of perturbative_solution at each of times.
+
+    warn=False skips the window warning, for a caller that gave it already.
+    """
     zeroth = _aligned_rows(init, system.omega1, bath, times)
-    times = _checked_times(times, system)
+    times = _checked_times(times, system) if warn else _checked_grid(times)
     delta = system.delta
     if delta == 0.0:
         return zeroth
@@ -143,10 +153,9 @@ def _perturbative_series(init, system, bath, times) -> np.ndarray:
     # line's contract (exit 3) for a split system dark at omega1.
     if pair.gamma_plus == 0.0:
         raise ValueError("the splitting correction needs an emission rate > 0 at omega1")
-    # Every entry of _generator is linear in the rates and the splitting.
-    slope = _generator(RatePair(0.0, 0.0), rate_derivative(bath, system.omega1, delta),
-                       1.0, 1.0).matrix
-    return zeroth + delta * _affine_derivative(eig, slope, fixed, y0, times)
+    change = (_generator(pair, rates_at(bath, system.omega2), 1.0, delta).matrix
+              - _generator(pair, pair, 1.0, 0.0).matrix)
+    return zeroth + _affine_derivative(eig, change, fixed, y0, times)
 
 
 def perturbative_solution(
@@ -159,11 +168,11 @@ def perturbative_solution(
 
     Valid for aligned dipoles.  The zeroth order is the degenerate
     closed-form solution.  The correction is the Frechet derivative of
-    the delta = 0 propagation along the generator's slope in delta (its
-    rates' derivatives taken as difference quotients across the actual
-    splitting), on the eigensystem that _sector_setup caches; it
-    vanishes at t = 0.  A split system with no emission at omega1 is a
-    ValueError, kept as the command line's contract (exit 3).
+    the delta = 0 propagation along the generator's change, the split
+    generator minus the degenerate one at omega1, on the eigensystem that
+    _sector_setup caches; it vanishes at t = 0.  A split system with no
+    emission at omega1 is a ValueError, kept as the command line's
+    contract (exit 3).
     """
     return CoherenceVector.from_array(_perturbative_series(init, system, bath, [t])[0])
 

@@ -196,6 +196,13 @@ def _stationary_shift_decimal(
     raise NumericsError("decimal shift search did not converge")
 
 
+def rate_quotients(bath: BathSpec, omega: float, delta: float) -> Tuple[float, float]:
+    """(d gamma_plus, d gamma_minus): the rates' difference quotients across delta."""
+    lo, hi = rates_at(bath, omega), rates_at(bath, omega + delta)
+    return ((hi.gamma_plus - lo.gamma_plus) / delta,
+            (hi.gamma_minus - lo.gamma_minus) / delta)
+
+
 def first_order_closed_form(
     t,
     slow,
@@ -210,7 +217,7 @@ def first_order_closed_form(
     A hand-derived route to the term that the library takes as the
     Frechet derivative of the propagation; valid for this generator at
     alignment 1 with emission rate g > 0 at omega1 (it divides by g and
-    g^2).  diff is rate_derivative across the splitting.
+    g^2).  diff is rate_quotients across the splitting.
 
     The correction obeys the degenerate equation driven by the source
     M1 . Pi(t), whose components split into constant, slow (e^{-g t}),
@@ -223,7 +230,7 @@ def first_order_closed_form(
     fast are those two decay factors at t.
     """
     a, b, c, d = init
-    dgp, dgm = diff.gamma_plus, diff.gamma_minus
+    dgp, dgm = diff
     big_a = 1.0 + x
     big_b = 1.0 + 2.0 * x
     p1 = (2.0 * a + b - 1.0) / 2.0

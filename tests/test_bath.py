@@ -9,7 +9,6 @@ from coherence_engine.bath import (
     ALIGNED_TOL,
     BathSpec,
     flat_rate,
-    rate_derivative,
     rates_at,
     tabulated_rate,
 )
@@ -143,24 +142,3 @@ def test_cross_rates_pattern():
     np.testing.assert_allclose(gamma_plus, expected_plus, atol=1e-15)
     np.testing.assert_allclose(gamma_minus, expected_minus, atol=1e-15)
 
-
-def test_rate_derivative_flat_profile():
-    bath = BathSpec(beta=1.0)
-    diff = rate_derivative(bath, 1.0, 0.01)
-    assert diff.gamma_plus == 0.0
-    assert diff.gamma_minus == pytest.approx(-0.3660461599919007, abs=1e-15)
-    with pytest.raises(ValueError):
-        rate_derivative(bath, 1.0, 0.0)
-
-
-def test_rate_derivative_tabulated_profile():
-    bath = BathSpec(beta=1.0, rate_fn=tabulated_rate([(0.5, 1.0), (2.0, 2.5)]))
-    delta = 0.01
-    diff = rate_derivative(bath, 1.0, delta)
-    slope = (2.5 - 1.0) / 1.5
-    assert diff.gamma_plus == pytest.approx(slope, rel=1e-12)
-    pair_hi = rates_at(bath, 1.0 + delta)
-    pair_lo = rates_at(bath, 1.0)
-    assert diff.gamma_minus == pytest.approx(
-        (pair_hi.gamma_minus - pair_lo.gamma_minus) / delta, rel=1e-12
-    )

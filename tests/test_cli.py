@@ -371,6 +371,27 @@ def test_neardegen_check_outputs(tmp_path, capsys):
     assert summary["validity_limit_t"] == pytest.approx(0.3 / 0.005)
 
 
+def test_neardegen_check_warns_only_past_the_reported_limit(tmp_path, caplog):
+    """validity_limit_t is the warning's own limit: a grid ending on it is inside.
+
+    At omega = (1, 1.075), t * delta at the reported limit rounds to above
+    0.3, so a test on that product would warn there.
+    """
+    config = {"system": {"omega1": 1.0, "omega2": 1.075},
+              "neardegen": {"t_final": 1.0, "samples": 3},
+              "out": str(tmp_path / "nd")}
+    assert _run(tmp_path, "neardegen-check", config) == 0
+    limit = json.loads((tmp_path / "nd.json").read_text())["validity_limit_t"]
+    assert limit * (1.075 - 1.0) > 0.3
+    for t_final, warnings in ((limit, 0), (math.nextafter(limit, math.inf), 1)):
+        config["neardegen"]["t_final"] = t_final
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
+            assert _run(tmp_path, "neardegen-check", config) == 0
+        assert len(caplog.records) == warnings, t_final
+        assert json.loads((tmp_path / "nd.json").read_text())["validity_limit_t"] == limit
+
+
 def test_neardegen_check_without_emission_exits_3(tmp_path, capsys):
     """A split system whose bath emits nothing at omega1 has no correction."""
     config = {"system": {"omega1": 1.0, "omega2": 1.005},
@@ -402,15 +423,22 @@ def _strict_json(path):
 
 
 def test_every_written_json_file_is_strict_json(tmp_path):
-    """No NaN or +-Infinity in any output; at delta = 0 the limit is null."""
+    """No NaN or +-Infinity in any output; at delta = 0 the limit is null.
+
+    So is it at a subnormal splitting, where 0.3 / delta overflows.
+    """
     split = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.005}},
                           "split.json")
     degenerate = _write_config(tmp_path, {"system": {"omega1": 1.0, "omega2": 1.0}},
                                "degenerate.json")
     cases = [[command] for command in ("evolve", "steady", "protocol1", "protocol2",
                                        "figure-wfed")]
+    subnormal = _write_config(tmp_path, {"system": {"omega1": 1e-309,
+                                                    "omega2": 1e-309 + 1.5e-323}},
+                              "subnormal.json")
     cases += [["neardegen-check", "--config", split],
-              ["neardegen-check", "--config", degenerate]]
+              ["neardegen-check", "--config", degenerate],
+              ["neardegen-check", "--config", subnormal]]
     for k, args in enumerate(cases):
         out = tmp_path / f"run{k}"
         out.mkdir()
@@ -420,6 +448,8 @@ def test_every_written_json_file_is_strict_json(tmp_path):
     split_limit = _strict_json(tmp_path / "run5" / "out.json")["validity_limit_t"]
     assert split_limit == pytest.approx(0.3 / 0.005)
     assert _strict_json(tmp_path / "run6" / "out.json")["validity_limit_t"] is None
+    assert _strict_json(tmp_path / "run7" / "out.json")["delta"] == 1.5e-323
+    assert _strict_json(tmp_path / "run7" / "out.json")["validity_limit_t"] is None
 
 
 def test_neardegen_check_decomposes_once(tmp_path, monkeypatch):
@@ -447,8 +477,8 @@ def test_neardegen_check_decomposes_once(tmp_path, monkeypatch):
         np.testing.assert_allclose(numeric, single.as_array(), rtol=0.0, atol=1e-13)
 
 
-def test_neardegen_check_warns_once_per_route(tmp_path, caplog):
-    """One validity-window warning per route; perturbative columns unchanged."""
+def test_neardegen_check_warns_once(tmp_path, caplog):
+    """One validity-window warning per run; perturbative columns unchanged."""
     config = {
         "system": {"omega1": 1.0, "omega2": 1.005},
         "neardegen": {"t_final": 100.0, "samples": 101},
@@ -457,7 +487,7 @@ def test_neardegen_check_warns_once_per_route(tmp_path, caplog):
     }
     with caplog.at_level(logging.WARNING, logger="coherence_engine.neardegen"):
         assert _run(tmp_path, "neardegen-check", config) == 0
-    assert sum("validity window" in r.message for r in caplog.records) == 2
+    assert ["validity window" in r.message for r in caplog.records] == [True]
     rows = [[float(v) for v in line.split(",")]
             for line in _read_lines(tmp_path / "nd.csv")[3:]]
     assert len(rows) == 101
@@ -483,7 +513,7 @@ def test_neardegen_check_reports_its_largest_deviation(tmp_path):
 
 
 def test_log_level_env_sets_what_reaches_stderr(tmp_path):
-    """error silences the window warnings; warn writes one formatted line per route.
+    """error silences the window warning; warn writes it as one formatted line.
 
     A subprocess, because in-process logging.basicConfig does nothing once a
     handler is installed, as pytest's log capture does.  The last case
@@ -496,7 +526,7 @@ def test_log_level_env_sets_what_reaches_stderr(tmp_path):
                 "sys.exit(main(sys.argv[1:]))")
     host = "import logging, sys; logging.basicConfig(stream=sys.stderr); " + run_main
     prefix = "WARNING coherence_engine.neardegen: reduced dynamics used outside"
-    for code, level, count in ((run_main, "error", 0), (run_main, "warn", 2),
+    for code, level, count in ((run_main, "error", 0), (run_main, "warn", 1),
                                (host, "error", 0)):
         env = dict(os.environ, COHERENCE_ENGINE_LOG=level,
                    PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
@@ -627,8 +657,9 @@ def test_bad_values_exit_2(tmp_path, capsys):
                 {"evolve": {"samples": 2.5}}) == 2
     _config_error(capsys)
     bad_path = str(tmp_path / "missing.json")
-    assert main(["evolve", "--config", bad_path]) == 2
-    _config_error(capsys)
+    assert main(["evolve", "--config", bad_path, "--out", str(tmp_path / "m")]) == 2
+    assert "cannot read config file" in _config_error(capsys)
+    assert not list(tmp_path.glob("m*"))
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["evolve", "--config", str(broken)]) == 2
@@ -892,16 +923,19 @@ def test_runtime_value_error_exit_3(tmp_path, capsys, monkeypatch):
 def test_package_import_loads_no_scipy():
     """`import coherence_engine` loads no scipy, no numpy and no submodule.
 
-    Each public name is its home module's very object, resolved on first use.
+    Each public name is its home module's very object, resolved on first use,
+    and dir() lists every public name before any home module is imported.
     """
     # The tests import these themselves, so only a fresh interpreter can tell.
-    code = ("import coherence_engine, sys; "
+    code = ("import coherence_engine as ce, sys; "
             "print([m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'numpy', 'coherence_engine')])")
+            "('scipy', 'numpy', 'coherence_engine')]); "
+            "print(set(ce.__all__) <= set(dir(ce))); "
+            "print(ce.BathSpec is sys.modules['coherence_engine.bath'].BathSpec)")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "['coherence_engine']", proc.stdout
+    assert proc.stdout.split() == ["['coherence_engine']", "True", "True"], proc.stdout
     # The test modules have imported every home module, and each such import
     # binds the module's names here: a tool that patches the names it finds in
     # vars(coherence_engine) finds them all.
@@ -915,7 +949,7 @@ def test_package_import_loads_no_scipy():
     names = {}
     exec("from coherence_engine import *", names)
     assert sorted(set(names) - {"__builtins__"}) == coherence_engine.__all__
-    assert len(coherence_engine.__all__) == 45
+    assert len(coherence_engine.__all__) == 44
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -951,6 +985,19 @@ def test_blas_thread_count_changes_no_output(tmp_path):
     assert len(written) == 5, written
     for name in written:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    """`python -m coherence_engine.cli` runs main and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "coherence_engine.cli", "steady"]
+    proc = subprocess.run(argv + ["--out", str(tmp_path / "s")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "state" in json.loads((tmp_path / "s.json").read_text())
+    proc = subprocess.run(argv + ["--beta", "-1"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from coherence_engine.bath import (
     BathSpec,
     flat_rate,
-    rate_derivative,
     rates_at,
     tabulated_rate,
 )
@@ -32,7 +31,12 @@ from coherence_engine.neardegen import (
 )
 from coherence_engine.numerics import _decomposition, exp_modes, integrate_ode
 from coherence_engine.thermo import HamiltonianSpec, gibbs
-from reference import first_order_closed_form, gksl_rhs_matrix, nonsecular_rhs_matrix
+from reference import (
+    first_order_closed_form,
+    gksl_rhs_matrix,
+    nonsecular_rhs_matrix,
+    rate_quotients,
+)
 
 RAMP = tabulated_rate(((0.2, 0.8), (1.5, 1.3), (3.0, 1.1)))
 
@@ -91,8 +95,7 @@ def test_generator_is_degenerate_part_plus_splitting_slope():
     p = bath.alignment
     near = neardegenerate_generator(system, bath)
     flat = coherence_generator(DegenerateSystem(system.omega1), bath)
-    diff = rate_derivative(bath, system.omega1, delta)
-    dgp, dgm = diff.gamma_plus, diff.gamma_minus
+    dgp, dgm = rate_quotients(bath, system.omega1, delta)
     slope = np.array(
         [
             [-dgp, dgm, 0.0, 0.0],
@@ -327,7 +330,7 @@ def test_first_order_matches_closed_form_reference(subspace_sampler):
         x = math.exp(-bath.beta * omega)
         slow, fast = exp_modes(-g, times), exp_modes(-2.0 * (1.0 + x) * g, times)
         reference = first_order_closed_form(
-            times, slow, fast, init, x, g, rate_derivative(bath, omega, system.delta)
+            times, slow, fast, init, x, g, rate_quotients(bath, omega, system.delta)
         ).T
         zeroth = _perturbative_series(init, NearDegenerateSystem(omega, omega), bath, times)
         first = (_perturbative_series(init, system, bath, times) - zeroth) / system.delta
@@ -341,6 +344,9 @@ def test_splitting_correction_needs_emission_at_omega1():
     dark = BathSpec(beta=1.0, rate_fn=flat_rate(0.0), alignment=1.0)
     with pytest.raises(ValueError, match="emission rate"):
         perturbative_solution(init, NearDegenerateSystem(1.0, 1.005), dark, 1.0)
+    # without a splitting there is no correction to make: the state stays put
+    flat = perturbative_solution(init, NearDegenerateSystem(1.0, 1.0), dark, 1.0)
+    assert flat.as_array().tolist() == list(init)
 
 
 def test_perturbative_zero_splitting_is_closed_form():

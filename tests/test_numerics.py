@@ -179,6 +179,9 @@ def test_propagate_affine_rows_do_not_alias_the_cache(rng):
 def test_integrate_1d_basic():
     assert integrate_1d(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert integrate_1d(lambda x: x * x, 2.0, 2.0) == 0.0
+    # an empty interval is 0 even at an infinite limit or an overflowing integrand
+    for a in (math.inf, -math.inf, 1e308):
+        assert integrate_1d(math.exp, a, a) == 0.0
     assert integrate_1d(lambda x: x, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
     assert integrate_1d(math.exp, 3.0, -1.0) == pytest.approx(
         math.exp(-1.0) - math.exp(3.0), abs=1e-12

@@ -71,6 +71,10 @@ def test_ledger_accumulation():
     ledger = ProtocolLedger(["noop", "noop"], [0.2, 0.0], [0.0, 0.7], chain)
     assert ledger.net_work == pytest.approx(0.5)
     assert np.shares_memory(ledger.final_state.matrix, ledger.chain[-1])
+    # a chain given as nested lists of real numbers is stored as a complex stack
+    listed = ProtocolLedger(["noop"], [0.0], [0.0], [ground.real.tolist()] * 2)
+    assert listed.chain.dtype == complex
+    assert listed.chain.tobytes() == np.stack([ground] * 2).tobytes()
 
 
 def test_general_initial_state_roundtrip(rng):
@@ -293,6 +297,8 @@ def test_run_protocol1_exhausted_inputs():
     # the ledger holds the input alone, so its final state is the input
     assert ledger.chain.shape == (1, 3, 3)
     assert ledger.final_state.matrix.tobytes() == thermal.matrix.tobytes()
+    # no positive-work shift exists, so even a zero floor books no round
+    assert run_protocol1(thermal, omega, beta, BATH, shift_floor=0.0)[1] == []
     half = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
     ledger, rounds = run_protocol1(half, omega, beta, BATH)
     assert rounds == []
@@ -356,6 +362,32 @@ def _assert_matches_decimal_model(ledger, rounds, beta, omega, max_rounds=64):
     for r, shift in zip(rounds, shifts):
         assert r.shift == pytest.approx(float(shift), rel=1e-12, abs=0.0)
     assert ledger.net_work == pytest.approx(float(work), rel=1e-12, abs=0.0)
+
+
+def test_round_shifts_take_a_few_newton_steps(monkeypatch):
+    """Each later round's shift is Newton's root in a few steps, not a bisection.
+
+    A converged step returns at once; the bracket only catches a step
+    that leaves it.  A bisection to the same tolerance takes ~50 steps.
+    """
+    calls = {"shifts": 0, "steps": 0}
+
+    def counted(name, key):
+        inner = getattr(protocols, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(protocols, name, wrapper)
+
+    counted("_optimal_shift", "shifts")
+    counted("_stationarity", "steps")
+    for beta, omega in ((1.0, 1.0), (0.2, 0.5), (3.0, 3.0), (40.0, 1.0)):
+        bath = BathSpec(beta=beta, alignment=1.0)
+        run_protocol1(protocol_initial_state(beta, omega), omega, beta, bath)
+    assert calls["shifts"] >= 30
+    assert calls["steps"] <= 5 * calls["shifts"]
 
 
 def test_run_protocol1_agrees_with_a_50_digit_model():
@@ -541,6 +573,10 @@ def test_quasistatic_work_values():
     ) / 0.8
     assert both == pytest.approx(expected, abs=1e-15)
     assert quasistatic_work(1.0, math.inf, math.inf, 1.0) == 0.0
+    # a sweep that does not move does no work, where the partition-function
+    # difference would be inf - inf
+    assert quasistatic_work(1.0, -math.inf, -math.inf, 0.0) == 0.0
+    assert quasistatic_work(1.0, 2.0, 2.0, -math.inf) == 0.0
     with pytest.raises(ValueError):
         quasistatic_work(0.0, 2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
