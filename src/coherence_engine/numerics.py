@@ -39,10 +39,11 @@ _INV_E = math.exp(-1.0)
 def lambert_w_principal(z: float) -> float:
     """Principal branch W_p of the Lambert W function, w * exp(w) = z.
 
-    Valid for z >= -1/e, returning the branch with w >= -1.  Uses a
-    Halley iteration seeded by a branch-point series near z = -1/e and
-    by log-based asymptotics for large z, for at most 100 steps.  The
-    result satisfies |w e^w - z| <= 1e-14 * max(1, |z|).
+    Valid for z >= -1/e, returning the branch with w >= -1.  Halley steps,
+    seeded by a branch-point series near z = -1/e and by log-based
+    asymptotics for large z, stop after one below 1e-8 relative (the error
+    after it is of the order of its cube), or after 100.  The result
+    satisfies |w e^w - z| <= 1e-14 * max(1, |z|).
     """
     z = float(z)
     if not math.isfinite(z):
@@ -69,12 +70,12 @@ def lambert_w_principal(z: float) -> float:
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - z
-        if abs(f) <= 1e-15 * max(1.0, abs(z)):
-            break
         wp1 = w + 1.0
         # Halley step; the denominator is safe away from the branch point.
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w -= f / denom
+        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):
+            break
 
     residual = abs(w * math.exp(w) - z)
     if residual > 1e-14 * max(1.0, abs(z)):

@@ -24,15 +24,16 @@ measured in units of the reference transition frequency times hbar, so
 The repeated protocol runs as a scalar recurrence in x = e^{-beta omega}
 and u = e^{-beta shift}: after round 1 the pre-lift population is
 x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
-keeps its digits where x is far below machine epsilon.  Every round's
-states follow from closed forms in one stacked pass and are checked in
-another.  A ledger is its columns: the labels, the works, one read-only
-stack of the first state and then every step's state, and the stack's
-l1 coherences from one pass.
+keeps its digits where x is far below machine epsilon.  Each round's
+states are written once, from closed forms, into the ledger's chain,
+and its rotated and final rows are checked in one pass.  A ledger is its
+columns: the labels, the works, one read-only stack of the first state
+and then every step's state, and the stack's l1 coherences.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -211,6 +212,8 @@ ROUND_ROTATION = np.array(
     ],
     dtype=complex,
 )
+ROUND_ROTATION.setflags(write=False)
+_ROUND_ROTATION_ADJ = ROUND_ROTATION.conj().T
 
 
 def _require_bath(bath: BathSpec, beta: float) -> None:
@@ -232,30 +235,35 @@ def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
     return steady_state(system, bath, (0.0, 1.0, 0.0, 0.0))
 
 
-def _round_states(x: float, beta_shifts: np.ndarray, emits: bool):
-    """(rounds, 3, 3) stacks of the thermal and final states, u = e^{-beta_shifts}.
+def _round_states(x: float, beta_shifts: np.ndarray, emits: bool, rounds: np.ndarray) -> None:
+    """Write each round's steps 2 and 4 into rounds, a zeroed (n, 5, 3, 3) view.
 
-    The thermal state is diag(xu, x, 1)/Z with the recurrence's Z = 1 + x + xu,
-    not thermo._gibbs_weights' 1 + (x + xu): the partition column and the
-    next (q, r) read this Z.  The final state
-    is dynamics._aligned_vector's fixed point from ground population 1/Z,
-    written in x and u so that nothing cancels at low temperature; without
-    emission the bath leaves the thermal state as it is.
+    Step 2 is the thermal state diag(xu, x, 1)/Z, u = e^{-beta_shifts}, with
+    the recurrence's Z = 1 + x + xu, not thermo._gibbs_weights' 1 + (x + xu):
+    the partition column and the next (q, r) read this Z.  Step 4 is the final
+    state, dynamics._aligned_vector's fixed point from ground population 1/Z,
+    in x and u so that nothing cancels at low temperature; without emission
+    the bath leaves the thermal state as it is.
     """
     u = np.exp(-beta_shifts)
     z = 1.0 + x + x * u
-    thermal = np.zeros((u.size, 3, 3), dtype=complex)
+    thermal, final = rounds[:, 2], rounds[:, 4]
     thermal[:, 0, 0] = x * u / z
     thermal[:, 1, 1] = x / z
     thermal[:, 2, 2] = 1.0 / z
     if not emits:
-        return thermal, thermal
+        final[...] = thermal
+        return
     big_a = 1.0 + x
-    final = np.zeros_like(thermal)
     final[:, 0, 0] = final[:, 1, 1] = x * (2.0 + (1.0 + u) / z) / (4.0 * big_a)
     final[:, 2, 2] = (1.0 + 1.0 / z) / (2.0 * big_a)
     final[:, 0, 1] = final[:, 1, 0] = -x * np.expm1(-beta_shifts) / (4.0 * big_a * z)
-    return thermal, final
+
+
+@functools.lru_cache(maxsize=64)
+def _round_labels(n: int) -> Tuple[str, ...]:
+    """The ledger labels of n protocol-1 rounds, five steps each."""
+    return tuple(f"round {k}: {step}" for k in range(1, n + 1) for step in _ROUND_STEPS)
 
 
 def optimal_shift_round1(beta: float, omega: float) -> float:
@@ -382,20 +390,22 @@ def run_protocol1(
         return ProtocolLedger((), (), (), m[None]), []
     shifts, lifted, partitions = zip(*rounds)
 
-    thermal, final = _round_states(x, beta * np.array(shifts), emits)
-    inputs = np.concatenate((m[None], final[:-1]))
-    rotated = ROUND_ROTATION @ inputs @ ROUND_ROTATION.conj().T
+    n = len(shifts)
+    # the first state, then each round's five steps; a round rotates the row before it
+    chain = np.zeros((1 + 5 * n, 3, 3), dtype=complex)
+    chain[0] = m
+    steps = chain[1:].reshape(n, 5, 3, 3)
+    _round_states(x, beta * np.array(shifts), emits, steps)
+    np.matmul(ROUND_ROTATION @ chain[:-1:5], _ROUND_ROTATION_ADJ, out=steps[:, 0])
+    # the lift and the extract move no state
+    steps[:, 1], steps[:, 3] = steps[:, 0], steps[:, 2]
     # one row per round, one column per step: the lift pays, the extract earns
-    work_in, work_out = np.zeros((len(shifts), 5)), np.zeros((len(shifts), 5))
+    work_in, work_out = np.zeros((n, 5)), np.zeros((n, 5))
     work_in[:, 1] = np.array(shifts) * lifted
-    work_out[:, 3] = np.array(shifts) * thermal[:, 0, 0].real
-    states = np.stack((rotated, rotated, thermal, thermal, final), axis=1)
+    work_out[:, 3] = np.array(shifts) * steps[:, 2, 0, 0].real
     # each round's rotated and final states; initial.validate() checked the input
-    _validate_all(states[:, ::4].reshape(-1, 3, 3))
-    labels = [f"round {k}: {step}" for k in range(1, len(shifts) + 1)
-              for step in _ROUND_STEPS]
-    ledger = ProtocolLedger(labels, work_in.ravel(), work_out.ravel(),
-                            np.concatenate((m[None], states.reshape(-1, 3, 3))))
+    _validate_all(steps[:, ::4].reshape(-1, 3, 3))
+    ledger = ProtocolLedger(_round_labels(n), work_in.ravel(), work_out.ravel(), chain)
     # each round's coherence_after is that of its rebuild-coherence state
     coherences = ledger.coherences[5::5].tolist()
     return ledger, [

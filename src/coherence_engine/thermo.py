@@ -81,13 +81,18 @@ def eigen_subspace(rho: DensityMatrix) -> Tuple[float, float, float]:
     return lam0, lam_plus, lam_minus
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr(rho ln rho) in nats, with 0 * ln 0 taken as 0."""
+def _entropy(spectrum) -> float:
+    """-sum lam ln lam over a spectrum, in the order given, with 0 ln 0 taken as 0."""
     entropy = 0.0
-    for lam in _hermitian_eigenvalues(rho.matrix):
+    for lam in spectrum:
         if lam > _ENTROPY_CLAMP:
             entropy -= lam * math.log(lam)
     return entropy
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-Tr(rho ln rho) in nats, with 0 * ln 0 taken as 0."""
+    return _entropy(_hermitian_eigenvalues(rho.matrix))
 
 
 def free_energy(rho: DensityMatrix, hamiltonian: HamiltonianSpec, beta: float) -> float:
@@ -112,10 +117,14 @@ def _gibbs_weights(w2, w1) -> Tuple:
 
 
 def fed(rho: DensityMatrix, hamiltonian: HamiltonianSpec, beta: float) -> float:
-    """Free energy difference F(rho) - F(gibbs); the extractable-work bound."""
-    return free_energy(rho, hamiltonian, beta) - free_energy(
-        gibbs(hamiltonian, beta), hamiltonian, beta
-    )
+    """Free energy difference F(rho) - F(gibbs); the extractable-work bound.
+
+    F(gibbs) is summed from the Gibbs weights, its spectrum, as free_energy sums it.
+    """
+    e2, e1 = hamiltonian.e2, hamiltonian.e1
+    p2, p1, p0 = weights = _gibbs_weights(math.exp(-beta * e2), math.exp(-beta * e1))
+    gibbs_free = (p2 * e2 + p1 * e1) + p0 * 0.0 - _entropy(sorted(weights)) / beta
+    return free_energy(rho, hamiltonian, beta) - gibbs_free
 
 
 def fed_subspace(rho: DensityMatrix, omega: float, beta: float) -> float:
@@ -130,11 +139,7 @@ def fed_subspace(rho: DensityMatrix, omega: float, beta: float) -> float:
     m = rho.matrix
     excited = float(m[0, 0].real + m[1, 1].real)
     z = 1.0 + 2.0 * math.exp(-beta * omega)
-    lam_sum = 0.0
-    for lam in spectrum:
-        if lam > _ENTROPY_CLAMP:
-            lam_sum += lam * math.log(lam)
-    return omega * excited + (lam_sum + math.log(z)) / beta
+    return omega * excited + (math.log(z) - _entropy(spectrum)) / beta
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -118,8 +118,12 @@ def maximize_scalar(
 
 
 def _lambert_w_decimal(a: Decimal) -> Decimal:
-    """Principal Lambert W of 0 <= a <= 1/e, by Newton steps at the context's digits."""
-    w = a
+    """Principal Lambert W of a >= 0, by Newton steps at the context's digits.
+
+    Newton starts above the root, at a (or at ln a past a = e), so the
+    steps on the convex w e^w fall monotonically onto it.
+    """
+    w = a if a <= Decimal(1).exp() else a.ln()
     for _ in range(200):
         ew = w.exp()
         step = (w * ew - a) / (ew * (w + 1))

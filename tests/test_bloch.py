@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from coherence_engine.bloch import (
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
     PhysicalityError,
-    _defects,
     _hermitian_eigenvalues,
     _validate_all,
 )
@@ -111,16 +112,42 @@ def test_validate_all_stacked_defects_match_one_at_a_time(random_density):
     stack[3, 1, 1] = -0.0
     stack[4, 0, 1] += 1e-3
     stack[5, 2, 2] += 1e-11
-    herm, trace = _defects(stack)
-    assert repr(herm.tolist()) == repr(
-        [float(np.abs(m - m.conj().T).max()) for m in stack]
-    )
-    assert repr(trace.tolist()) == repr([float(abs(m.trace() - 1.0)) for m in stack])
-    for m, h, t in zip(stack, herm, trace):
-        assert repr(tuple(map(float, _defects(m)))) == repr((float(h), float(t)))
-    spectra = _hermitian_eigenvalues(stack)
+    # what _validate_all computes: one adjoint for the defects and the
+    # Hermitian part, each check reduced to its stack maximum (minimum)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    herm = np.abs(stack - adjoint).max()
+    trace = abs(stack.trace(axis1=-2, axis2=-1) - 1.0).max()
+    spectra = np.linalg.eigvalsh(0.5 * (stack + adjoint))
+    # validate()'s defects and eigenvalues, one matrix at a time
+    assert repr(float(herm)) == repr(max(float(np.abs(m - m.conj().T).max()) for m in stack))
+    assert repr(float(trace)) == repr(max(float(abs(m.trace() - 1.0)) for m in stack))
     for m, spectrum in zip(stack, spectra):
         assert repr(_hermitian_eigenvalues(m).tolist()) == repr(spectrum.tolist())
+    assert repr(float(spectra[:, 0].min())) == repr(
+        min(DensityMatrix(m).min_eigenvalue() for m in stack)
+    )
+
+
+def test_validate_and_validate_all_agree_at_the_tolerance_edges():
+    def verdict(check):
+        try:
+            check()
+            return "ok"
+        except PhysicalityError as error:
+            return str(error)
+
+    edges = []
+    for defect in (HERMITICITY_TOL, np.nextafter(HERMITICITY_TOL, 1.0)):
+        m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        m[0, 1] = defect
+        edges.append(m)
+    for k in range(8, 13):
+        edges.append(np.diag([0.5, 0.5, k * TRACE_TOL / 10]).astype(complex))
+    verdicts = [verdict(DensityMatrix(m).validate) for m in edges]
+    assert verdicts[:2] == ["ok", "not Hermitian (defect 1.000e-12)"]
+    assert "ok" in verdicts[2:] and any("trace" in v for v in verdicts[2:])
+    for m, expected in zip(edges, verdicts):
+        assert verdict(lambda: _validate_all(m[None])) == expected
 
 
 def test_matrix_is_readonly():

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import block_diag, expm
 
+from coherence_engine import numerics
 from coherence_engine.numerics import (
     NumericsError,
     _decomposition,
@@ -14,7 +16,7 @@ from coherence_engine.numerics import (
     propagate_affine,
 )
 from coherence_engine.protocols import _sweep_model
-from reference import maximize_scalar
+from reference import _lambert_w_decimal, maximize_scalar
 
 
 def test_lambert_trivial_points():
@@ -46,6 +48,39 @@ def test_lambert_residual_grid():
         w = lambert_w_principal(float(z))
         assert w >= -1.0
         assert abs(w * math.exp(w) - z) <= 1e-14 * max(1.0, abs(z))
+
+
+def test_lambert_keeps_its_relative_digits():
+    # the stop rule is a relative step, so W is within 1 ulp of a 50-digit
+    # Newton at small z too
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for z in np.geomspace(1e-8, 1e6, 230).tolist() + [1.3621602035512732e-4]:
+            exact = float(_lambert_w_decimal(Decimal(z)))
+            assert abs(lambert_w_principal(z) - exact) <= math.ulp(exact), z
+
+
+def test_lambert_stops_one_step_after_convergence(monkeypatch):
+    # Halley's error after a step is of the order of the step's cube, so the
+    # iteration stops after at most 4 steps here: one exp per step, one for
+    # the residual check
+    class CountingMath:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            CountingMath.calls += 1
+            return math.exp(x)
+
+    monkeypatch.setattr(numerics, "math", CountingMath())
+    counts = []
+    for z in np.geomspace(1e-8, 1e6, 230).tolist() + [-0.3, -0.1, 1e-300]:
+        CountingMath.calls = 0
+        lambert_w_principal(z)
+        counts.append(CountingMath.calls)
+    assert max(counts) <= 5 and min(counts) >= 2
 
 
 def test_maximize_parabola():

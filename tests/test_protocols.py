@@ -163,6 +163,9 @@ def test_round_rotation_sorts_superpositions():
     antisymmetric = np.array([s, -s, 0.0])
     np.testing.assert_allclose(ROUND_ROTATION @ symmetric, [0, 1, 0], atol=1e-15)
     np.testing.assert_allclose(ROUND_ROTATION @ antisymmetric, [1, 0, 0], atol=1e-15)
+    # run_protocol1 rotates by an adjoint taken from it once, at import
+    with pytest.raises(ValueError):
+        ROUND_ROTATION[0, 0] = 1.0
 
 
 def test_protocol1_first_round_ledger():
@@ -420,6 +423,9 @@ def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
         assert len(ledger.labels) == len(expected)
         for after, want in zip(ledger.chain[1:], expected):
             np.testing.assert_allclose(after, want.matrix, rtol=0.0, atol=1e-15)
+        # the lift and the extract move no state: each repeats the row before it
+        assert ledger.chain[1::5].tobytes() == ledger.chain[2::5].tobytes()
+        assert ledger.chain[3::5].tobytes() == ledger.chain[4::5].tobytes()
         if gamma == 0.0:
             for thermal, final in zip(ledger.chain[4::5], ledger.chain[5::5]):
                 assert np.array_equal(final, thermal)
@@ -514,13 +520,13 @@ def test_run_protocol1_raises_first_unphysical_state(monkeypatch, where):
     injected = []
     real_round_states = protocols._round_states
 
-    def round_states(*args):
-        thermal, final = real_round_states(*args)
-        final = final.copy()
+    def round_states(x, beta_shifts, emits, rounds):
+        real_round_states(x, beta_shifts, emits, rounds)
+        # step 4 of each round holds its final state
         for index, value in inject.items():
-            final[index - 1] = _with_negative_eigenvalue(final[index - 1], value)
-            injected.append(DensityMatrix(final[index - 1]))
-        return thermal, final
+            final = _with_negative_eigenvalue(rounds[index - 1, 4], value)
+            rounds[index - 1, 4] = final
+            injected.append(DensityMatrix(final))
 
     monkeypatch.setattr(protocols, "_round_states", round_states)
     with pytest.raises(PhysicalityError) as raised:

@@ -127,6 +127,22 @@ def test_fed_nonnegative_and_consistent(subspace_sampler):
         assert value == pytest.approx(direct, abs=1e-14)
 
 
+def test_fed_is_the_free_energy_difference_bit_for_bit(random_density):
+    # fed takes F(gibbs) from the Gibbs weights; it must equal the difference
+    # of the two free energies exactly, over temperatures from 1e-3 to 1e3,
+    # degenerate, split and zero energies, and general states
+    states = [DensityMatrix(random_density()) for _ in range(6)]
+    states += [DensityMatrix.ground(), DensityMatrix(np.eye(3) / 3.0)]
+    energies = [(0.0, 0.0), (1.0, 1.0), (0.3, 2.5), (2.5, 0.3), (0.0, 1.7),
+                (1e-9, 5.0), (40.0, 0.01), (0.5, 0.5 + 1e-12)]
+    for beta in np.logspace(-3.0, 3.0, 13).tolist():
+        for e2, e1 in energies:
+            ham = HamiltonianSpec(e2, e1)
+            gibbs_free = free_energy(gibbs(ham, beta), ham, beta)
+            for rho in states:
+                assert fed(rho, ham, beta) == free_energy(rho, ham, beta) - gibbs_free
+
+
 def test_fed_subspace_agrees_with_general_route(subspace_sampler):
     for _ in range(30):
         a, b, c, d = subspace_sampler()
