@@ -25,10 +25,11 @@ The repeated protocol runs as a scalar recurrence in x = e^{-beta omega}
 and u = e^{-beta shift}: after round 1 the pre-lift population is
 x(1 + u)/(2Z), Z = 1 + x + xu, never read from a matrix, so the series
 keeps its digits where x is far below machine epsilon.  Each round's
-states are written once, from closed forms, into the ledger's chain,
-and its rotated and final rows are checked in one pass.  A ledger is its
-columns: the labels, the works, one read-only stack of the first state
-and then every step's state, and the stack's l1 coherences.
+u, 1 - u and Z are computed there once; its states, written from closed
+forms into one chain, its works and its series entry all read them, and
+the input and every rotated and final row are checked in one pass.  A
+ledger is its columns: the labels, the works, one read-only stack of
+the first state and then every step's state, and their l1 coherences.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bath import BathSpec, rates_at
-from .bloch import DensityMatrix, _validate_all
+from .bloch import DensityMatrix, _require_hermitian_unit_trace, _validate_all
 from .dynamics import DegenerateSystem, steady_state
 from .numerics import integrate_1d, lambert_w_principal
 from .thermo import SUBSPACE_TOL, _gibbs_weights, _l1_coherences
@@ -59,9 +60,10 @@ class ProtocolLedger:
     each, as read-only float arrays.  chain stacks the first state and
     then the state after every step, (steps + 1, 3, 3), so a ledger
     without steps holds its first state alone.  The constructor checks
-    the works (each >= 0, so NaN fails), marks chain read-only and takes
-    the l1 coherence of every row in one pass: step k's coherence is
-    coherences[k] before it and coherences[k + 1] after it.
+    the works (each >= 0, so NaN fails), keeps a read-only copy of chain
+    (the caller's array stays as it was) and takes the l1 coherence of
+    every row in one pass: step k's coherence is coherences[k] before it
+    and coherences[k + 1] after it.
     """
 
     def __init__(
@@ -79,7 +81,7 @@ class ProtocolLedger:
             raise ValueError("work entries must be numbers")
         if not (works >= 0.0).all():
             raise ValueError("work entries must be non-negative")
-        chain = np.asarray(chain, dtype=complex)
+        chain = np.array(chain, dtype=complex)
         if chain.shape != (n + 1, 3, 3):
             raise ValueError(f"state chain must have shape ({n + 1}, 3, 3)")
         chain.setflags(write=False)
@@ -235,29 +237,34 @@ def protocol_initial_state(beta: float, omega: float) -> DensityMatrix:
     return steady_state(system, bath, (0.0, 1.0, 0.0, 0.0))
 
 
-def _round_states(x: float, beta_shifts: np.ndarray, emits: bool, rounds: np.ndarray) -> None:
+def _round_states(x: float, u: Sequence[float], e: Sequence[float], z: Sequence[float],
+                  emits: bool, rounds: np.ndarray) -> None:
     """Write each round's steps 2 and 4 into rounds, a zeroed (n, 5, 3, 3) view.
 
-    Step 2 is the thermal state diag(xu, x, 1)/Z, u = e^{-beta_shifts}, with
-    the recurrence's Z = 1 + x + xu, not thermo._gibbs_weights' 1 + (x + xu):
-    the partition column and the next (q, r) read this Z.  Step 4 is the final
-    state, dynamics._aligned_vector's fixed point from ground population 1/Z,
-    in x and u so that nothing cancels at low temperature; without emission
-    the bath leaves the thermal state as it is.
+    u = e^{-beta shift}, e = 1 - u and Z = 1 + x + xu are the recurrence's own
+    values, one per round, so the rows share their bits with the works, the
+    partition column and the next (q, r); nothing here takes an exponential.
+    Step 2 is the thermal state diag(xu, x, 1)/Z.  Step 4 is the final state,
+    dynamics._aligned_vector's fixed point from ground population 1/Z, in x and
+    u so that nothing cancels at low temperature; without emission the bath
+    leaves the thermal state as it is.  The entries go in through strided
+    views of each round's 45 entries, in which a diagonal is every fourth.
     """
-    u = np.exp(-beta_shifts)
-    z = 1.0 + x + x * u
-    thermal, final = rounds[:, 2], rounds[:, 4]
-    thermal[:, 0, 0] = x * u / z
-    thermal[:, 1, 1] = x / z
-    thermal[:, 2, 2] = 1.0 / z
+    flat = rounds.reshape(len(z), 45).real
+    c2, c4 = 2.0 * (1.0 + x), 4.0 * (1.0 + x)
+    # per round: the thermal diagonal, then the final excited, ground and coherence entries
+    table = np.array([
+        (x * u_k / z_k, x / z_k, 1.0 / z_k,
+         x * (2.0 + (1.0 + u_k) / z_k) / c4, (1.0 + 1.0 / z_k) / c2, x * e_k / (c4 * z_k))
+        for u_k, e_k, z_k in zip(u, e, z)
+    ]).reshape(len(z), 6)
+    flat[:, 18:27:4] = table[:, :3]
     if not emits:
-        final[...] = thermal
+        rounds[:, 4] = rounds[:, 2]
         return
-    big_a = 1.0 + x
-    final[:, 0, 0] = final[:, 1, 1] = x * (2.0 + (1.0 + u) / z) / (4.0 * big_a)
-    final[:, 2, 2] = (1.0 + 1.0 / z) / (2.0 * big_a)
-    final[:, 0, 1] = final[:, 1, 0] = -x * np.expm1(-beta_shifts) / (4.0 * big_a * z)
+    flat[:, 36:41:4] = table[:, 3:4]
+    flat[:, 44] = table[:, 4]
+    flat[:, 37:40:2] = table[:, 5:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -349,9 +356,9 @@ def run_protocol1(
     from a matrix.  The driver stops before a round whose optimal shift
     falls below the floor, when no positive-work shift exists, when the
     population underflows to 0, or after max_rounds rounds.  The states
-    follow in one stacked pass and are checked together in the order the
-    rounds made them, so a failure raises the first unphysical state's
-    error.
+    follow in one stacked pass and are checked together with the input,
+    in ledger order, so a failure raises the first unphysical state's
+    error; the input is checked finite, Hermitian and unit-trace first.
     """
     if isinstance(max_rounds, bool) or not isinstance(max_rounds, int):
         raise ValueError("max_rounds must be an integer")
@@ -360,10 +367,10 @@ def run_protocol1(
     if not (math.isfinite(shift_floor) and shift_floor >= 0.0):
         raise ValueError("shift floor must be finite and non-negative")
     _require_bath(bath, beta)
-    initial.validate()
+    m = initial.matrix
+    _require_hermitian_unit_trace(m)  # its positivity is checked with the rounds' rows
     emits = rates_at(bath, omega).gamma_plus > 0.0
     x = math.exp(-beta * omega)
-    m = initial.matrix
     population = float(
         (0.5 * (m[0, 0] + m[1, 1]) - 0.5 * (m[0, 1] + m[1, 0])).real
     )
@@ -379,39 +386,39 @@ def run_protocol1(
         shift = _optimal_shift(q, r, x, beta, omega)
         if shift is None or shift < shift_floor:
             break
-        u = math.exp(-beta * shift)
-        z = 1.0 + x + x * u  # the same Z as _round_states', not _gibbs_weights'
-        rounds.append((shift, population, z))
-        q, r = (1.0 + u) / (2.0 * z), -math.expm1(-beta * shift) / (2.0 * z)
+        u, e = math.exp(-beta * shift), -math.expm1(-beta * shift)
+        z = 1.0 + x + x * u  # the partition column's Z, not _gibbs_weights' 1 + (x + xu)
+        rounds.append((shift, population, u, e, z))
+        q, r = (1.0 + u) / (2.0 * z), e / (2.0 * z)
         population = x * q
         if population <= 0.0:
             break
-    if not rounds:
-        return ProtocolLedger((), (), (), m[None]), []
-    shifts, lifted, partitions = zip(*rounds)
+    n = len(rounds)
+    shifts, lifted, u, e, z = zip(*rounds) if rounds else ((),) * 5
 
-    n = len(shifts)
-    # the first state, then each round's five steps; a round rotates the row before it
-    chain = np.zeros((1 + 5 * n, 3, 3), dtype=complex)
+    # the first state, then each round's five steps, padded to whole rounds;
+    # a round rotates the row before it
+    chain = np.zeros((5 * n + 5, 3, 3), dtype=complex)
     chain[0] = m
-    steps = chain[1:].reshape(n, 5, 3, 3)
-    _round_states(x, beta * np.array(shifts), emits, steps)
-    np.matmul(ROUND_ROTATION @ chain[:-1:5], _ROUND_ROTATION_ADJ, out=steps[:, 0])
+    steps = chain[1:5 * n + 1].reshape(n, 5, 3, 3)
+    _round_states(x, u, e, z, emits, steps)
+    np.matmul(ROUND_ROTATION @ chain[:5 * n:5], _ROUND_ROTATION_ADJ, out=steps[:, 0])
     # the lift and the extract move no state
-    steps[:, 1], steps[:, 3] = steps[:, 0], steps[:, 2]
+    steps[:, 1::2] = steps[:, :4:2]
     # one row per round, one column per step: the lift pays, the extract earns
-    work_in, work_out = np.zeros((n, 5)), np.zeros((n, 5))
-    work_in[:, 1] = np.array(shifts) * lifted
-    work_out[:, 3] = np.array(shifts) * steps[:, 2, 0, 0].real
-    # each round's rotated and final states; initial.validate() checked the input
-    _validate_all(steps[:, ::4].reshape(-1, 3, 3))
-    ledger = ProtocolLedger(_round_labels(n), work_in.ravel(), work_out.ravel(), chain)
+    works = np.zeros((2, n, 5))
+    works[0, :, 1] = np.multiply(shifts, lifted)
+    works[1, :, 3] = np.multiply(shifts, steps[:, 2, 0, 0].real)
+    # the input, then each round's rotated and final states (rows 5k and 5k + 1
+    # short of the padding), in ledger order
+    _validate_all(chain.reshape(n + 1, 5, 3, 3)[:, :2].reshape(-1, 3, 3)[:-1])
+    ledger = ProtocolLedger(_round_labels(n), *works.reshape(2, -1), chain[:5 * n + 1])
     # each round's coherence_after is that of its rebuild-coherence state
-    coherences = ledger.coherences[5::5].tolist()
     return ledger, [
-        RoundResult(k + 1, s, omega + s, partitions[k], w_in, w_out, coherences[k])
-        for k, (s, w_in, w_out) in enumerate(
-            zip(shifts, work_in[:, 1].tolist(), work_out[:, 3].tolist()))
+        RoundResult(k, s, omega + s, z_k, w_in, w_out, c)
+        for k, (s, z_k, w_in, w_out, c) in enumerate(zip(
+            shifts, z, works[0, :, 1].tolist(), works[1, :, 3].tolist(),
+            ledger.coherences[5::5].tolist()), 1)
     ]
 
 
@@ -573,6 +580,6 @@ def protocol2(
         ("sweep-to-common-level", max(-w_sweep_down, 0.0), max(w_sweep_down, 0.0)),
         ("sweep-to-physical-level", max(-w_sweep_up, 0.0), max(w_sweep_up, 0.0)),
     ]
-    chain = np.array([rho, diagonal, diagonal, diagonal, merged, final], dtype=complex)
     labels, work_in, work_out = zip(*steps)
-    return ProtocolLedger(labels, work_in, work_out, chain)
+    return ProtocolLedger(
+        labels, work_in, work_out, [rho, diagonal, diagonal, diagonal, merged, final])

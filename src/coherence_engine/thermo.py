@@ -33,8 +33,8 @@ class HamiltonianSpec:
     e1: float
 
     def __post_init__(self) -> None:
-        if not (self.e2 >= 0.0 and self.e1 >= 0.0):  # NaN fails too
-            raise ValueError("excited energies must be non-negative")
+        if not (0.0 <= self.e2 < math.inf and 0.0 <= self.e1 < math.inf):  # NaN fails too
+            raise ValueError("excited energies must be finite and non-negative")
 
     @classmethod
     def degenerate(cls, omega: float) -> "HamiltonianSpec":
@@ -97,7 +97,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def free_energy(rho: DensityMatrix, hamiltonian: HamiltonianSpec, beta: float) -> float:
     """Non-equilibrium free energy F(rho) = Tr(rho H) - S(rho) / beta."""
-    energy = float(np.real(np.trace(rho.matrix @ hamiltonian.matrix())))
+    r22, r11, r00 = rho.matrix.diagonal().real.tolist()  # Tr(rho H) has rho @ H's bits
+    energy = (hamiltonian.e2 * r22 + hamiltonian.e1 * r11) + 0.0 * r00
     return energy - von_neumann_entropy(rho) / beta
 
 

@@ -77,6 +77,19 @@ def test_ledger_accumulation():
     assert listed.chain.tobytes() == np.stack([ground] * 2).tobytes()
 
 
+def test_ledger_keeps_a_read_only_copy_of_its_chain():
+    # the caller's array keeps its flags, and a later write to it does not
+    # reach the ledger
+    chain = np.stack([DensityMatrix.ground().matrix] * 2)
+    ledger = ProtocolLedger(["noop"], [0.0], [0.0], chain)
+    assert chain.flags.writeable and not ledger.chain.flags.writeable
+    assert not np.shares_memory(chain, ledger.chain)
+    kept = ledger.chain.tobytes()
+    chain[1] = np.eye(3) / 3.0
+    assert ledger.chain.tobytes() == kept
+    assert ledger.final_state.matrix.tobytes() == DensityMatrix.ground().matrix.tobytes()
+
+
 def test_general_initial_state_roundtrip(rng):
     for _ in range(15):
         init = GeneralInitialState(
@@ -432,6 +445,79 @@ def test_run_protocol1_states_match_the_per_round_matrix_route(gamma):
 
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_run_protocol1_rows_are_the_recurrences_numbers(gamma):
+    # Every round's thermal row is diag(xu, x, 1)/Z and its extract earns
+    # shift * xu/Z, bit for bit, with u = e^{-beta shift} from math and Z the
+    # round's partition column; the final coherence is x(1 - u)/(4(1 + x)Z).
+    for beta in np.linspace(0.2, 3.0, 8).tolist():
+        for omega in np.linspace(0.5, 3.0, 6).tolist():
+            bath = BathSpec(beta=beta, rate_fn=flat_rate(gamma), alignment=1.0)
+            rho0 = protocol_initial_state(beta, omega)
+            ledger, rounds = run_protocol1(rho0, omega, beta, bath)
+            assert rounds
+            x = math.exp(-beta * omega)
+            for k, r in enumerate(rounds):
+                u, z = math.exp(-beta * r.shift), r.partition
+                thermal = np.diag([x * u / z, x / z, 1.0 / z]).astype(complex)
+                assert ledger.chain[5 * k + 3].tobytes() == thermal.tobytes()
+                assert r.work_out == r.shift * (x * u / z) == ledger.work_out[5 * k + 3]
+                if gamma:
+                    e = -math.expm1(-beta * r.shift)
+                    assert ledger.chain[5 * k + 5, 0, 1] == x * e / (4.0 * (1.0 + x) * z)
+
+
+def _hermitian_unit_trace_not_positive(beta, omega):
+    """The charged state with an eigenvalue of -1e-9 and its pre-lift population."""
+    charged = protocol_initial_state(beta, omega).matrix
+    return DensityMatrix(_with_negative_eigenvalue(charged, -1e-9))
+
+
+@pytest.mark.parametrize("shift_floor", [1e-6, 10.0])
+def test_run_protocol1_checks_its_input_with_its_rows(monkeypatch, shift_floor):
+    # The input is the first row of the one stacked check, in a run with
+    # rounds and in a run the floor cuts to none, and fails with validate()'s
+    # message.
+    beta, omega = 1.0, 1.5
+    bath = BathSpec(beta=beta, alignment=1.0)
+    bad = _hermitian_unit_trace_not_positive(beta, omega)
+    checked = []
+    real_validate_all = protocols._validate_all
+
+    def validate_all(ms):
+        checked.append(ms.copy())
+        real_validate_all(ms)
+
+    monkeypatch.setattr(protocols, "_validate_all", validate_all)
+    with pytest.raises(PhysicalityError) as raised:
+        run_protocol1(bad, omega, beta, bath, shift_floor=shift_floor)
+    with pytest.raises(PhysicalityError) as expected:
+        bad.validate()
+    assert str(raised.value) == str(expected.value)
+    assert "negative eigenvalue" in str(raised.value)
+    assert len(checked) == 1 and checked[0][0].tobytes() == bad.matrix.tobytes()
+    n_rounds = (len(checked[0]) - 1) // 2
+    assert (n_rounds > 4) if shift_floor < 1.0 else (n_rounds == 0)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ((0, 1), math.nan, "not all finite"),
+    ((0, 1), 0.3, "not Hermitian"),
+    ((2, 2), 0.0, "trace differs"),
+])
+def test_run_protocol1_reads_no_unchecked_input(monkeypatch, where, value, message):
+    # A non-finite, non-Hermitian or non-unit-trace input raises before the
+    # recurrence picks a shift.
+    beta, omega = 1.0, 1.5
+    m = protocol_initial_state(beta, omega).matrix.copy()
+    m[where] = value
+    calls = []
+    monkeypatch.setattr(protocols, "_optimal_shift", lambda *args: calls.append(args))
+    with pytest.raises(PhysicalityError, match=message):
+        run_protocol1(DensityMatrix(m), omega, beta, BathSpec(beta=beta, alignment=1.0))
+    assert calls == []
+
+
 @pytest.mark.parametrize("beta, omega, max_rounds", [
     (1.0, 1.5, 64), (0.2, 1.0, 64), (3.0, 0.7, 64), (40.0, 1.0, 64), (0.5, 2.0, 3),
 ])
@@ -520,8 +606,8 @@ def test_run_protocol1_raises_first_unphysical_state(monkeypatch, where):
     injected = []
     real_round_states = protocols._round_states
 
-    def round_states(x, beta_shifts, emits, rounds):
-        real_round_states(x, beta_shifts, emits, rounds)
+    def round_states(x, u, e, z, emits, rounds):
+        real_round_states(x, u, e, z, emits, rounds)
         # step 4 of each round holds its final state
         for index, value in inject.items():
             final = _with_negative_eigenvalue(rounds[index - 1, 4], value)
@@ -539,7 +625,7 @@ def test_run_protocol1_raises_first_unphysical_state(monkeypatch, where):
 
 def test_protocol_runs_check_and_measure_once(monkeypatch):
     # Per-run counts of eigvalsh and stacked l1 passes must not grow with
-    # the number of rounds: one up-front validate, one stacked check, one
+    # the number of rounds: one stacked check, input included, and one
     # ledger pass.
     counts = {"eigvalsh": 0, "l1": 0}
 
@@ -561,7 +647,7 @@ def test_protocol_runs_check_and_measure_once(monkeypatch):
         counts.update(eigvalsh=0, l1=0)
         _, rounds = run_protocol1(rho0, omega, beta, bath, max_rounds=max_rounds)
         n_rounds.append(len(rounds))
-        assert counts == {"eigvalsh": 2, "l1": 1}
+        assert counts == {"eigvalsh": 1, "l1": 1}
     assert n_rounds[0] == 1 and n_rounds[-1] > 5
     counts.update(eigvalsh=0, l1=0)
     protocol2(GeneralInitialState(b=0.4, n_norm=0.6, theta=1.0, phi=0.3),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,36 @@ def test_hamiltonian_spec():
     # zero is an energy, not a rejection: both bounds are inclusive
     flat = HamiltonianSpec(e2=0.0, e1=0.0)
     np.testing.assert_array_equal(flat.matrix(), np.zeros((3, 3)))
+
+
+def test_hamiltonian_spec_rejects_infinite_energies():
+    # An empty level at infinite energy would add 0 * inf = NaN to Tr(rho H)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianSpec(e2=bad, e1=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianSpec(e2=1.0, e1=bad)
+    rho = DensityMatrix(np.diag([0.0, 0.3, 0.7]))
+    largest = HamiltonianSpec(e2=sys.float_info.max, e1=1.0)
+    assert fed(rho, largest, 1.0) == fed(rho, HamiltonianSpec(e2=1e300, e1=1.0), 1.0)
+    assert math.isfinite(fed(rho, largest, 1.0))
+
+
+def test_free_energy_sums_the_diagonal_as_the_matmul_trace(random_density, subspace_sampler):
+    # Tr(rho H) is (E2 rho22 + E1 rho11) + 0 rho00, bit for bit the real part
+    # of the trace of rho @ H, over full and subspace states and degenerate,
+    # split, zero, tiny and huge energies
+    states = [DensityMatrix(random_density()) for _ in range(20)]
+    states += [CoherenceVector(*subspace_sampler()).to_density() for _ in range(20)]
+    states += [DensityMatrix.ground(), DensityMatrix(np.diag([0.5, 0.5, 0.0]))]
+    energies = [(0.0, 0.0), (1.0, 1.0), (0.3, 2.5), (2.5, 0.3), (1e-300, 1e-300),
+                (1e300, 1e300), (1e300, 1e-300), (0.0, 1e300), (1e-300, 0.0)]
+    for beta in (0.05, 1.0, 20.0):
+        for e2, e1 in energies:
+            ham = HamiltonianSpec(e2, e1)
+            for rho in states:
+                energy = float(np.real(np.trace(rho.matrix @ ham.matrix())))
+                assert free_energy(rho, ham, beta) == energy - von_neumann_entropy(rho) / beta
 
 
 def test_l1_coherence_values():
